@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """A tour of the built-in LP machinery on instances small enough to audit.
 
-The recovery pipeline runs on a self-contained two-phase dense simplex
-over free variables.  For tiny instances an independent oracle enumerates
-candidate active sets directly (no pivoting shared with the solver), which
-is how the solver is validated in the test suite.
+The recovery pipeline runs on a self-contained two-phase dense simplex;
+variables are free unless marked nonnegative.  For tiny instances an
+independent oracle enumerates candidate active sets directly (no pivoting
+shared with the solver), which is how the solver is validated in the test
+suite.
 """
 
 import numpy as np

@@ -30,6 +30,7 @@ from .recovery import (
     RecoveryResult,
     VertexCertificate,
     build_recovery_lp,
+    constraint_violation,
     extract_certificate,
     nonconvex_oracle,
     recover,
@@ -73,6 +74,7 @@ __all__ = [
     "block_decompose",
     "brute_force_vertex_solve",
     "build_recovery_lp",
+    "constraint_violation",
     "derive_seed",
     "effective_sparsity",
     "extract_certificate",

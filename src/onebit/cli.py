@@ -33,7 +33,7 @@ from .measurement import (
     gen_sparse_signal,
     sign_quantize,
 )
-from .recovery import recover, recovery_error
+from .recovery import constraint_violation, recover, recovery_error
 
 CHECKS = ("concentration", "uniform-concentration", "bernoulli-counterexample", "separation")
 
@@ -166,7 +166,7 @@ def cmd_recover(args) -> int:
     print(f"m={rows.shape[0]} n={rows.shape[1]} status={res.lp_solution.status} "
           f"iterations={res.lp_solution.iterations}")
     print(f"l1={np.abs(res.x_hat).sum():.6f} l1/l2={res.l1_over_l2:.6f} "
-          f"max_violation={res.lp_solution.max_constraint_violation:.3e}")
+          f"max_violation={constraint_violation(rows, y, res.x_hat):.3e}")
     print(f"certificate: |T|={cert.support.size} |Omega|={cert.active_rows.size} "
           f"cardinality_ok={cert.cardinality_ok} kernel_residual={cert.kernel_residual:.3e} "
           f"normalization_residual={cert.normalization_residual:.3e}")

@@ -1,15 +1,18 @@
-"""Self-contained dense linear-program solver over free variables.
+"""Self-contained dense linear-program solver.
 
 Problem form: minimize objective @ z subject to
 
     eq_lhs @ z == eq_rhs        (p rows)
     ineq_lhs @ z >= ineq_rhs    (q rows)
+    z_j >= 0                    (j where nonneg[j]; every other z_j is free)
 
-with all d variables free.  solve_lp runs a two-phase primal simplex on the
-standard-form conversion (split z into positive and negative parts, subtract
-surplus variables from the inequality rows).  brute_force_vertex_solve is an
-independent oracle for tiny instances: it enumerates candidate active sets
-directly, so the two routes share no pivoting code.
+solve_lp runs a two-phase primal simplex on the standard-form conversion
+(split each free z_j into positive and negative parts, subtract surplus
+variables from the inequality rows) and reports the optimal vertex with its
+row multipliers.  Phase 1 runs only for rows the all-surplus crash basis
+cannot cover.  brute_force_vertex_solve is an independent oracle for tiny
+instances: it enumerates candidate active sets directly, so the two routes
+share no pivoting code.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.linalg.blas import dger
 
 
 @dataclass
@@ -39,13 +43,18 @@ class ToleranceConfig:
 
 @dataclass
 class LinearProgram:
-    """Dense LP data; inequality rows mean ineq_lhs @ z >= ineq_rhs."""
+    """Dense LP data; inequality rows mean ineq_lhs @ z >= ineq_rhs.
+
+    nonneg marks the variables constrained to z_j >= 0; by default every
+    variable is free.
+    """
 
     objective: np.ndarray   # (d,)
     eq_lhs: np.ndarray      # (p, d)
     eq_rhs: np.ndarray      # (p,)
     ineq_lhs: np.ndarray    # (q, d)
     ineq_rhs: np.ndarray    # (q,)
+    nonneg: np.ndarray | None = None   # (d,) bool, None means all free
 
     def __post_init__(self) -> None:
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
@@ -58,6 +67,11 @@ class LinearProgram:
             raise ValueError("equality lhs/rhs row counts differ")
         if self.ineq_lhs.shape[0] != self.ineq_rhs.shape[0]:
             raise ValueError("inequality lhs/rhs row counts differ")
+        if self.nonneg is None:
+            self.nonneg = np.zeros(d, dtype=bool)
+        self.nonneg = np.asarray(self.nonneg, dtype=bool)
+        if self.nonneg.shape != (d,):
+            raise ValueError("nonnegativity mask must have one entry per variable")
         for block in (self.objective, self.eq_lhs, self.eq_rhs,
                       self.ineq_lhs, self.ineq_rhs):
             if not np.all(np.isfinite(block)):
@@ -75,26 +89,34 @@ class LpSolution:
     objective_value: float           # nan unless optimal, -inf if unbounded
     iterations: int
     max_constraint_violation: float  # against the original rows, nan unless optimal
+    # (p + q,) row multipliers, equality rows first, present iff optimal (and
+    # only from solve_lp): objective = eq_lhs.T @ pi_eq + ineq_lhs.T @ pi_ineq
+    # on free variables (<= on nonnegative ones), pi_ineq >= 0, and
+    # eq_rhs @ pi_eq + ineq_rhs @ pi_ineq = objective_value
+    multipliers: np.ndarray | None = None
 
 
 def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
-    """Largest constraint violation of z against the original LP rows."""
-    worst = 0.0
+    """Largest violation by z of the LP's rows and nonnegativity bounds."""
+    worst = float(np.max(-z[lp.nonneg], initial=0.0))
     if lp.eq_lhs.shape[0]:
-        worst = float(np.max(np.abs(lp.eq_lhs @ z - lp.eq_rhs)))
+        worst = max(worst, float(np.max(np.abs(lp.eq_lhs @ z - lp.eq_rhs))))
     if lp.ineq_lhs.shape[0]:
         slack = lp.ineq_lhs @ z - lp.ineq_rhs
-        worst = max(worst, float(np.max(np.maximum(-slack, 0.0))))
+        worst = max(worst, float(np.max(-slack, initial=0.0)))
     return worst
 
 
 def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int) -> None:
-    """Gauss-Jordan pivot on T (tableau with rhs column) and cost row r."""
+    """Gauss-Jordan pivot on T (tableau with rhs column) and cost row r.
+
+    T must be Fortran-ordered: BLAS then applies the rank-one update in place.
+    """
     row = T[rpiv]
     row /= row[cpiv]
     col = T[:, cpiv].copy()
     col[rpiv] = 0.0
-    T -= col[:, None] * row[None, :]
+    dger(-1.0, col, row, a=T, overwrite_a=True)   # T -= col row^T
     r -= r[cpiv] * row
     T[:, cpiv] = 0.0
     T[rpiv, cpiv] = 1.0
@@ -169,9 +191,10 @@ def _simplex(T: np.ndarray, basis: np.ndarray, r: np.ndarray, cost: np.ndarray,
 def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolution:
     """Solve the LP with a two-phase dense simplex.
 
-    The returned primal is recomputed from the final basis with one linear
-    solve against the original standard-form data, so accumulated tableau
-    roundoff does not leak into the reported vertex.
+    The returned primal and row multipliers are recomputed from the final
+    basis with one linear solve each against the original standard-form
+    data (B w = b and B^T pi = c_B), so accumulated tableau roundoff does
+    not leak into the reported vertex.
     """
     if tol is None:
         tol = ToleranceConfig()
@@ -183,46 +206,34 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     M = p + q
 
     if M == 0:
-        if np.any(np.abs(c) > tol.optimality):
+        if np.any(np.abs(c[~lp.nonneg]) > tol.optimality) or \
+                np.any(c[lp.nonneg] < -tol.optimality):
             return LpSolution("unbounded", None, -np.inf, 0, np.nan)
-        return LpSolution("optimal", np.zeros(d), 0.0, 0, 0.0)
+        return LpSolution("optimal", np.zeros(d), 0.0, 0, 0.0, np.zeros(0))
 
-    # standard form: columns are (z+, z-, surplus)
-    N = 2 * d + q
-    A = np.zeros((M, N))
-    b = np.empty(M)
-    A[:p, :d] = E
-    A[:p, d:2 * d] = -E
-    b[:p] = e
-    A[p:, :d] = I
-    A[p:, d:2 * d] = -I
-    A[p:, 2 * d:] = -np.eye(q)
-    b[p:] = f
-
-    # crash basis: a surplus column serves any inequality row with rhs <= 0
-    # once the row is negated; every other row gets one artificial
-    basis = np.full(M, -1, dtype=np.int64)
-    art_rows = []
-    for i in range(M):
-        if i >= p and b[i] <= 0.0:
-            A[i] = -A[i]
-            b[i] = -b[i]
-            basis[i] = 2 * d + (i - p)
-        else:
-            if b[i] < 0.0:
-                A[i] = -A[i]
-                b[i] = -b[i]
-            art_rows.append(i)
-    n_art = len(art_rows)
+    # standard form, each row negated where that makes the crash basis
+    # feasible: a surplus column serves any inequality row with rhs <= 0,
+    # every other row gets one artificial.  Tableau columns: z (z+ for the
+    # free variables), z- of the free variables, surplus, artificials, rhs
+    free = np.flatnonzero(~lp.nonneg)
+    nf = free.size
+    b = np.concatenate([e, f])
+    crash = (np.arange(M) >= p) & (b <= 0.0)
+    flip = np.where(crash | (b < 0.0), -1.0, 1.0)
+    b *= flip
+    Z = np.vstack([E, I]) * flip[:, None]
+    Z = np.hstack([Z, -Z[:, free]])   # the unpivoted z columns
+    art_rows = np.flatnonzero(~crash)
+    n_art = art_rows.size
+    N = d + nf + q
     K = N + n_art
-    A0 = np.zeros((M, K))
-    A0[:, :N] = A
-    for k, i in enumerate(art_rows):
-        A0[i, N + k] = 1.0
-        basis[i] = N + k
-
-    T = np.empty((M, K + 1))
-    T[:, :K] = A0
+    basis = np.empty(M, dtype=np.int64)
+    basis[crash] = d + nf + np.flatnonzero(crash) - p
+    basis[art_rows] = N + np.arange(n_art)
+    T = np.zeros((M, K + 1), order="F")
+    T[:, :d + nf] = Z
+    T[np.arange(p, M), np.arange(d + nf, N)] = -flip[p:]
+    T[art_rows, basis[art_rows]] = 1.0
     T[:, K] = b
     itmax = tol.iteration_factor * (M + K)
     allowed = np.ones(K, dtype=bool)
@@ -250,50 +261,63 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
 
     cost2 = np.zeros(K)
     cost2[:d] = c
-    cost2[d:2 * d] = -c
+    cost2[d:d + nf] = -c[free]
     r = _reduced_costs(T, basis, cost2)
     status, iters = _simplex(T, basis, r, cost2, allowed, tol, itmax, iters)
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
         return LpSolution(status, None, value, iters, np.nan)
 
-    # clean vertex: re-solve the basis system against the unpivoted data
-    B = A0[:, basis]
+    # clean vertex and multipliers: re-solve the basis systems B w = b and
+    # B^T pi = c_B against the unpivoted data.  A basic surplus or artificial
+    # is a zero-cost unit column on its own row, so both systems reduce to
+    # the block of the basic z columns on the rows no unit column covers (in
+    # the recovery dual: the support of x_hat by the basic measurements);
+    # undoing the row flips gives the multipliers of lp's rows
+    unit = basis >= d + nf
+    cols = basis[~unit]
+    rows = np.ones(M, dtype=bool)
+    rows[np.concatenate([np.arange(p, M), art_rows])[basis[unit] - d - nf]] = False
+    block = Z[np.ix_(rows, cols)]
+    w = np.zeros(d + nf)
+    w[cols] = _solve_square(block, b[rows])
+    z = w[:d].copy()
+    z[free] -= w[d:]
+    pi = np.zeros(M)
+    pi[rows] = _solve_square(block.T, cost2[cols])
+    pi *= flip
+    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), pi)
+
+
+def _solve_square(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     try:
-        wb = np.linalg.solve(B, b)
+        return np.linalg.solve(B, rhs)
     except np.linalg.LinAlgError:
-        wb = np.linalg.lstsq(B, b, rcond=None)[0]
-    z = np.zeros(d)
-    pos_part = np.zeros(d)
-    neg_part = np.zeros(d)
-    for row, j in enumerate(basis):
-        if j < d:
-            pos_part[j] += wb[row]
-        elif j < 2 * d:
-            neg_part[j - d] += wb[row]
-    z = pos_part - neg_part
-    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z))
+        return np.linalg.lstsq(B, rhs, rcond=None)[0]
 
 
 def brute_force_vertex_solve(lp: LinearProgram,
                              tol: ToleranceConfig | None = None) -> LpSolution:
     """Exact reference solve by enumerating candidate active sets.
 
-    Lineality directions (common null space of all rows) are pinned with
-    extra orthogonality equalities so the system is pointed; vertices then
-    come from d-subsets of rows and unbounded rays from (d-1)-subsets.
-    Guarded to tiny sizes; intended as an oracle, not a solver.
+    Each nonnegative variable adds the row z_j >= 0.  Lineality directions
+    (common null space of all rows) are pinned with extra orthogonality
+    equalities so the system is pointed; vertices then come from d-subsets
+    of rows and unbounded rays from (d-1)-subsets.  Guarded to tiny sizes;
+    intended as an oracle, not a solver.
     """
     if tol is None:
         tol = ToleranceConfig()
     d = lp.num_vars
-    p, q = lp.eq_lhs.shape[0], lp.ineq_lhs.shape[0]
+    p = lp.eq_lhs.shape[0]
+    q = lp.ineq_lhs.shape[0] + int(np.count_nonzero(lp.nonneg))
     if d > 12 or p + q > 24:
-        raise ValueError("brute force solve is limited to d <= 12 and p + q <= 24")
+        raise ValueError("brute force solve is limited to d <= 12 and 24 rows "
+                         "(nonnegativity bounds included)")
     c = lp.objective
 
-    rows = np.vstack([lp.eq_lhs, lp.ineq_lhs])
-    rhs = np.concatenate([lp.eq_rhs, lp.ineq_rhs])
+    rows = np.vstack([lp.eq_lhs, lp.ineq_lhs, np.eye(d)[lp.nonneg]])
+    rhs = np.concatenate([lp.eq_rhs, lp.ineq_rhs, np.zeros(q - lp.ineq_lhs.shape[0])])
     is_eq = np.zeros(p + q, dtype=bool)
     is_eq[:p] = True
 

@@ -2,13 +2,22 @@
 
 Given y = sign(A x), the convex program
 
-    minimize ||x'||_1   subject to   y_i <a_i, x'> >= 0  for all i
-                                     (1/m) sum_i y_i <a_i, x'> = 1
+    minimize ||x'||_1   subject to   y_i <a_i, x'> >= 0  where y_i != 0
+                                     <a_i, x'> = 0       where y_i = 0
+                                     (1/m) sum_i y_i <a_i, x'> >= 1
 
-is solved as an LP in the 2n variables (x', u) with u_i >= |x'_i| rows.
-The equality is posed as >= 1 and must be tight at the optimum (scaling the
-solution down would otherwise lower the objective); tightness is asserted
-after the solve.  Rows with y_i = 0 pin <a_i, x'> = 0 exactly.
+is solved through its LP dual.  With W the rows y_i a_i where y_i != 0 and
+a_i where y_i = 0, and g = (1/m) sum_i y_i a_i, the dual is
+
+    maximize t   subject to   -1 <= W^T w + t g <= 1   (2n rows)
+                              t >= 0, w_i >= 0 where y_i != 0, other w_i free
+
+in m + 1 variables.  Every right-hand side is -1, so the simplex starts from
+the all-surplus basis, which is feasible, and never runs phase 1.  x_hat is
+read back by complementary slackness as the multipliers of the upper rows
+minus those of the lower rows.  The normalization is posed as >= 1 and must
+be tight at the optimum (scaling the solution down would otherwise lower
+the objective); tightness is asserted after the solve.
 """
 
 from __future__ import annotations
@@ -52,24 +61,26 @@ class VertexCertificate:
 
 @dataclass
 class RecoveryResult:
-    x_hat: np.ndarray              # raw LP minimizer in R^n
+    x_hat: np.ndarray              # l1 minimizer in R^n, the dual's row multipliers
     direction: np.ndarray          # x_hat / ||x_hat||_2
     l1_over_l2: float
     certificate: VertexCertificate
-    lp_solution: LpSolution
+    lp_solution: LpSolution        # the solve of the dual LP
 
 
 def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
-    """Assemble the sign-consistent l1 minimization LP.
+    """Assemble the dual of the sign-consistent l1 minimization LP.
 
-    Variables are (x', u) in R^{2n}.  Inequality rows, in order: u_i - x'_i >= 0
-    for each i, then u_i + x'_i >= 0, then y_i <a_i, x'> >= 0 for rows with
-    y_i != 0, then the normalization (1/m) sum_i y_i <a_i, x'> >= 1.  Rows
-    with y_i = 0 become equalities <a_i, x'> = 0.
+    Variables are (w_1, ..., w_m, t), one per measurement plus t; w_i is
+    nonnegative where y_i != 0 and free where y_i = 0, and t is nonnegative.
+    The objective is -t.  Inequality rows, in order: the lower rows
+    W^T w + t g >= -1, then the upper rows -(W^T w + t g) >= -1, one of
+    each per coordinate of x (see the module docstring for W and g).
 
     Raises:
         ValueError: on length mismatch or when every sign is zero
-            ("degenerate sign pattern": the normalization row would be 0 >= 1).
+            ("degenerate sign pattern": the primal's normalization row
+            would be 0 >= 1).
     """
     A = as_rows(ensemble)
     m, n = A.shape
@@ -80,28 +91,15 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     if m == 0 or not np.any(nz):
         raise ValueError("degenerate sign pattern")
 
-    d = 2 * n
-    c = np.zeros(d)
-    c[n:] = 1.0
-
-    n_sign = int(np.count_nonzero(nz))
-    q = 2 * n + n_sign + 1
-    ineq = np.zeros((q, d))
-    ineq_rhs = np.zeros(q)
-    eye = np.eye(n)
-    ineq[:n, :n] = -eye          # u_i - x_i >= 0
-    ineq[:n, n:] = eye
-    ineq[n:2 * n, :n] = eye      # u_i + x_i >= 0
-    ineq[n:2 * n, n:] = eye
-    ineq[2 * n:2 * n + n_sign, :n] = y[nz, None] * A[nz]
-    ineq[q - 1, :n] = (y[nz, None] * A[nz]).sum(axis=0) / m
-    ineq_rhs[q - 1] = 1.0
-
-    eq = A[~nz]
-    p = eq.shape[0]
-    eq_lhs = np.zeros((p, d))
-    eq_lhs[:, :n] = eq
-    return LinearProgram(c, eq_lhs, np.zeros(p), ineq, ineq_rhs)
+    W = np.where(nz[:, None], y[:, None] * A, A)
+    G = np.empty((n, m + 1))
+    G[:, :m] = W.T
+    G[:, m] = W[nz].sum(axis=0) / m
+    c = np.zeros(m + 1)
+    c[m] = -1.0
+    return LinearProgram(c, np.zeros((0, m + 1)), np.zeros(0),
+                         np.vstack([G, -G]), np.full(2 * n, -1.0),
+                         nonneg=np.append(nz, True))
 
 
 def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
@@ -130,6 +128,21 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
     )
 
 
+def constraint_violation(ensemble: MeasurementEnsemble, y, x) -> float:
+    """Worst violation by x of the primal program's constraints.
+
+    The largest of: -y_i <a_i, x> over rows with y_i != 0, |<a_i, x>| over
+    rows with y_i = 0, and |(1/m) sum_i y_i <a_i, x> - 1|.
+    """
+    A = as_rows(ensemble)
+    y = np.asarray(y, dtype=np.float64).ravel()
+    prods = A @ np.asarray(x, dtype=np.float64)
+    nz = y != 0.0
+    return max(float(np.max(-y[nz] * prods[nz], initial=0.0)),
+               float(np.max(np.abs(prods[~nz]), initial=0.0)),
+               abs(float(y @ prods) / A.shape[0] - 1.0))
+
+
 def recover(ensemble: MeasurementEnsemble, y,
             tol: ToleranceConfig | None = None) -> RecoveryResult:
     """Solve the recovery LP and package the minimizer with its certificate.
@@ -142,8 +155,9 @@ def recover(ensemble: MeasurementEnsemble, y,
 
     Raises:
         ValueError: degenerate sign pattern (all signs zero).
-        RecoveryError: LP not optimal, or normalization row not tight at
-            the returned vertex.
+        RecoveryError: LP not optimal (status "unbounded" means no x is
+            consistent with y), or normalization row not tight at the
+            returned vertex.
     """
     A = as_rows(ensemble)
     m, n = A.shape
@@ -151,7 +165,7 @@ def recover(ensemble: MeasurementEnsemble, y,
     sol = solve_lp(lp, tol)
     if sol.status != "optimal":
         raise RecoveryError(f"recovery LP terminated with status {sol.status}")
-    x_hat = sol.primal[:n]
+    x_hat = sol.multipliers[n:] - sol.multipliers[:n]
     yf = np.asarray(y, dtype=np.float64).ravel()
     tightness = float((yf * (A @ x_hat)).sum() / m)
     if abs(tightness - 1.0) > NORMALIZATION_TOL:

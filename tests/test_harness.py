@@ -25,7 +25,7 @@ from onebit.harness import (
     write_manifest,
 )
 from onebit.measurement import gen_gaussian_ensemble
-from onebit.recovery import RecoveryError
+from onebit.recovery import RecoveryError, recover
 
 
 def small_config(tmp=None, **kw):
@@ -225,6 +225,21 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
     assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
     x = np.loadtxt(prefix + "_signal.txt").ravel()
     assert np.linalg.norm(direction - x / np.linalg.norm(x)) <= 1.0
+    # max_violation is x_hat's worst violation of the primal program's
+    # constraints; a zero sign adds an equality row to check
+    y = np.loadtxt(prefix + "_signs.txt", dtype=np.int64)
+    y[3] = 0
+    np.savetxt(prefix + "_signs.txt", y, fmt="%d")
+    assert main(["recover", "--matrix", prefix + "_matrix.txt",
+                 "--signs", prefix + "_signs.txt"]) == 0
+    printed = float(re.search(r"max_violation=(\S+)", capsys.readouterr().out).group(1))
+    x_hat = recover(A, y).x_hat
+    prods = A @ x_hat
+    worst = abs(sum(y[i] * prods[i] for i in range(24)) / 24 - 1.0)
+    for i in range(24):
+        worst = max(worst, abs(prods[i]) if y[i] == 0 else -y[i] * prods[i])
+    assert printed <= 1e-9
+    assert abs(printed - worst) <= 1e-3 * worst + 1e-15
 
 
 def test_cli_recover_synthetic(capsys):

@@ -12,25 +12,33 @@ from onebit.lp_core import (
 )
 
 
-def lp(objective, eq_lhs=(), eq_rhs=(), ineq_lhs=(), ineq_rhs=()):
+def lp(objective, eq_lhs=(), eq_rhs=(), ineq_lhs=(), ineq_rhs=(), nonneg=None):
     d = len(objective)
     return LinearProgram(np.array(objective, dtype=float),
                          np.array(eq_lhs, dtype=float).reshape(-1, d),
                          np.array(eq_rhs, dtype=float),
                          np.array(ineq_lhs, dtype=float).reshape(-1, d),
-                         np.array(ineq_rhs, dtype=float))
+                         np.array(ineq_rhs, dtype=float),
+                         nonneg)
 
 
-def random_small_lp(seed):
-    """Half-integer random LP with d <= 6 and p + q <= 8."""
+def random_small_lp(seed, mask="free"):
+    """Half-integer random LP with d <= 6 and p + q <= 8.
+
+    mask picks the nonnegative variables: "free" (none), "nonneg" (all) or
+    "mixed" (each with probability 1/2).
+    """
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 7))
     p = int(rng.integers(0, 3))
     q = int(rng.integers(0, 9 - p))
     mk = lambda r: rng.integers(-4, 5, size=(r, d)) / 2.0
-    return lp(rng.integers(-4, 5, size=d) / 2.0,
-              mk(p), rng.integers(-4, 5, size=p) / 2.0,
-              mk(q), rng.integers(-4, 5, size=q) / 2.0)
+    args = (rng.integers(-4, 5, size=d) / 2.0,
+            mk(p), rng.integers(-4, 5, size=p) / 2.0,
+            mk(q), rng.integers(-4, 5, size=q) / 2.0)
+    nonneg = {"free": np.zeros(d, dtype=bool), "nonneg": np.ones(d, dtype=bool),
+              "mixed": rng.integers(0, 2, size=d).astype(bool)}[mask]
+    return lp(*args, nonneg=nonneg)
 
 
 def test_single_bound():
@@ -80,6 +88,44 @@ def test_negative_variables_reachable():
                       ineq_rhs=[-2.0, -3.0]))
     assert sol.status == "optimal"
     assert np.allclose(sol.primal, [-2.0, -3.0], atol=1e-8)
+
+
+def test_nonnegative_variables():
+    # the same rows as test_negative_variables_reachable, with z1 >= 0
+    sol = solve_lp(lp([1.0, 1.0], ineq_lhs=[[1, 0], [0, 1]],
+                      ineq_rhs=[-2.0, -3.0], nonneg=[True, False]))
+    assert sol.status == "optimal"
+    assert np.allclose(sol.primal, [0.0, -3.0], atol=1e-8)
+    # min -z1 - z2 with z >= 0 and z1 + z2 <= 2: multiplier 1 on the cut
+    sol = solve_lp(lp([-1.0, -1.0], ineq_lhs=[[-1, -1]], ineq_rhs=[-2.0],
+                      nonneg=[True, True]))
+    assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
+    assert np.allclose(sol.multipliers, [1.0], atol=1e-9)
+    assert solve_lp(lp([-1.0], nonneg=[True])).status == "unbounded"
+    assert solve_lp(lp([1.0], nonneg=[True])).objective_value == 0.0
+    assert max_violation(lp([1.0, 1.0], nonneg=[True, False]),
+                         np.array([-0.5, -3.0])) == 0.5
+
+
+@pytest.mark.parametrize("mask", ["free", "nonneg", "mixed"])
+def test_multipliers_certify_optimality(mask):
+    # the multipliers are dual feasible and close the duality gap
+    checked = 0
+    for seed in range(200, 260):
+        prob = random_small_lp(seed, mask)
+        sol = solve_lp(prob)
+        if sol.status != "optimal":
+            continue
+        checked += 1
+        p = prob.eq_lhs.shape[0]
+        pi_eq, pi_ineq = sol.multipliers[:p], sol.multipliers[p:]
+        assert np.all(pi_ineq >= -1e-9)
+        reduced = prob.objective - prob.eq_lhs.T @ pi_eq - prob.ineq_lhs.T @ pi_ineq
+        assert np.all(np.abs(reduced[~prob.nonneg]) <= 1e-9)
+        assert np.all(reduced[prob.nonneg] >= -1e-9)
+        dual_value = prob.eq_rhs @ pi_eq + prob.ineq_rhs @ pi_ineq
+        assert dual_value == pytest.approx(sol.objective_value, abs=1e-8)
+    assert checked >= 10
 
 
 def test_iteration_limit_status():
@@ -144,19 +190,21 @@ def test_weak_duality_on_sampled_feasible_points():
 
 
 def test_oracle_agreement_small():
-    # smaller sibling of the acceptance run, same generator family
-    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for seed in range(1000, 1060):
-        prob = random_small_lp(seed)
-        got = solve_lp(prob)
-        want = brute_force_vertex_solve(prob)
-        assert got.status == want.status, f"seed {seed}"
-        statuses[got.status] += 1
-        if got.status == "optimal":
-            assert abs(got.objective_value - want.objective_value) <= 1e-8
-            assert max_violation(prob, got.primal) <= 1e-8
-            assert max_violation(prob, want.primal) <= 1e-8
-    assert min(statuses.values()) >= 3   # the mix exercises every status
+    # smaller sibling of the acceptance run, same generator family, with
+    # every variable free, every variable nonnegative, and a mix
+    for mask in ("free", "nonneg", "mixed"):
+        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        for seed in range(1000, 1060):
+            prob = random_small_lp(seed, mask)
+            got = solve_lp(prob)
+            want = brute_force_vertex_solve(prob)
+            assert got.status == want.status, f"{mask} seed {seed}"
+            statuses[got.status] += 1
+            if got.status == "optimal":
+                assert abs(got.objective_value - want.objective_value) <= 1e-8
+                assert max_violation(prob, got.primal) <= 1e-8
+                assert max_violation(prob, want.primal) <= 1e-8
+        assert min(statuses.values()) >= 3, mask   # the mix exercises every status
 
 
 def test_brute_force_toys():
@@ -186,3 +234,5 @@ def test_validation_errors():
         lp([np.inf])
     with pytest.raises(ValueError):
         lp([1.0], ineq_lhs=[[np.nan]], ineq_rhs=[0.0])
+    with pytest.raises(ValueError, match="one entry per variable"):
+        lp([1.0, 1.0], nonneg=[True])

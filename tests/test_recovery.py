@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from onebit.lp_core import ToleranceConfig, brute_force_vertex_solve, solve_lp
 from onebit.measurement import (
     MeasurementEnsemble,
+    derive_seed,
+    gen_bernoulli_ensemble,
     gen_gaussian_ensemble,
     gen_sparse_signal,
     sign_quantize,
@@ -13,6 +16,7 @@ from onebit.measurement import (
 from onebit.recovery import (
     RecoveryError,
     build_recovery_lp,
+    constraint_violation,
     extract_certificate,
     nonconvex_oracle,
     recover,
@@ -27,28 +31,100 @@ def make_instance(n, s, m, seed):
     return x, ens, y
 
 
+def sweep_trial(seed, m, dist, mag, n=128, s=4, trial=0):
+    """The instance `onebit sweep --seed seed --m m` solves as trial `trial`."""
+    tseed = derive_seed(seed, m, trial)
+    x = gen_sparse_signal(n, s, derive_seed(tseed, 1), mag)
+    gen = gen_gaussian_ensemble if dist == "gaussian" else gen_bernoulli_ensemble
+    ens = gen(m, n, derive_seed(tseed, 2))
+    return x, ens, sign_quantize(ens.rows @ x)
+
+
+def highs_l1_optimum(A, y):
+    """HiGHS optimum of the primal l1 program, posed on x = p - q with p, q >= 0."""
+    m, n = A.shape
+    nz = y != 0
+    B = y[nz, None] * A[nz]
+    g = B.sum(axis=0) / m
+    A_eq = np.vstack([np.concatenate([g, -g])[None, :], np.hstack([A[~nz], -A[~nz]])])
+    b_eq = np.zeros(A_eq.shape[0])
+    b_eq[0] = 1.0
+    res = linprog(np.ones(2 * n), A_ub=np.hstack([-B, B]), b_ub=np.zeros(B.shape[0]),
+                  A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def assert_matches_highs(ens, y):
+    res = recover(ens, y)
+    want = highs_l1_optimum(ens.rows, y.astype(np.float64))
+    assert abs(np.abs(res.x_hat).sum() - want) <= 1e-9 * want
+    assert constraint_violation(ens, y, res.x_hat) <= 1e-9
+    return res
+
+
+@pytest.mark.parametrize("seed, m, dist, mag", [
+    # Gaussian rows: an iteration_limit, and a normalization that was not tight
+    (167, 150, "gaussian", "unit_gaussian"),
+    (1500005, 100, "gaussian", "unit_gaussian"),
+    # +-1 rows, constant magnitudes: a normalization that was not tight, and
+    # three solves of about 50,000 pivots
+    (1007, 100, "bernoulli", "constant"),
+    (33, 200, "bernoulli", "constant"),
+    (40, 200, "bernoulli", "constant"),
+    (100, 200, "bernoulli", "constant"),
+])
+def test_recover_former_solver_failures(seed, m, dist, mag):
+    # sweep trials on which the free-variable simplex failed or stalled
+    _, ens, y = sweep_trial(seed, m, dist, mag)
+    res = assert_matches_highs(ens, y)
+    assert res.lp_solution.iterations <= 100
+
+
+@pytest.mark.parametrize("m", [100, 400, 800])
+@pytest.mark.parametrize("dist, mag", [("gaussian", "unit_gaussian"),
+                                       ("bernoulli", "constant")])
+def test_recover_matches_highs_at_scale(m, dist, mag):
+    for seed in (1, 2):
+        _, ens, y = sweep_trial(seed, m, dist, mag)
+        assert_matches_highs(ens, y)
+
+
 def test_lp_row_counts():
+    # the dual: 2n rows, one column per measurement plus t, no equalities
     n, m = 5, 7
     _, ens, y = make_instance(n, 2, m, seed=3)
     y = y.copy()
     y[2] = 0
     prob = build_recovery_lp(ens, y)
-    nz = int(np.count_nonzero(y))
-    assert prob.num_vars == 2 * n
-    assert prob.ineq_lhs.shape[0] == 2 * n + nz + 1
-    assert prob.eq_lhs.shape[0] == m - nz
+    assert prob.num_vars == m + 1
+    assert prob.ineq_lhs.shape == (2 * n, m + 1)
+    assert np.array_equal(prob.ineq_rhs, -np.ones(2 * n))
+    assert prob.eq_lhs.shape[0] == 0
+    assert np.array_equal(prob.objective, np.eye(m + 1)[m] * -1.0)
+    # w_i >= 0 where y_i != 0, free where y_i = 0, and t >= 0
+    assert np.array_equal(prob.nonneg, np.append(y != 0, True))
+    # column i is y_i a_i (a_i where y_i = 0), the last column the normalization row
+    cols = [ens.rows[i] * (y[i] if y[i] != 0 else 1.0) for i in range(m)]
+    cols.append(sum(y[i] * ens.rows[i] for i in range(m)) / m)
+    assert np.allclose(prob.ineq_lhs[:n], np.column_stack(cols), rtol=0, atol=1e-15)
+    assert np.array_equal(prob.ineq_lhs[n:], -prob.ineq_lhs[:n])
 
 
 def test_lp_hand_instance():
-    # one measurement a1 = (1, 0), y = +1: minimize u1 + u2 subject to
-    # x1 >= 0 and x1 >= 1 (normalization) -> x = (1, 0), objective 1
+    # one measurement a1 = (1, 0), y = +1: the dual is max t subject to
+    # |w + t| <= 1, w >= 0, t >= 0 -> t = 1; its multipliers give
+    # x_hat = (1, 0), the minimizer of |x1| + |x2| s.t. x1 >= 0, x1 >= 1
     ens = MeasurementEnsemble(np.array([[1.0, 0.0]]), 1, 2, "gaussian", 0)
     prob = build_recovery_lp(ens, np.array([1], dtype=np.int8))
     for solver in (solve_lp, brute_force_vertex_solve):
         sol = solver(prob)
         assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(sol.primal[:2], [1.0, 0.0], atol=1e-9)
+        assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+        assert np.allclose(sol.primal, [0.0, 1.0], atol=1e-9)
+    res = recover(ens, np.array([1], dtype=np.int8))
+    assert np.allclose(res.x_hat, [1.0, 0.0], atol=1e-9)
+    assert np.abs(res.x_hat).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_degenerate_sign_pattern():
