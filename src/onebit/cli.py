@@ -19,20 +19,15 @@ from .geometry import SignalSetSpec, single_hyperplane_separation_prob, tessella
 from .harness import (
     ExperimentConfig,
     ROOT_TWO_OVER_PI,
+    gen_instance,
     run_sweep,
     verify_bernoulli_counterexample,
     verify_concentration,
     verify_uniform_concentration,
     write_manifest,
+    write_sweep_csv,
 )
-from .lp_core import ToleranceConfig
-from .measurement import (
-    derive_seed,
-    gen_bernoulli_ensemble,
-    gen_gaussian_ensemble,
-    gen_sparse_signal,
-    sign_quantize,
-)
+from .measurement import derive_seed, sign_quantize
 from .recovery import constraint_violation, recover, recovery_error
 
 CHECKS = ("concentration", "uniform-concentration", "bernoulli-counterexample", "separation")
@@ -64,11 +59,6 @@ def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mag", choices=("unit_gaussian", "constant"), default="unit_gaussian")
 
 
-def _add_tols(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-feas", type=float, default=ToleranceConfig.feasibility)
-    p.add_argument("--tol-opt", type=float, default=ToleranceConfig.optimality)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="onebit",
@@ -84,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("recover", help="recover a direction from sign measurements")
     _add_common(rec, n=32, s=3, m="60")
     _add_model(rec)
-    _add_tols(rec)
     rec.add_argument("--matrix", help="measurement matrix file (rows of decimals)")
     rec.add_argument("--signs", help="sign pattern file (one of -1, 0, 1 per line)")
     rec.add_argument("--signal", help="optional true signal file for error reporting")
@@ -93,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="recovery error sweep over m, written as CSV")
     _add_common(sw, n=128, s=4, m="100,200,400,800", trials=25)
     _add_model(sw)
-    _add_tols(sw)
     sw.add_argument("--out", required=True, help="CSV output path")
 
     tes = sub.add_parser("tessellate", help="sign-pattern tessellation report")
@@ -110,11 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    rows = np.loadtxt(path, dtype=np.float64, ndmin=2)
-    return rows
-
-
 def _load_signs(path: str) -> np.ndarray:
     y = np.atleast_1d(np.loadtxt(path, dtype=np.int64))
     if not np.all(np.isin(y, (-1, 0, 1))):
@@ -122,18 +105,8 @@ def _load_signs(path: str) -> np.ndarray:
     return y
 
 
-def _gen_instance(args):
-    n, s, m = args.n, args.s, args.m[0]
-    x = gen_sparse_signal(n, s, derive_seed(args.seed, 1), args.mag)
-    if args.dist == "gaussian":
-        ens = gen_gaussian_ensemble(m, n, derive_seed(args.seed, 2))
-    else:
-        ens = gen_bernoulli_ensemble(m, n, derive_seed(args.seed, 2))
-    return x, ens
-
-
 def cmd_gen(args) -> int:
-    x, ens = _gen_instance(args)
+    x, ens = gen_instance(args.n, args.s, args.m[0], args.seed, args.dist, args.mag)
     y = sign_quantize(ens.rows @ x)
     prefix = args.out
     parent = os.path.dirname(prefix)
@@ -148,20 +121,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    tol = ToleranceConfig(feasibility=args.tol_feas, optimality=args.tol_opt)
     x_true = None
     if args.matrix:
         if not args.signs:
             raise ValueError("--matrix requires --signs")
-        rows = _load_matrix(args.matrix)
+        rows = np.loadtxt(args.matrix, dtype=np.float64, ndmin=2)
         y = _load_signs(args.signs)
         if args.signal:
             x_true = np.loadtxt(args.signal, dtype=np.float64).ravel()
     else:
-        x_true, ens = _gen_instance(args)
+        x_true, ens = gen_instance(args.n, args.s, args.m[0], args.seed, args.dist,
+                                  args.mag)
         rows = ens.rows
         y = sign_quantize(rows @ x_true)
-    res = recover(rows, y, tol)
+    res = recover(rows, y)
     cert = res.certificate
     print(f"m={rows.shape[0]} n={rows.shape[1]} status={res.lp_solution.status} "
           f"iterations={res.lp_solution.iterations}")
@@ -182,7 +155,6 @@ def cmd_sweep(args) -> int:
     config = ExperimentConfig(
         task="sweep", n=args.n, s=args.s, m_list=args.m, trials=args.trials,
         seed=args.seed, distribution=args.dist, magnitude_model=args.mag,
-        tolerances=ToleranceConfig(feasibility=args.tol_feas, optimality=args.tol_opt),
         output_path=args.out)
     rows = run_sweep(config)
     for m in args.m:
@@ -218,16 +190,7 @@ def cmd_tessellate(args) -> int:
               f"pairs>{args.delta}={summary['pairs_beyond_delta']} "
               f"min_sep=({summary['min_count_fwd']},{summary['min_count_rev']})")
     if args.out:
-        parent = os.path.dirname(args.out)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        cols = list(lines[0])
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(cols) + "\n")
-            for rec in lines:
-                cells = [f"{rec[c]:.11e}" if isinstance(rec[c], float) else str(rec[c])
-                         for c in cols]
-                fh.write(",".join(cells) + "\n")
+        write_sweep_csv(lines, args.out, list(lines[0]))
         config = ExperimentConfig(task="tessellate", n=args.n, s=args.s, m_list=args.m,
                                   trials=args.trials, seed=args.seed, delta=args.delta,
                                   output_path=args.out)

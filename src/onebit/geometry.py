@@ -257,16 +257,12 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     X = tessellation_points(spec, sample_count, seed)
     A = tessellation_rows(spec, m, seed)
     cells = sign_pattern_cells(X, A)
+    num_cells = int(cells.max()) + 1 if cells.size else 0
 
     gram = X @ X.T
     norms = np.diag(gram)
     dist = np.sqrt(np.maximum(np.add.outer(norms, norms) - 2.0 * gram, 0.0))
-
-    max_diam = 0.0
-    for cid in range(int(cells.max()) + 1 if cells.size else 0):
-        idx = np.flatnonzero(cells == cid)
-        if idx.size >= 2:
-            max_diam = max(max_diam, float(dist[np.ix_(idx, idx)].max()))
+    max_diam = float(dist[cells[:, None] == cells].max(initial=0.0))
 
     margin = delta / 30.0
     stats: list[PairSeparation] = []
@@ -280,5 +276,4 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
             stats.append(PairSeparation(a, b, float(dist[a, b]),
                                         int(round(counts[a, b])),
                                         int(round(counts[b, a]))))
-    return TessellationReport(m, delta, X, int(cells.max()) + 1 if cells.size else 0,
-                              max_diam, stats)
+    return TessellationReport(m, delta, X, num_cells, max_diam, stats)

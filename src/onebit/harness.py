@@ -10,14 +10,13 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .geometry import SignalSetSpec, sample_sphere_cap
-from .lp_core import ToleranceConfig
 from .measurement import (
     derive_seed,
     gen_bernoulli_ensemble,
@@ -42,7 +41,6 @@ class ExperimentConfig:
     distribution: str = "gaussian"
     magnitude_model: str = "unit_gaussian"
     delta: float = 0.5
-    tolerances: ToleranceConfig = field(default_factory=ToleranceConfig)
     output_path: str | None = None
 
 
@@ -66,11 +64,19 @@ class SweepRow:
 SWEEP_FIELDS = list(SweepRow.__dataclass_fields__)
 
 
-def _gen_ensemble(distribution: str, m: int, n: int, seed: int):
+def gen_instance(n: int, s: int, m: int, seed: int, distribution: str,
+                 magnitude_model: str):
+    """The instance (x, ensemble) at this seed: one sparse signal and m rows.
+
+    x is drawn from derive_seed(seed, 1) and the ensemble from
+    derive_seed(seed, 2).  `onebit gen` and `onebit recover` use the master
+    seed; a sweep trial uses derive_seed(seed, m, trial).
+    """
+    x = gen_sparse_signal(n, s, derive_seed(seed, 1), magnitude_model)
     if distribution == "gaussian":
-        return gen_gaussian_ensemble(m, n, seed)
+        return x, gen_gaussian_ensemble(m, n, derive_seed(seed, 2))
     if distribution == "bernoulli":
-        return gen_bernoulli_ensemble(m, n, seed)
+        return x, gen_bernoulli_ensemble(m, n, derive_seed(seed, 2))
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
@@ -87,37 +93,31 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     for m in config.m_list:
         for trial in range(config.trials):
             tseed = derive_seed(config.seed, m, trial)
-            x = gen_sparse_signal(config.n, config.s, derive_seed(tseed, 1),
+            x, ens = gen_instance(config.n, config.s, m, tseed, config.distribution,
                                   config.magnitude_model)
-            ratio_in = float(np.abs(x).sum() / np.linalg.norm(x))
-            ens = _gen_ensemble(config.distribution, m, config.n, derive_seed(tseed, 2))
             t0 = time.perf_counter()
             try:
-                y = sign_quantize(ens.rows @ x)
-                res = recover(ens, y, config.tolerances)
+                res = recover(ens, sign_quantize(ens.rows @ x))
                 wall = (time.perf_counter() - t0) * 1000.0
-                rows.append(SweepRow(
-                    n=config.n, s=config.s, m=m, trial=trial, seed=tseed,
-                    error=recovery_error(res.direction, x),
-                    l1l2_ratio_in=ratio_in,
-                    l1l2_ratio_out=res.l1_over_l2,
-                    cert_cardinality_ok=bool(res.certificate.cardinality_ok),
-                    normalization_residual=res.certificate.normalization_residual,
-                    wall_time_ms=wall,
-                ))
+                error = recovery_error(res.direction, x)
+                ratio_out = res.l1_over_l2
+                card_ok = bool(res.certificate.cardinality_ok)
+                residual = res.certificate.normalization_residual
             except Exception:
                 failures += 1
                 wall = (time.perf_counter() - t0) * 1000.0
-                rows.append(SweepRow(
-                    n=config.n, s=config.s, m=m, trial=trial, seed=tseed,
-                    error=float("nan"), l1l2_ratio_in=ratio_in,
-                    l1l2_ratio_out=float("nan"), cert_cardinality_ok=False,
-                    normalization_residual=float("nan"), wall_time_ms=wall,
-                ))
+                error = ratio_out = residual = float("nan")
+                card_ok = False
+            rows.append(SweepRow(
+                n=config.n, s=config.s, m=m, trial=trial, seed=tseed, error=error,
+                l1l2_ratio_in=float(np.abs(x).sum() / np.linalg.norm(x)),
+                l1l2_ratio_out=ratio_out, cert_cardinality_ok=card_ok,
+                normalization_residual=residual, wall_time_ms=wall,
+            ))
     if rows and failures == len(rows):
         raise RuntimeError("every sweep trial failed")
     if config.output_path:
-        write_sweep_csv(rows, config.output_path)
+        write_sweep_csv([asdict(row) for row in rows], config.output_path, SWEEP_FIELDS)
         write_manifest(config, config.output_path)
     return rows
 
@@ -130,16 +130,19 @@ def _fmt(value) -> str:
     return f"{float(value):.11e}"   # 12 significant digits
 
 
-def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    """Write rows as CSV: header from the SweepRow fields, LF endings, UTF-8."""
+def write_sweep_csv(records: list[dict], path: str, columns: list[str]) -> None:
+    """Write records (dicts keyed by column) as CSV: header line, LF endings, UTF-8.
+
+    The one CSV writer: sweep rows and the tessellation summary both go
+    through it, so every data file has the same number format.
+    """
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SWEEP_FIELDS) + "\n")
-        for row in rows:
-            rec = asdict(row)
-            fh.write(",".join(_fmt(rec[name]) for name in SWEEP_FIELDS) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for rec in records:
+            fh.write(",".join(_fmt(rec[name]) for name in columns) + "\n")
 
 
 def write_manifest(config: ExperimentConfig, data_path: str) -> str:

@@ -18,13 +18,20 @@ from onebit.harness import (
     SWEEP_FIELDS,
     ExperimentConfig,
     abs_moment_deviation,
+    gen_instance,
     run_sweep,
     verify_bernoulli_counterexample,
     verify_concentration,
     verify_uniform_concentration,
     write_manifest,
 )
-from onebit.measurement import gen_gaussian_ensemble
+from onebit.measurement import (
+    derive_seed,
+    gen_bernoulli_ensemble,
+    gen_gaussian_ensemble,
+    gen_sparse_signal,
+    sign_quantize,
+)
 from onebit.recovery import RecoveryError, recover
 
 
@@ -205,6 +212,9 @@ def test_cli_usage_errors():
     assert main([]) == 2
     assert main(["verify"]) == 2          # --check is required
     assert main(["sweep", "--n", "8", "--s", "2", "--m", ""]) == 2
+    # the solver tolerances are library API only, not command-line flags
+    assert main(["recover", "--tol-feas", "1e-8"]) == 2
+    assert main(["sweep", "--out", "x.csv", "--tol-opt", "1e-9"]) == 2
 
 
 def test_cli_gen_recover_roundtrip(tmp_path, capsys):
@@ -282,8 +292,44 @@ def test_cli_tessellate(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "max_cell_diameter_lb" in text or "cells=" in text
     header, data = read_csv(out)
-    assert header[0] == "m"
-    assert len(data) == 2
+    assert header == ["m", "delta", "sample_count", "nonempty_cells", "max_cell_diameter_lb",
+                      "pairs_beyond_delta", "min_count_fwd", "min_count_rev"]
+    assert [rec[0] for rec in data] == ["10", "20"]
+    float_pat = re.compile(r"-?\d\.\d{11}e[+-]\d{2,}")
+    for rec in data:
+        row = dict(zip(header, rec))
+        assert row["delta"] == "5.00000000000e-01"
+        assert float_pat.fullmatch(row["max_cell_diameter_lb"])
+        assert row["sample_count"] == "60"
+        for name in ("nonempty_cells", "pairs_beyond_delta", "min_count_fwd", "min_count_rev"):
+            assert re.fullmatch(r"\d+", row[name])
+    assert "\r" not in out.read_text(encoding="utf-8")
+    man = json.loads((tmp_path / "tess.manifest.json").read_text(encoding="utf-8"))
+    assert man["config"]["task"] == "tessellate"
+    assert man["config"]["m_list"] == [10, 20]
+
+
+@pytest.mark.parametrize("dist,mag", [("gaussian", "unit_gaussian"), ("bernoulli", "constant")])
+def test_gen_instance_is_the_cli_and_sweep_instance(tmp_path, dist, mag):
+    # x comes from derive_seed(seed, 1) and the rows from derive_seed(seed, 2)
+    x, ens = gen_instance(10, 3, 25, 6, dist, mag)
+    gen_rows = gen_gaussian_ensemble if dist == "gaussian" else gen_bernoulli_ensemble
+    assert np.array_equal(x, gen_sparse_signal(10, 3, derive_seed(6, 1), mag))
+    assert np.array_equal(ens.rows, gen_rows(25, 10, derive_seed(6, 2)).rows)
+    # onebit gen writes exactly that instance
+    prefix = str(tmp_path / "inst")
+    assert main(["gen", "--n", "10", "--s", "3", "--m", "25", "--seed", "6",
+                 "--dist", dist, "--mag", mag, "--out", prefix]) == 0
+    assert np.array_equal(np.loadtxt(prefix + "_matrix.txt", ndmin=2), ens.rows)
+    assert np.array_equal(np.loadtxt(prefix + "_signal.txt"), x)
+    assert np.array_equal(np.loadtxt(prefix + "_signs.txt", dtype=np.int64),
+                          sign_quantize(ens.rows @ x))
+    # each sweep trial is the instance at derive_seed(seed, m, trial)
+    rows = run_sweep(small_config(distribution=dist, magnitude_model=mag))
+    for r in rows:
+        assert r.seed == derive_seed(3, r.m, r.trial)
+        xt, _ = gen_instance(16, 2, r.m, r.seed, dist, mag)
+        assert r.l1l2_ratio_in == np.abs(xt).sum() / np.linalg.norm(xt)
 
 
 def test_cli_verify_checks(capsys):
