@@ -184,7 +184,7 @@ def single_hyperplane_separation_prob(x, y_pt, trials: int, seed: int,
     return hits / trials
 
 
-@dataclass
+@dataclass(slots=True)
 class PairSeparation:
     """Separation record for one sampled pair at the report margin."""
 
@@ -270,10 +270,11 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
         G = X @ A.T
         above = (G > margin).astype(np.float32)
         below = (G < -margin).astype(np.float32)
-        counts = above @ below.T     # counts[p, q] = #separators for (p, q)
+        # counts[p, q] = #separators for (p, q); float32 sums of 0/1 terms are
+        # exact integers while m < 2**24
+        counts = np.rint(above @ below.T).astype(np.int64)
         pi, pj = np.nonzero(np.triu(dist > delta, k=1))
-        for a, b in zip(pi.tolist(), pj.tolist()):
-            stats.append(PairSeparation(a, b, float(dist[a, b]),
-                                        int(round(counts[a, b])),
-                                        int(round(counts[b, a]))))
+        stats = list(map(PairSeparation, pi.tolist(), pj.tolist(),
+                         dist[pi, pj].tolist(), counts[pi, pj].tolist(),
+                         counts[pj, pi].tolist()))
     return TessellationReport(m, delta, X, num_cells, max_diam, stats)

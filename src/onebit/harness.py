@@ -248,7 +248,8 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
     spec = SignalSetSpec(n, s, "effectively_sparse")
     X = sample_sphere_cap(spec, sample_count, derive_seed(seed, 1))
     ens = gen_gaussian_ensemble(m, n, derive_seed(seed, 2))
-    moments = np.abs(ens.rows @ X.T).mean(axis=0)
+    products = ens.rows @ X.T
+    moments = np.abs(products, out=products).mean(axis=0)
     devs = np.abs(moments - ROOT_TWO_OVER_PI)
     return UniformConcentrationReport(
         n=n, s=s, m=m, sample_count=sample_count, threshold=t,

@@ -4,6 +4,10 @@ All randomness flows through a counter-based SplitMix64 scheme: entry (i, j) of
 any generated matrix is a pure function of (seed, i, j), so individual rows can
 be regenerated in any order and the first m rows of a larger ensemble coincide
 with the m-row ensemble for the same seed.
+
+Grids are generated in row blocks of about 16K entries, mixed in place in two
+reused word buffers and converted straight into the output array.  Every entry
+is still that pure function of (seed, i, j), so blocking never changes a value.
 """
 
 from __future__ import annotations
@@ -59,19 +63,54 @@ def derive_seed(seed: int, *labels: int) -> int:
     return h
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, which is exactly what SplitMix64 needs
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray, t: np.ndarray, finish: bool = True) -> None:
+    """SplitMix64 finalizer applied to z in place; t is scratch of z's shape.
+
+    uint64 arithmetic wraps mod 2**64, which is exactly what SplitMix64 needs.
+    finish=False skips the last z ^= z >> 31, which never changes bit 63.
+    """
+    np.right_shift(z, np.uint64(30), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, _M1, out=z)
+    np.right_shift(z, np.uint64(27), out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.multiply(z, _M2, out=z)
+    if finish:
+        np.right_shift(z, np.uint64(31), out=t)
+        np.bitwise_xor(z, t, out=z)
 
 
-def _word_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
-    """64-bit word for each (row, col) position under the given seed."""
+# entries mixed per block: the two 128 KB word buffers stay in cache
+_BLOCK = 1 << 14
+
+
+def _word_blocks(seed: int, rows: int, cols: int, row_offset: int,
+                 finish: bool = True):
+    """Yield (row slice, words) over the word grid of (seed, row, col), in row blocks.
+
+    words is a (block rows, cols) view of a buffer the next block overwrites.
+    A block holds at least one whole row.
+    """
     i = np.arange(row_offset + 1, row_offset + rows + 1, dtype=np.uint64)
-    j = np.arange(1, cols + 1, dtype=np.uint64)
-    row_keys = _mix64_array(np.uint64(seed & MASK64) + i * _GOLDEN_U)
-    return _mix64_array(row_keys[:, None] + j[None, :] * _GOLDEN_U)
+    row_keys = np.uint64(seed & MASK64) + i * _GOLDEN_U
+    _mix64_inplace(row_keys, np.empty_like(row_keys))
+    col_keys = np.arange(1, cols + 1, dtype=np.uint64) * _GOLDEN_U
+    step = max(1, _BLOCK // max(cols, 1))
+    z = np.empty((min(step, rows), cols), dtype=np.uint64)
+    t = np.empty_like(z)
+    for r0 in range(0, rows, step):
+        w = z[:min(step, rows - r0)]
+        np.add(row_keys[r0:r0 + w.shape[0], None], col_keys, out=w)
+        _mix64_inplace(w, t[:w.shape[0]], finish)
+        yield slice(r0, r0 + w.shape[0]), w
+
+
+def _uniforms_into(w: np.ndarray, out: np.ndarray) -> None:
+    # top 53 bits, centered so 0 and 1 are never produced; w is overwritten
+    np.right_shift(w, np.uint64(11), out=w)
+    np.copyto(out, w, casting="unsafe")
+    out += 0.5
+    out *= 2.0 ** -53
 
 
 def uniform_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
@@ -80,20 +119,32 @@ def uniform_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.nda
     row_offset shifts the row index, so uniform_grid(seed, r, c, k) equals
     rows k..k+r of uniform_grid(seed, k + r, c).
     """
-    w = _word_grid(seed, rows, cols, row_offset)
-    # top 53 bits, centered so 0 and 1 are never produced
-    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    out = np.empty((rows, cols))
+    for block, w in _word_blocks(seed, rows, cols, row_offset):
+        _uniforms_into(w, out[block])
+    return out
 
 
 def normal_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
     """Matrix of standard normals via the inverse-CDF transform of uniform_grid."""
-    return ndtri(uniform_grid(seed, rows, cols, row_offset))
+    out = np.empty((rows, cols))
+    for block, w in _word_blocks(seed, rows, cols, row_offset):
+        dest = out[block]
+        _uniforms_into(w, dest)
+        ndtri(dest, out=dest)
+    return out
 
 
 def sign_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
     """Matrix of symmetric +-1 entries drawn from the top bit of the word grid."""
-    w = _word_grid(seed, rows, cols, row_offset)
-    return np.where((w >> np.uint64(63)).astype(bool), 1.0, -1.0)
+    out = np.empty((rows, cols))
+    for block, w in _word_blocks(seed, rows, cols, row_offset, finish=False):
+        dest = out[block]
+        np.right_shift(w, np.uint64(63), out=w)
+        np.copyto(dest, w, casting="unsafe")
+        dest *= 2.0
+        dest -= 1.0
+    return out
 
 
 @dataclass

@@ -1,9 +1,12 @@
 """Tests for signal-set geometry, nets, decompositions, and tessellations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from onebit.geometry import (
+    PairSeparation,
     SignalSetSpec,
     block_decompose,
     hard_threshold,
@@ -231,3 +234,41 @@ def test_tessellation_rows_nest():
     A80 = tessellation_rows(spec, 80, seed=5)
     A20 = tessellation_rows(spec, 20, seed=5)
     assert np.array_equal(A80[:20], A20)
+
+
+def _loop_pair_records(X, A, delta):
+    """Pair records built one pair at a time, as the report once built them."""
+    gram = X @ X.T
+    norms = np.diag(gram)
+    dist = np.sqrt(np.maximum(np.add.outer(norms, norms) - 2.0 * gram, 0.0))
+    margin = delta / 30.0
+    stats = []
+    if X.shape[0] >= 2:
+        G = X @ A.T
+        above = (G > margin).astype(np.float32)
+        below = (G < -margin).astype(np.float32)
+        counts = above @ below.T
+        pi, pj = np.nonzero(np.triu(dist > delta, k=1))
+        for a, b in zip(pi.tolist(), pj.tolist()):
+            stats.append(PairSeparation(a, b, float(dist[a, b]),
+                                        int(round(counts[a, b])),
+                                        int(round(counts[b, a]))))
+    return stats
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 120])
+def test_pair_records_match_loop_reference(count):
+    spec = cap_spec(16, 2)
+    assert [f.name for f in dataclasses.fields(PairSeparation)] == [
+        "i", "j", "distance", "count_fwd", "count_rev"]
+    for m in (0, 1, 30, 200):
+        rep = tessellate_and_report(spec, m, 0.5, count, seed=9)
+        A = tessellation_rows(spec, m, seed=9)
+        want = _loop_pair_records(rep.sampled_points, A, 0.5)
+        assert rep.separation_stats == want
+        if count == 120 and m:
+            assert want and max(p.count_fwd for p in want) > 0
+        for p in rep.separation_stats:
+            assert type(p.i) is int and type(p.j) is int
+            assert type(p.count_fwd) is int and type(p.count_rev) is int
+            assert type(p.distance) is float

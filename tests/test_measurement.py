@@ -1,7 +1,10 @@
 """Tests for seeded generation, sign quantization, and sparsity metrics."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from onebit.measurement import (
     MeasurementEnsemble,
@@ -18,6 +21,39 @@ from onebit.measurement import (
 )
 
 ROOT_TWO_OVER_PI = np.sqrt(2.0 / np.pi)
+
+# Whole-array reference for the block generator: the word grid built in one
+# piece, then converted, exactly as the grids were defined before blocking.
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN_U = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _ref_mix64_array(z):
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+def _ref_word_grid(seed, rows, cols, row_offset=0):
+    i = np.arange(row_offset + 1, row_offset + rows + 1, dtype=np.uint64)
+    j = np.arange(1, cols + 1, dtype=np.uint64)
+    row_keys = _ref_mix64_array(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + i * _GOLDEN_U)
+    return _ref_mix64_array(row_keys[:, None] + j[None, :] * _GOLDEN_U)
+
+
+def _ref_uniform_grid(seed, rows, cols, row_offset=0):
+    w = _ref_word_grid(seed, rows, cols, row_offset)
+    return ((w >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+
+
+def _ref_normal_grid(seed, rows, cols, row_offset=0):
+    return ndtri(_ref_uniform_grid(seed, rows, cols, row_offset))
+
+
+def _ref_sign_grid(seed, rows, cols, row_offset=0):
+    w = _ref_word_grid(seed, rows, cols, row_offset)
+    return np.where((w >> np.uint64(63)).astype(bool), 1.0, -1.0)
 
 
 def test_gaussian_ensemble_deterministic():
@@ -175,3 +211,36 @@ def test_sign_grid_is_pm_one():
     assert set(np.unique(g)) <= {-1.0, 1.0}
     # roughly balanced
     assert abs(g.mean()) < 0.25
+
+
+@pytest.mark.parametrize("seed, rows, cols, row_offset", [
+    (7, 0, 64, 0),              # no rows
+    (7, 1, 64, 0),              # one row
+    (7, 300, 64, 0),            # a partial last block
+    (7, 257, 129, 0),           # several blocks, rows not a multiple of any
+    (7, 3, 20000, 5),           # one row is wider than a block
+    (7, 257, 129, 1000),        # shifted row index
+    (2**64 - 1, 257, 129, 1000),
+    (31, 2, 128, 0),            # the gen_sparse_signal shape
+])
+def test_grids_bit_identical_to_whole_array_reference(seed, rows, cols, row_offset):
+    for grid, ref in ((uniform_grid, _ref_uniform_grid),
+                      (normal_grid, _ref_normal_grid),
+                      (sign_grid, _ref_sign_grid)):
+        got = grid(seed, rows, cols, row_offset)
+        want = ref(seed, rows, cols, row_offset)
+        assert got.shape == want.shape == (rows, cols)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), grid.__name__
+
+
+@pytest.mark.parametrize("grid, args, digest", [
+    (uniform_grid, (7, 300, 64, 0), "e423ab08041355b8"),
+    (uniform_grid, (2**64 - 1, 257, 129, 1000), "be0da0ef0256b2dc"),
+    (sign_grid, (7, 300, 64, 0), "ab1623c08a15e2db"),
+    (sign_grid, (7, 3, 20000, 5), "5d79afffca8595e3"),
+])
+def test_integer_only_grids_pinned(grid, args, digest):
+    # these grids use only integer ops and exact conversions, so their bytes
+    # are the same on every platform
+    assert hashlib.sha256(grid(*args).tobytes()).hexdigest()[:16] == digest
