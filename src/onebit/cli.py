@@ -31,6 +31,8 @@ from .measurement import derive_seed, sign_quantize
 from .recovery import constraint_violation, recover, recovery_error
 
 CHECKS = ("concentration", "uniform-concentration", "bernoulli-counterexample", "separation")
+# the checks that read --delta, with the threshold each uses without it
+DELTA_DEFAULTS = {"concentration": 0.02, "uniform-concentration": 0.1}
 
 
 def _m_list(text: str) -> list[int]:
@@ -93,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--check", required=True, choices=CHECKS)
     _add_common(ver, n=64, s=4, m="20000", trials=100)
     ver.add_argument("--delta", type=float, default=None,
-                     help="deviation threshold or margin, check-specific default")
-    ver.add_argument("--out", help="optional report path")
+                     help="deviation threshold, read by the concentration and "
+                          "uniform-concentration checks only; check-specific default")
+    ver.set_defaults(usage_error=ver.error)
     return ap
 
 
@@ -172,8 +175,6 @@ def cmd_tessellate(args) -> int:
     lines = []
     for m in args.m:
         rep = tessellate_and_report(spec, m, args.delta, args.trials, args.seed)
-        fwd = [p.count_fwd for p in rep.separation_stats]
-        rev = [p.count_rev for p in rep.separation_stats]
         summary = {
             "m": m,
             "delta": args.delta,
@@ -181,8 +182,8 @@ def cmd_tessellate(args) -> int:
             "nonempty_cells": rep.nonempty_cells,
             "max_cell_diameter_lb": rep.max_cell_diameter_lb,
             "pairs_beyond_delta": len(rep.separation_stats),
-            "min_count_fwd": min(fwd) if fwd else 0,
-            "min_count_rev": min(rev) if rev else 0,
+            "min_count_fwd": min((p.count_fwd for p in rep.separation_stats), default=0),
+            "min_count_rev": min((p.count_rev for p in rep.separation_stats), default=0),
         }
         lines.append(summary)
         print(f"m={m} cells={summary['nonempty_cells']} "
@@ -201,8 +202,8 @@ def cmd_tessellate(args) -> int:
 
 def cmd_verify(args) -> int:
     check = args.check
+    t = DELTA_DEFAULTS.get(check) if args.delta is None else args.delta
     if check == "concentration":
-        t = 0.02 if args.delta is None else args.delta
         rep = verify_concentration(args.n, args.m[0], args.trials, t, args.seed)
         print(f"concentration: n={rep.n} m={rep.m} trials={rep.trials}")
         print(f"mean_abs_moment={rep.mean_abs_moment:.6f} target={ROOT_TWO_OVER_PI:.6f}")
@@ -210,7 +211,6 @@ def cmd_verify(args) -> int:
         passed = rep.exceedance_fraction <= 0.05 and \
             abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= 0.005
     elif check == "uniform-concentration":
-        t = 0.1 if args.delta is None else args.delta
         rep = verify_uniform_concentration(args.n, args.s, args.m[0],
                                            args.trials, t, args.seed)
         print(f"uniform concentration: n={rep.n} s={rep.s} m={rep.m} "
@@ -244,8 +244,12 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command == "verify" and args.delta is not None \
+                and args.check not in DELTA_DEFAULTS:
+            args.usage_error(f"--delta does not apply to --check {args.check}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -25,7 +25,7 @@ from .measurement import (
     normal_grid,
     sign_quantize,
 )
-from .recovery import recover, recovery_error
+from .recovery import RecoveryError, recover, recovery_error
 
 ROOT_TWO_OVER_PI = float(np.sqrt(2.0 / np.pi))
 
@@ -83,8 +83,10 @@ def gen_instance(n: int, s: int, m: int, seed: int, distribution: str,
 def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     """Run the recovery sweep over config.m_list x config.trials.
 
-    A trial that raises records a row with nan results and continues; the
-    sweep itself only fails if every trial errored.  Rows come back sorted
+    A trial whose recovery fails (RecoveryError, or ValueError, which
+    includes numpy's LinAlgError) records a row with nan results and
+    continues; the sweep itself only fails if every trial failed.  Any other
+    exception is a programming error and propagates.  Rows come back sorted
     by (m, trial).  When config.output_path is set, the rows are written as
     CSV with a JSON manifest next to it.
     """
@@ -103,7 +105,7 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
                 ratio_out = res.l1_over_l2
                 card_ok = bool(res.certificate.cardinality_ok)
                 residual = res.certificate.normalization_residual
-            except Exception:
+            except (RecoveryError, ValueError):
                 failures += 1
                 wall = (time.perf_counter() - t0) * 1000.0
                 error = ratio_out = residual = float("nan")
@@ -158,18 +160,6 @@ def write_manifest(config: ExperimentConfig, data_path: str) -> str:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
-
-
-def abs_moment_deviation(rows: np.ndarray, x) -> float:
-    """|(1/m) sum_i |<a_i, x>| / ||x||_2 - sqrt(2/pi)|, scale-free in x."""
-    v = np.asarray(x, dtype=np.float64)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("zero vector")
-    m = rows.shape[0]
-    if m == 0:
-        raise ValueError("need at least one row")
-    return float(abs(np.abs(rows @ v).sum() / (m * norm) - ROOT_TWO_OVER_PI))
 
 
 @dataclass

@@ -205,12 +205,6 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     p, q = E.shape[0], I.shape[0]
     M = p + q
 
-    if M == 0:
-        if np.any(np.abs(c[~lp.nonneg]) > tol.optimality) or \
-                np.any(c[lp.nonneg] < -tol.optimality):
-            return LpSolution("unbounded", None, -np.inf, 0, np.nan)
-        return LpSolution("optimal", np.zeros(d), 0.0, 0, 0.0, np.zeros(0))
-
     # standard form, each row negated where that makes the crash basis
     # feasible: a surplus column serves any inequality row with rhs <= 0,
     # every other row gets one artificial.  Tableau columns: z (z+ for the

@@ -102,9 +102,7 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
                          nonneg=np.append(nz, True))
 
 
-def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
-                        support_tol: float = SUPPORT_TOL,
-                        active_tol: float = ACTIVE_ROW_TOL) -> VertexCertificate:
+def extract_certificate(ensemble: MeasurementEnsemble, x_hat) -> VertexCertificate:
     """Compute the vertex certificate for a candidate minimizer."""
     A = as_rows(ensemble)
     m = A.shape[0]
@@ -112,8 +110,8 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
     x_norm = float(np.linalg.norm(x_hat))
     prods = A @ x_hat
     row_norms = np.linalg.norm(A, axis=1)
-    support = np.flatnonzero(np.abs(x_hat) > support_tol)
-    active = np.flatnonzero(np.abs(prods) <= active_tol * row_norms * x_norm)
+    support = np.flatnonzero(np.abs(x_hat) > SUPPORT_TOL)
+    active = np.flatnonzero(np.abs(prods) <= ACTIVE_ROW_TOL * row_norms * x_norm)
     if active.size and support.size:
         kernel_residual = float(np.linalg.norm(A[np.ix_(active, support)] @ x_hat[support]))
     else:
@@ -175,7 +173,7 @@ def recover(ensemble: MeasurementEnsemble, y,
         raise RecoveryError("recovery LP returned the zero vector")
     direction = x_hat / x_norm
     l1_over_l2 = float(np.abs(x_hat).sum() / x_norm)
-    cert = extract_certificate(ensemble, y, x_hat)
+    cert = extract_certificate(ensemble, x_hat)
     return RecoveryResult(x_hat, direction, l1_over_l2, cert, sol)
 
 

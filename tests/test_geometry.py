@@ -18,7 +18,7 @@ from onebit.geometry import (
     tessellation_points,
     tessellation_rows,
 )
-from onebit.measurement import gen_gaussian_ensemble
+from onebit.measurement import derive_seed, gen_gaussian_ensemble, normal_grid, uniform_grid
 
 
 def cap_spec(n, s):
@@ -107,6 +107,96 @@ def test_sample_sphere_cap_exactly_sparse_kind():
     X = sample_sphere_cap(SignalSetSpec(16, 3, "exactly_sparse"), 100, seed=6)
     assert ((X != 0).sum(axis=1) <= 3).all()
     assert np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)) <= 1e-12
+
+
+def _loop_sample_sphere_cap(spec, count, seed):
+    """The sampler one row at a time, as sample_sphere_cap once was."""
+    n = spec.n
+    sb = int(spec.s)
+    budget = np.sqrt(spec.s)
+    vals = normal_grid(derive_seed(seed, 1), count, n)
+    perm = uniform_grid(derive_seed(seed, 2), count, n)
+    noise = normal_grid(derive_seed(seed, 3), count, n)
+    out = np.zeros((count, n))
+    for i in range(count):
+        support = np.argsort(perm[i], kind="stable")[:sb]
+        w = np.zeros(n)
+        w[support] = vals[i][support]
+        w /= np.linalg.norm(w)
+        if spec.kind == "exactly_sparse" or i % 2 == 0:
+            out[i] = w
+            continue
+        g = noise[i] / np.linalg.norm(noise[i])
+        eps = 0.5
+        chosen = w
+        for _ in range(60):
+            v = w + eps * g
+            v /= np.linalg.norm(v)
+            if np.abs(v).sum() <= budget:
+                chosen = v
+                break
+            eps *= 0.5
+        out[i] = chosen
+    return out
+
+
+def _loop_block_decompose(x, s):
+    """The block split one chunk at a time, as block_decompose once was."""
+    v = np.asarray(x, dtype=np.float64)
+    n = v.shape[0]
+    if not 1 <= s <= n:
+        raise ValueError("sparsity must satisfy 1 <= s <= n")
+    if not SignalSetSpec(n, s, "effectively_sparse").contains(v):
+        raise ValueError("not in K")
+    support = np.flatnonzero(v)
+    order = support[np.argsort(-np.abs(v[support]), kind="stable")]
+    blocks = []
+    for start in range(0, order.size, s):
+        chunk = order[start:start + s]
+        block = np.zeros(n)
+        block[chunk] = v[chunk]
+        blocks.append(block)
+    if not blocks:
+        blocks.append(np.zeros(n))
+    return blocks
+
+
+def test_sample_sphere_cap_matches_loop_reference():
+    # bit for bit: the array code must reproduce every row the loop made
+    for n in (8, 32, 128):
+        for s in (1, 1.5, 2.7, 4):
+            for kind in ("effectively_sparse", "exactly_sparse"):
+                spec = SignalSetSpec(n, s, kind)
+                for count in (0, 1, 2, 17, 500 if n == 32 else 60):
+                    for seed in (0, 5, 2**64 - 1):
+                        got = sample_sphere_cap(spec, count, seed)
+                        want = _loop_sample_sphere_cap(spec, count, seed)
+                        assert got.shape == (count, n)
+                        assert got.tobytes() == want.tobytes(), (n, s, kind, count, seed)
+    # one point is an exactly floor(s)-sparse unit vector
+    one = sample_sphere_cap(cap_spec(16, 2.7), 1, seed=3)[0]
+    assert np.count_nonzero(one) == 2
+    assert abs(np.linalg.norm(one) - 1.0) <= 1e-15
+
+
+def test_block_decompose_matches_loop_reference():
+    for n in (1, 2, 5, 13, 32):
+        for s in sorted({1, 2, n // 2, n} - {0}):
+            if s > n:
+                continue
+            X = sample_sphere_cap(cap_spec(n, s), 9, seed=n * 100 + s)
+            for x in list(X) + [np.zeros(n), 0.5 * X[1], np.ones(n)]:
+                for t in sorted({0, 1, s, n, n + 1}):   # 0 and n + 1 are rejected
+                    try:
+                        want = _loop_block_decompose(x, t)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=str(exc)):
+                            block_decompose(x, t)
+                        continue
+                    got = block_decompose(x, t)
+                    assert len(got) == len(want)
+                    for a, b in zip(got, want):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_signal_set_spec_validation():

@@ -17,7 +17,6 @@ from onebit.harness import (
     ROOT_TWO_OVER_PI,
     SWEEP_FIELDS,
     ExperimentConfig,
-    abs_moment_deviation,
     gen_instance,
     run_sweep,
     verify_bernoulli_counterexample,
@@ -138,6 +137,16 @@ def test_run_sweep_records_error_rows(monkeypatch):
     assert all(np.isfinite(r.l1l2_ratio_in) for r in bad)   # input stats survive
 
 
+def test_run_sweep_propagates_programming_errors(monkeypatch):
+    # only recover's documented failures become nan rows
+    def typo(ens, y, tol=None):
+        raise TypeError("synthetic programming error")
+
+    monkeypatch.setattr(harness, "recover", typo)
+    with pytest.raises(TypeError, match="synthetic programming error"):
+        run_sweep(small_config())
+
+
 def test_run_sweep_all_failures_raise(monkeypatch):
     def broken(ens, y, tol=None):
         raise RecoveryError("synthetic failure")
@@ -145,15 +154,6 @@ def test_run_sweep_all_failures_raise(monkeypatch):
     monkeypatch.setattr(harness, "recover", broken)
     with pytest.raises(RuntimeError, match="every sweep trial failed"):
         run_sweep(small_config())
-
-
-def test_abs_moment_deviation_scale_free():
-    rows = gen_gaussian_ensemble(500, 8, seed=4).rows
-    x = np.arange(1.0, 9.0)
-    assert abs(abs_moment_deviation(rows, x)
-               - abs_moment_deviation(rows, 5.0 * x)) <= 1e-12
-    with pytest.raises(ValueError):
-        abs_moment_deviation(rows, np.zeros(8))
 
 
 def test_verify_concentration_report():
@@ -215,6 +215,10 @@ def test_cli_usage_errors():
     # the solver tolerances are library API only, not command-line flags
     assert main(["recover", "--tol-feas", "1e-8"]) == 2
     assert main(["sweep", "--out", "x.csv", "--tol-opt", "1e-9"]) == 2
+    # verify writes no report file, and only the concentration checks read --delta
+    assert main(["verify", "--check", "concentration", "--out", "r.txt"]) == 2
+    assert main(["verify", "--check", "separation", "--delta", "0.1"]) == 2
+    assert main(["verify", "--check", "bernoulli-counterexample", "--delta", "0.1"]) == 2
 
 
 def test_cli_gen_recover_roundtrip(tmp_path, capsys):

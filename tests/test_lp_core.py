@@ -77,9 +77,13 @@ def test_unbounded_toys():
     free = solve_lp(lp([-1.0, 0.5]))
     assert free.status == "unbounded"
     assert free.objective_value == -np.inf
-    flat = solve_lp(lp([0.0, 0.0]))
-    assert flat.status == "optimal"
-    assert flat.objective_value == 0.0
+    # costs within the optimality tolerance of zero leave the optimum at 0
+    for cost in ([0.0, 0.0], [1e-9, -1e-9], [-1e-9, 5e-10]):
+        flat = solve_lp(lp(cost))
+        assert flat.status == "optimal", cost
+        assert flat.objective_value == 0.0
+        assert np.array_equal(flat.primal, [0.0, 0.0])
+        assert flat.multipliers.shape == (0,)
 
 
 def test_negative_variables_reachable():
@@ -102,7 +106,13 @@ def test_nonnegative_variables():
     assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
     assert np.allclose(sol.multipliers, [1.0], atol=1e-9)
     assert solve_lp(lp([-1.0], nonneg=[True])).status == "unbounded"
-    assert solve_lp(lp([1.0], nonneg=[True])).objective_value == 0.0
+    assert solve_lp(lp([-1.0, 0.0], nonneg=[True, False])).status == "unbounded"
+    for cost, mask in (([1.0], [True]), ([-1e-9], [True]),
+                       ([1e-9, 2.0], [False, True]), ([-1e-9, -1e-9], [False, True])):
+        sol = solve_lp(lp(cost, nonneg=mask))
+        assert sol.status == "optimal", cost
+        assert sol.objective_value == 0.0
+        assert np.array_equal(sol.primal, np.zeros(len(cost)))
     assert max_violation(lp([1.0, 1.0], nonneg=[True, False]),
                          np.array([-0.5, -3.0])) == 0.5
 
@@ -132,6 +142,8 @@ def test_iteration_limit_status():
     cfg = ToleranceConfig(iteration_factor=0)
     sol = solve_lp(lp([1.0], ineq_lhs=[[1.0]], ineq_rhs=[3.0]), cfg)
     assert sol.status == "iteration_limit"
+    # an LP with no rows takes the same path, so the same limit applies
+    assert solve_lp(lp([1.0, -1.0]), cfg).status == "iteration_limit"
 
 
 def test_optimal_within_feasibility_tolerance():
@@ -191,20 +203,28 @@ def test_weak_duality_on_sampled_feasible_points():
 
 def test_oracle_agreement_small():
     # smaller sibling of the acceptance run, same generator family, with
-    # every variable free, every variable nonnegative, and a mix
+    # every variable free, every variable nonnegative, and a mix.  Each LP
+    # is also solved with stall_limit=1, which switches to Bland's rule
+    # after one degenerate pivot
+    bland = ToleranceConfig(stall_limit=1)
+    moved = 0
     for mask in ("free", "nonneg", "mixed"):
         statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
         for seed in range(1000, 1060):
             prob = random_small_lp(seed, mask)
-            got = solve_lp(prob)
             want = brute_force_vertex_solve(prob)
-            assert got.status == want.status, f"{mask} seed {seed}"
-            statuses[got.status] += 1
-            if got.status == "optimal":
-                assert abs(got.objective_value - want.objective_value) <= 1e-8
-                assert max_violation(prob, got.primal) <= 1e-8
+            statuses[want.status] += 1
+            runs = [solve_lp(prob), solve_lp(prob, bland)]
+            moved += runs[0].iterations != runs[1].iterations
+            for got in runs:
+                assert got.status == want.status, f"{mask} seed {seed}"
+                if got.status == "optimal":
+                    assert abs(got.objective_value - want.objective_value) <= 1e-8
+                    assert max_violation(prob, got.primal) <= 1e-8
+            if want.status == "optimal":
                 assert max_violation(prob, want.primal) <= 1e-8
         assert min(statuses.values()) >= 3, mask   # the mix exercises every status
+    assert moved > 0   # Bland's rule took another pivot path at least once
 
 
 def test_brute_force_toys():

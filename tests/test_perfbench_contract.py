@@ -7,9 +7,12 @@ still exist under the name the benchmark wraps it by.
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,25 @@ def test_perfbench_selftest_passes():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "7/7 self-test cases behaved" in out.stdout
+
+
+def test_recover_takes_the_selftest_arguments():
+    # perfbench/selftest.py calls recover(ens, y, tol) positionally; without
+    # the third parameter its scaled-x_hat stub would raise TypeError and the
+    # check it exercises would never see a wrong output
+    from onebit.harness import recover
+
+    inspect.signature(recover).bind(object(), object(), None)
+
+
+def test_layer_info_attributes():
+    # the attributes perfbench/run.py's _layer_info reads in traced runs
+    from onebit.measurement import gen_gaussian_ensemble
+    from onebit.recovery import build_recovery_lp, solve_lp
+
+    ens = gen_gaussian_ensemble(12, 4, seed=1)
+    y = np.sign(ens.rows @ np.array([1.0, -0.5, 0.0, 0.0]))
+    lp = build_recovery_lp(ens, y)
+    assert lp.eq_lhs.shape[0] + lp.ineq_lhs.shape[0] == 8
+    assert lp.num_vars == 13
+    assert isinstance(solve_lp(lp).iterations, int)

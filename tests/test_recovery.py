@@ -196,6 +196,12 @@ def test_certificate_structure():
         res = recover(ens, y)
         cert = res.certificate
         x_hat = res.x_hat
+        # the certificate depends on the rows and x_hat alone, not on the signs
+        again = extract_certificate(ens, x_hat)
+        assert np.array_equal(again.support, cert.support)
+        assert np.array_equal(again.active_rows, cert.active_rows)
+        assert (again.cardinality_ok, again.kernel_residual, again.normalization_residual) \
+            == (cert.cardinality_ok, cert.kernel_residual, cert.normalization_residual)
         assert np.array_equal(cert.support, np.flatnonzero(np.abs(x_hat) > 1e-7))
         norms = np.linalg.norm(ens.rows, axis=1) * np.linalg.norm(x_hat)
         active = np.flatnonzero(np.abs(ens.rows @ x_hat) <= 1e-7 * norms)
