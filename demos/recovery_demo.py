@@ -7,8 +7,7 @@ magnitudes.  The linear program
     min ||x'||_1  s.t.  y_i <a_i, x'> >= 0,  (1/m) sum_i y_i <a_i, x'> >= 1
 
 returns an estimate whose direction approximates x / ||x||_2 (the scale is
-unrecoverable from signs).  At small n the LP answer is cross-checked
-against a brute-force search over the non-convex program it relaxes.
+unrecoverable from signs).
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ import numpy as np
 from onebit import (
     gen_gaussian_ensemble,
     gen_sparse_signal,
-    nonconvex_oracle,
     recover,
     recovery_error,
     sign_quantize,
@@ -46,16 +44,3 @@ print(f"\nvertex certificate: |T|={cert.support.size} |Omega|={cert.active_rows.
 print(f"kernel residual {cert.kernel_residual:.2e}, "
       f"normalization residual {cert.normalization_residual:.2e}")
 print(f"estimated support {cert.support.tolist()} vs true {np.flatnonzero(x).tolist()}")
-
-# -- cross-check against the non-convex program at tiny n ------------------
-n2, m2 = 8, 40
-x2 = gen_sparse_signal(n2, 2, seed=21)
-ens2 = gen_gaussian_ensemble(m2, n2, seed=22)
-y2 = sign_quantize(ens2.rows @ x2)
-lp_dir = recover(ens2, y2).direction
-oracle = nonconvex_oracle(ens2, y2, 2, samples=4000, seed=5)
-gap = min(np.linalg.norm(oracle - lp_dir), np.linalg.norm(oracle + lp_dir))
-print(f"\ntiny instance n={n2} m={m2}: LP direction vs sampled non-convex "
-      f"minimizer differ by {gap:.4f}")
-print(f"oracle l1 {np.abs(oracle).sum():.4f} vs LP direction l1 "
-      f"{np.abs(lp_dir).sum():.4f}  (both consistent with all signs)")

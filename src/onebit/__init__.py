@@ -22,7 +22,6 @@ from .lp_core import (
     LinearProgram,
     LpSolution,
     ToleranceConfig,
-    brute_force_vertex_solve,
     solve_lp,
 )
 from .recovery import (
@@ -32,7 +31,6 @@ from .recovery import (
     build_recovery_lp,
     constraint_violation,
     extract_certificate,
-    nonconvex_oracle,
     recover,
     recovery_error,
 )
@@ -72,7 +70,6 @@ __all__ = [
     "VertexCertificate",
     "__version__",
     "block_decompose",
-    "brute_force_vertex_solve",
     "build_recovery_lp",
     "constraint_violation",
     "derive_seed",
@@ -83,7 +80,6 @@ __all__ = [
     "gen_sparse_signal",
     "hard_threshold",
     "mix64",
-    "nonconvex_oracle",
     "recover",
     "recovery_error",
     "run_sweep",

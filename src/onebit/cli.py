@@ -45,12 +45,20 @@ def _m_list(text: str) -> list[int]:
     return values
 
 
-def _add_common(p: argparse.ArgumentParser, n: int, s: int, m: str,
+def _add_common(p: argparse.ArgumentParser, n: int, s: int, m: int | str,
                 trials: int | None = None) -> None:
+    """--n, --s, --m, --seed and, given a default, --trials.
+
+    A str m default makes --m a comma-separated list (sweep, tessellate);
+    an int default makes it one count.
+    """
     p.add_argument("--n", type=int, default=n, help="ambient dimension")
     p.add_argument("--s", type=int, default=s, help="sparsity")
-    p.add_argument("--m", type=_m_list, default=_m_list(m),
-                   help="measurement count, comma separated for sweeps")
+    if isinstance(m, str):
+        p.add_argument("--m", type=_m_list, default=_m_list(m),
+                       help="measurement counts, comma separated")
+    else:
+        p.add_argument("--m", type=int, default=m, help="measurement count")
     if trials is not None:
         p.add_argument("--trials", type=int, default=trials)
     p.add_argument("--seed", type=int, default=0)
@@ -69,12 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a synthetic instance to plain-text files")
-    _add_common(gen, n=32, s=3, m="60")
+    _add_common(gen, n=32, s=3, m=60)
     _add_model(gen)
     gen.add_argument("--out", required=True, help="output path prefix")
 
     rec = sub.add_parser("recover", help="recover a direction from sign measurements")
-    _add_common(rec, n=32, s=3, m="60")
+    _add_common(rec, n=32, s=3, m=60)
     _add_model(rec)
     rec.add_argument("--matrix", help="measurement matrix file (rows of decimals)")
     rec.add_argument("--signs", help="sign pattern file (one of -1, 0, 1 per line)")
@@ -93,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run a named check")
     ver.add_argument("--check", required=True, choices=CHECKS)
-    _add_common(ver, n=64, s=4, m="20000", trials=100)
+    _add_common(ver, n=64, s=4, m=20000, trials=100)
     ver.add_argument("--delta", type=float, default=None,
                      help="deviation threshold, read by the concentration and "
                           "uniform-concentration checks only; check-specific default")
@@ -109,7 +117,7 @@ def _load_signs(path: str) -> np.ndarray:
 
 
 def cmd_gen(args) -> int:
-    x, ens = gen_instance(args.n, args.s, args.m[0], args.seed, args.dist, args.mag)
+    x, ens = gen_instance(args.n, args.s, args.m, args.seed, args.dist, args.mag)
     y = sign_quantize(ens.rows @ x)
     prefix = args.out
     parent = os.path.dirname(prefix)
@@ -133,8 +141,7 @@ def cmd_recover(args) -> int:
         if args.signal:
             x_true = np.loadtxt(args.signal, dtype=np.float64).ravel()
     else:
-        x_true, ens = gen_instance(args.n, args.s, args.m[0], args.seed, args.dist,
-                                  args.mag)
+        x_true, ens = gen_instance(args.n, args.s, args.m, args.seed, args.dist, args.mag)
         rows = ens.rows
         y = sign_quantize(rows @ x_true)
     res = recover(rows, y)
@@ -204,38 +211,38 @@ def cmd_verify(args) -> int:
     check = args.check
     t = DELTA_DEFAULTS.get(check) if args.delta is None else args.delta
     if check == "concentration":
-        rep = verify_concentration(args.n, args.m[0], args.trials, t, args.seed)
+        rep = verify_concentration(args.n, args.m, args.trials, t, args.seed)
         print(f"concentration: n={rep.n} m={rep.m} trials={rep.trials}")
         print(f"mean_abs_moment={rep.mean_abs_moment:.6f} target={ROOT_TWO_OVER_PI:.6f}")
         print(f"exceedance@{t}={rep.exceedance_fraction:.4f} decay_rate={rep.decay_rate:.3f}")
         passed = rep.exceedance_fraction <= 0.05 and \
             abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= 0.005
     elif check == "uniform-concentration":
-        rep = verify_uniform_concentration(args.n, args.s, args.m[0],
+        rep = verify_uniform_concentration(args.n, args.s, args.m,
                                            args.trials, t, args.seed)
         print(f"uniform concentration: n={rep.n} s={rep.s} m={rep.m} "
               f"samples={rep.sample_count}")
         print(f"max_deviation={rep.max_deviation:.6f} threshold={t}")
         passed = not rep.exceeded
     elif check == "bernoulli-counterexample":
-        rep = verify_bernoulli_counterexample(args.n, args.m[0], args.trials, args.seed)
+        rep = verify_bernoulli_counterexample(args.n, args.m, args.trials, args.seed)
         print(f"bernoulli counterexample: n={rep.n} m={rep.m} seeds={len(rep.seeds)}")
         print(f"identical sign patterns under +-1 rows: "
               f"{sum(rep.identical_per_seed)}/{len(rep.seeds)}")
         print(f"gaussian rows distinguish the pair: {rep.gaussian_differs}")
         passed = rep.all_identical and rep.gaussian_differs
     else:   # separation
-        trials = args.trials if args.trials > 1 else 100000
-        n = max(args.n, 2)
-        e1 = np.zeros(n)
+        if args.n < 2:
+            raise ValueError("need n >= 2")
+        e1 = np.zeros(args.n)
         e1[0] = 1.0
-        e2 = np.zeros(n)
+        e2 = np.zeros(args.n)
         e2[1] = 1.0
-        p_orth = single_hyperplane_separation_prob(e1, e2, trials, args.seed, margin=0.0)
-        p_anti = single_hyperplane_separation_prob(e1, -e1, trials,
+        p_orth = single_hyperplane_separation_prob(e1, e2, args.trials, args.seed, margin=0.0)
+        p_anti = single_hyperplane_separation_prob(e1, -e1, args.trials,
                                                    derive_seed(args.seed, 1), margin=0.0)
-        sigma = 0.5 / np.sqrt(trials)
-        print(f"separation: trials={trials}")
+        sigma = 0.5 / np.sqrt(args.trials)
+        print(f"separation: trials={args.trials}")
         print(f"orthogonal pair: estimate={p_orth:.5f} exact=0.25")
         print(f"antipodal pair:  estimate={p_anti:.5f} exact=0.5")
         passed = abs(p_orth - 0.25) <= 5 * sigma and abs(p_anti - 0.5) <= 5 * sigma

@@ -185,6 +185,8 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
     sqrt(2/pi) ~ 0.7979 at rate exp(-c m t^2).  The decay rate is fitted by
     regressing log exceedance on m t'^2 over a small threshold grid.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     devs = np.empty(trials)
     moments = np.empty(trials)
     for k in range(trials):
@@ -270,6 +272,8 @@ def verify_bernoulli_counterexample(n: int = 32, m: int = 1000,
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if num_seeds < 1:
+        raise ValueError("need at least one seed")
     x = np.zeros(n)
     x[0] = 1.0
     xp = np.zeros(n)

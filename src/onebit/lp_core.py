@@ -10,33 +10,32 @@ solve_lp runs a two-phase primal simplex on the standard-form conversion
 (split each free z_j into positive and negative parts, subtract surplus
 variables from the inequality rows) and reports the optimal vertex with its
 row multipliers.  Phase 1 runs only for rows the all-surplus crash basis
-cannot cover.  brute_force_vertex_solve is an independent oracle for tiny
-instances: it enumerates candidate active sets directly, so the two routes
-share no pivoting code.
+cannot cover; it gives each such row an artificial variable, which starts
+basic and never re-enters, so the tableau stores no column for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.linalg.blas import dger
+
+FEASIBILITY_TOL = 1e-8   # phase 1 residual, relative to 1 + max |rhs|, that counts as feasible
+OPTIMALITY_TOL = 1e-9    # a reduced cost above -OPTIMALITY_TOL does not improve
+PIVOT_TOL = 1e-10        # smallest tableau entry accepted as a pivot
 
 
 @dataclass
 class ToleranceConfig:
-    """Numeric thresholds for the simplex and the certificate checks.
+    """Pivot budget of the simplex.
 
     iteration_factor caps pivots at iteration_factor * (rows + cols) of the
-    standard-form tableau.  stall_limit is the number of consecutive
-    non-improving pivots tolerated before switching to Bland's rule.
+    standard-form problem, artificials counted.  stall_limit is the number
+    of consecutive non-improving pivots tolerated before switching to
+    Bland's rule.
     """
 
-    feasibility: float = 1e-8
-    optimality: float = 1e-9
-    pivot: float = 1e-10
     iteration_factor: int = 50
     stall_limit: int = 1000
 
@@ -124,17 +123,21 @@ def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int) -> None:
 
 
 def _reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Cost row [reduced costs | -objective] for the current basis."""
+    """Cost row [reduced costs | -objective] for the current basis.
+
+    cost also covers the artificials (indices past the tableau's columns),
+    which may be basic but have no column.
+    """
+    K = T.shape[1] - 1
     cb = cost[basis]
-    r = np.empty(T.shape[1])
-    r[:-1] = cost - cb @ T[:, :-1]
-    r[-1] = -cb @ T[:, -1]
+    r = np.empty(K + 1)
+    r[:K] = cost[:K] - cb @ T[:, :K]
+    r[K] = -cb @ T[:, K]
     return r
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, r: np.ndarray, cost: np.ndarray,
-             allowed: np.ndarray, tol: ToleranceConfig, itmax: int,
-             iters: int) -> tuple[str, int]:
+             tol: ToleranceConfig, itmax: int, iters: int) -> tuple[str, int]:
     """Run pivots until optimality, unboundedness, or the iteration cap.
 
     Dantzig pricing with lowest-index tie-breaks; switches to Bland's rule
@@ -145,18 +148,18 @@ def _simplex(T: np.ndarray, basis: np.ndarray, r: np.ndarray, cost: np.ndarray,
     bland = False
     refresh = 0
     while iters < itmax:
-        red = np.where(allowed, r[:K], np.inf)
+        red = r[:K]
         if bland:
-            neg = np.where(red < -tol.optimality)[0]
+            neg = np.where(red < -OPTIMALITY_TOL)[0]
             if neg.size == 0:
                 return "optimal", iters
             cpiv = int(neg[0])
         else:
             cpiv = int(np.argmin(red))
-            if red[cpiv] >= -tol.optimality:
+            if red[cpiv] >= -OPTIMALITY_TOL:
                 return "optimal", iters
         col = T[:, cpiv]
-        pos = np.where(col > tol.pivot)[0]
+        pos = np.where(col > PIVOT_TOL)[0]
         if pos.size == 0:
             return "unbounded", iters
         ratios = np.maximum(T[pos, K], 0.0) / col[pos]
@@ -208,7 +211,9 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     # standard form, each row negated where that makes the crash basis
     # feasible: a surplus column serves any inequality row with rhs <= 0,
     # every other row gets one artificial.  Tableau columns: z (z+ for the
-    # free variables), z- of the free variables, surplus, artificials, rhs
+    # free variables), z- of the free variables, surplus, rhs.  Artificial k
+    # is basic on row art_rows[k] and is named N + k in basis; it has no
+    # tableau column, as it leaves the basis for good once it leaves
     free = np.flatnonzero(~lp.nonneg)
     nf = free.size
     b = np.concatenate([e, f])
@@ -220,44 +225,40 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     art_rows = np.flatnonzero(~crash)
     n_art = art_rows.size
     N = d + nf + q
-    K = N + n_art
     basis = np.empty(M, dtype=np.int64)
     basis[crash] = d + nf + np.flatnonzero(crash) - p
     basis[art_rows] = N + np.arange(n_art)
-    T = np.zeros((M, K + 1), order="F")
+    T = np.zeros((M, N + 1), order="F")
     T[:, :d + nf] = Z
     T[np.arange(p, M), np.arange(d + nf, N)] = -flip[p:]
-    T[art_rows, basis[art_rows]] = 1.0
-    T[:, K] = b
-    itmax = tol.iteration_factor * (M + K)
-    allowed = np.ones(K, dtype=bool)
-    allowed[N:] = False   # artificials start basic and may never re-enter
+    T[:, N] = b
+    itmax = tol.iteration_factor * (M + N + n_art)
     iters = 0
 
     if n_art:
-        cost1 = np.zeros(K)
+        cost1 = np.zeros(N + n_art)
         cost1[N:] = 1.0
         r = _reduced_costs(T, basis, cost1)
-        status, iters = _simplex(T, basis, r, cost1, allowed, tol, itmax, iters)
+        status, iters = _simplex(T, basis, r, cost1, tol, itmax, iters)
         if status == "iteration_limit":
             return LpSolution("iteration_limit", None, np.nan, iters, np.nan)
-        phase1 = -r[K]
-        if phase1 > tol.feasibility * (1.0 + float(np.max(np.abs(b)))):
+        phase1 = -r[N]
+        if phase1 > FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(b)))):
             return LpSolution("infeasible", None, np.nan, iters, np.nan)
         # pivot any artificial still basic at level zero out of the basis
         for i in np.where(basis >= N)[0]:
             j = int(np.argmax(np.abs(T[i, :N])))
-            if abs(T[i, j]) > tol.pivot:
+            if abs(T[i, j]) > PIVOT_TOL:
                 _pivot(T, r, int(i), j)
                 basis[i] = j
                 iters += 1
             # else: row is redundant; its artificial stays basic at zero
 
-    cost2 = np.zeros(K)
+    cost2 = np.zeros(N + n_art)
     cost2[:d] = c
     cost2[d:d + nf] = -c[free]
     r = _reduced_costs(T, basis, cost2)
-    status, iters = _simplex(T, basis, r, cost2, allowed, tol, itmax, iters)
+    status, iters = _simplex(T, basis, r, cost2, tol, itmax, iters)
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
         return LpSolution(status, None, value, iters, np.nan)
@@ -288,94 +289,3 @@ def _solve_square(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(B, rhs)
     except np.linalg.LinAlgError:
         return np.linalg.lstsq(B, rhs, rcond=None)[0]
-
-
-def brute_force_vertex_solve(lp: LinearProgram,
-                             tol: ToleranceConfig | None = None) -> LpSolution:
-    """Exact reference solve by enumerating candidate active sets.
-
-    Each nonnegative variable adds the row z_j >= 0.  Lineality directions
-    (common null space of all rows) are pinned with extra orthogonality
-    equalities so the system is pointed; vertices then come from d-subsets
-    of rows and unbounded rays from (d-1)-subsets.  Guarded to tiny sizes;
-    intended as an oracle, not a solver.
-    """
-    if tol is None:
-        tol = ToleranceConfig()
-    d = lp.num_vars
-    p = lp.eq_lhs.shape[0]
-    q = lp.ineq_lhs.shape[0] + int(np.count_nonzero(lp.nonneg))
-    if d > 12 or p + q > 24:
-        raise ValueError("brute force solve is limited to d <= 12 and 24 rows "
-                         "(nonnegativity bounds included)")
-    c = lp.objective
-
-    rows = np.vstack([lp.eq_lhs, lp.ineq_lhs, np.eye(d)[lp.nonneg]])
-    rhs = np.concatenate([lp.eq_rhs, lp.ineq_rhs, np.zeros(q - lp.ineq_lhs.shape[0])])
-    is_eq = np.zeros(p + q, dtype=bool)
-    is_eq[:p] = True
-
-    lin = null_space(rows) if rows.size else np.eye(d)
-    k = lin.shape[1]
-    if k:
-        rows = np.vstack([rows, lin.T])
-        rhs = np.concatenate([rhs, np.zeros(k)])
-        is_eq = np.concatenate([is_eq, np.ones(k, dtype=bool)])
-    R = rows.shape[0]
-
-    scale = 1.0 + (float(np.max(np.abs(rhs))) if rhs.size else 0.0)
-    ftol = tol.feasibility * scale
-
-    def feasible(z: np.ndarray) -> bool:
-        res = rows @ z - rhs
-        if np.any(np.abs(res[is_eq]) > ftol):
-            return False
-        return bool(np.all(res[~is_eq] >= -ftol))
-
-    examined = 0
-    verts: list[np.ndarray] = []
-    for S in combinations(range(R), d):
-        examined += 1
-        A_S = rows[list(S)]
-        try:
-            z = np.linalg.solve(A_S, rhs[list(S)])
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(z)):
-            continue
-        if np.max(np.abs(A_S @ z - rhs[list(S)])) > ftol * (1.0 + float(np.max(np.abs(z)))):
-            continue
-        if feasible(z):
-            verts.append(z)
-
-    if not verts:
-        return LpSolution("infeasible", None, np.nan, examined, np.nan)
-
-    ctol = tol.optimality * (1.0 + float(np.max(np.abs(c))))
-    if k and np.max(np.abs(c @ lin)) > ctol:
-        return LpSolution("unbounded", None, -np.inf, examined, np.nan)
-
-    def improving_ray(w: np.ndarray) -> bool:
-        prods = rows @ w
-        if np.any(np.abs(prods[is_eq]) > ftol):
-            return False
-        if not np.all(prods[~is_eq] >= -ftol):
-            return False
-        return float(c @ w) < -ctol
-
-    for S in combinations(range(R), d - 1):
-        examined += 1
-        A_S = rows[list(S)] if S else np.zeros((0, d))
-        ns = null_space(A_S) if A_S.size else np.eye(d)
-        if A_S.size == 0 and d == 1:
-            ns = np.eye(1)
-        if ns.shape[1] != 1:
-            continue
-        w = ns[:, 0]
-        if improving_ray(w) or improving_ray(-w):
-            return LpSolution("unbounded", None, -np.inf, examined, np.nan)
-
-    objs = [float(c @ z) for z in verts]
-    best = int(np.argmin(objs))
-    z = verts[best]
-    return LpSolution("optimal", z, objs[best], examined, max_violation(lp, z))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp_core import LinearProgram, LpSolution, ToleranceConfig, solve_lp
-from .measurement import MeasurementEnsemble, as_rows, derive_seed, normal_grid, uniform_grid
+from .measurement import MeasurementEnsemble, as_rows
 
 NORMALIZATION_TOL = 1e-6
 SUPPORT_TOL = 1e-7
@@ -189,96 +189,3 @@ def recovery_error(direction, x_true) -> float:
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return float(np.linalg.norm(u / nu - v / nv))
-
-
-def _l1(v: np.ndarray) -> float:
-    return float(np.abs(v).sum())
-
-
-def nonconvex_oracle(ensemble: MeasurementEnsemble, y, s: int,
-                     samples: int = 2000, seed: int = 0) -> np.ndarray:
-    """Approximate the sphere-constrained l1 minimizer over the feasible cone.
-
-    Rejection-samples unit vectors consistent with y (a mix of s-sparse and
-    dense Gaussian proposals, both orientations), then refines the best few
-    by coordinate descent: zero or shrink one coordinate, renormalize, keep
-    the move when consistency survives and the l1 norm drops.  Small-n
-    reference only; the cone fraction shrinks exponentially with m.
-
-    Raises:
-        ValueError: n > 16, or no consistent sample found
-            ("empty feasible cone sample").
-    """
-    A = as_rows(ensemble)
-    m, n = A.shape
-    if n > 16:
-        raise ValueError("nonconvex oracle is limited to n <= 16")
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    y = np.asarray(y, dtype=np.float64).ravel()
-    nzmask = y != 0.0
-    A_nz = A[nzmask]
-    y_nz = y[nzmask]
-
-    def consistent(v: np.ndarray) -> bool:
-        if A_nz.shape[0] == 0:
-            return True
-        return bool(np.min(y_nz * (A_nz @ v)) >= 0.0)
-
-    # proposal bank: even indices dense Gaussian, odd indices s-sparse
-    dense = normal_grid(derive_seed(seed, 1), samples, n)
-    pick = uniform_grid(derive_seed(seed, 2), samples, n)
-    sb = max(1, min(int(s), n))
-    V = dense.copy()
-    odd = np.arange(samples) % 2 == 1
-    keep = np.argsort(pick[odd], axis=1, kind="stable")[:, :sb]
-    sparse_rows = np.zeros((int(odd.sum()), n))
-    np.put_along_axis(sparse_rows, keep, np.take_along_axis(dense[odd], keep, axis=1), axis=1)
-    V[odd] = sparse_rows
-    V /= np.linalg.norm(V, axis=1, keepdims=True)
-
-    found: list[np.ndarray] = []
-    if A_nz.shape[0] == 0:
-        found = [V[i] for i in range(min(samples, 8))]
-    else:
-        G = y_nz[:, None] * (A_nz @ V.T)
-        mins = G.min(axis=0)
-        for i in np.flatnonzero(mins >= 0.0):
-            found.append(V[i])
-        for i in np.flatnonzero((-G).min(axis=0) >= 0.0):
-            found.append(-V[i])
-    if not found:
-        raise ValueError("empty feasible cone sample")
-
-    found.sort(key=_l1)
-    best = None
-    for v0 in found[:5]:
-        v = _coordinate_descent(v0.copy(), consistent)
-        if best is None or _l1(v) < _l1(best):
-            best = v
-    return best
-
-
-def _coordinate_descent(v: np.ndarray, consistent, max_passes: int = 60) -> np.ndarray:
-    """Greedy l1 descent on the unit sphere by per-coordinate shrink moves."""
-    for _ in range(max_passes):
-        improved = False
-        order = np.argsort(np.abs(v), kind="stable")
-        for j in order:
-            if v[j] == 0.0:
-                continue
-            base = _l1(v)
-            for factor in (0.0, 0.5, 0.9):
-                w = v.copy()
-                w[j] *= factor
-                norm = np.linalg.norm(w)
-                if norm == 0.0:
-                    continue
-                w /= norm
-                if _l1(w) < base - 1e-15 and consistent(w):
-                    v = w
-                    improved = True
-                    break
-        if not improved:
-            break
-    return v

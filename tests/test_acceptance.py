@@ -29,7 +29,7 @@ from onebit.harness import (
     verify_bernoulli_counterexample,
     verify_concentration,
 )
-from onebit.lp_core import LinearProgram, brute_force_vertex_solve, max_violation, solve_lp
+from onebit.lp_core import LinearProgram, max_violation, solve_lp
 from onebit.measurement import (
     gen_gaussian_ensemble,
     gen_sparse_signal,
@@ -37,6 +37,7 @@ from onebit.measurement import (
     uniform_grid,
 )
 from onebit.recovery import recover, recovery_error
+from oracles import brute_force_vertex_solve
 
 SWEEP_MS = (100, 200, 400, 800)
 

@@ -167,6 +167,8 @@ def test_verify_concentration_report():
     assert (np.diff(rep.fit_fractions) <= 0).all()
     again = verify_concentration(16, 2000, trials=30, t=0.05, seed=7)
     assert np.array_equal(rep.deviations, again.deviations)
+    with pytest.raises(ValueError, match="at least one trial"):
+        verify_concentration(16, 2000, trials=0, t=0.05, seed=7)
 
 
 def test_verify_uniform_concentration_bound():
@@ -204,6 +206,9 @@ def test_verify_bernoulli_counterexample_report():
     assert all(rep.identical_per_seed)
     assert len(rep.seeds) == 10
     assert rep.gaussian_differs
+    # no seeds would make all_identical vacuously true
+    with pytest.raises(ValueError, match="at least one seed"):
+        verify_bernoulli_counterexample(n=8, m=500, num_seeds=0, seed=5)
 
 
 def test_cli_usage_errors():
@@ -219,6 +224,10 @@ def test_cli_usage_errors():
     assert main(["verify", "--check", "concentration", "--out", "r.txt"]) == 2
     assert main(["verify", "--check", "separation", "--delta", "0.1"]) == 2
     assert main(["verify", "--check", "bernoulli-counterexample", "--delta", "0.1"]) == 2
+    # only sweep and tessellate take a list of m
+    assert main(["recover", "--m", "60,120"]) == 2
+    assert main(["gen", "--m", "60,120", "--out", "inst"]) == 2
+    assert main(["verify", "--check", "concentration", "--m", "100,200"]) == 2
 
 
 def test_cli_gen_recover_roundtrip(tmp_path, capsys):
@@ -348,6 +357,17 @@ def test_cli_verify_checks(capsys):
     assert main(["verify", "--check", "uniform-concentration", "--n", "32",
                  "--s", "3", "--m", "4000", "--trials", "200",
                  "--seed", "4"]) == 0
+    # each check runs what it is given or fails: no vacuous PASS at a count
+    # of 0, and no silent rewrite of --trials or --n
+    for check in ("bernoulli-counterexample", "concentration", "separation"):
+        assert main(["verify", "--check", check, "--n", "8", "--m", "100",
+                     "--trials", "0"]) == 1, check
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at least one"), (check, err)
+    assert main(["verify", "--check", "separation", "--n", "1"]) == 1
+    assert capsys.readouterr().err == "error: need n >= 2\n"
+    assert main(["verify", "--check", "separation", "--n", "2", "--trials", "1"]) == 0
+    assert "separation: trials=1\n" in capsys.readouterr().out
 
 
 def test_console_script_version(tmp_path):

@@ -1,15 +1,23 @@
 """Tests for the dense simplex and its brute-force vertex oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import onebit
+import onebit.lp_core
+import onebit.recovery
 from onebit.lp_core import (
+    FEASIBILITY_TOL,
+    OPTIMALITY_TOL,
+    PIVOT_TOL,
     LinearProgram,
     ToleranceConfig,
-    brute_force_vertex_solve,
     max_violation,
     solve_lp,
 )
+from oracles import brute_force_vertex_solve
 
 
 def lp(objective, eq_lhs=(), eq_rhs=(), ineq_lhs=(), ineq_rhs=(), nonneg=None):
@@ -245,6 +253,17 @@ def test_brute_force_guard():
         brute_force_vertex_solve(lp([1.0, 1.0],
                                     ineq_lhs=[[1.0, 0.0]] * 25,
                                     ineq_rhs=[0.0] * 25))
+
+
+def test_settings_and_public_surface():
+    # the pivot budget is the only setting; the thresholds are constants
+    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == \
+        ["iteration_factor", "stall_limit"]
+    assert (FEASIBILITY_TOL, OPTIMALITY_TOL, PIVOT_TOL) == (1e-8, 1e-9, 1e-10)
+    # the reference oracles are test code, not library API
+    for module in (onebit, onebit.lp_core, onebit.recovery):
+        for name in ("brute_force_vertex_solve", "nonconvex_oracle"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_validation_errors():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from onebit.lp_core import ToleranceConfig, brute_force_vertex_solve, solve_lp
+from onebit.lp_core import ToleranceConfig, solve_lp
 from onebit.measurement import (
     MeasurementEnsemble,
     derive_seed,
@@ -18,10 +18,10 @@ from onebit.recovery import (
     build_recovery_lp,
     constraint_violation,
     extract_certificate,
-    nonconvex_oracle,
     recover,
     recovery_error,
 )
+from oracles import brute_force_vertex_solve, nonconvex_oracle
 
 
 def make_instance(n, s, m, seed):
