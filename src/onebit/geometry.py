@@ -257,16 +257,14 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     max_diam = float(dist[cells[:, None] == cells].max(initial=0.0))
 
     margin = delta / 30.0
-    stats: list[PairSeparation] = []
-    if sample_count >= 2:
-        G = X @ A.T
-        above = (G > margin).astype(np.float32)
-        below = (G < -margin).astype(np.float32)
-        # counts[p, q] = #separators for (p, q); float32 sums of 0/1 terms are
-        # exact integers while m < 2**24
-        counts = np.rint(above @ below.T).astype(np.int64)
-        pi, pj = np.nonzero(np.triu(dist > delta, k=1))
-        stats = list(map(PairSeparation, pi.tolist(), pj.tolist(),
-                         dist[pi, pj].tolist(), counts[pi, pj].tolist(),
-                         counts[pj, pi].tolist()))
+    G = X @ A.T
+    above = (G > margin).astype(np.float32)
+    below = (G < -margin).astype(np.float32)
+    # counts[p, q] = #separators for (p, q); float32 sums of 0/1 terms are
+    # exact integers while m < 2**24
+    counts = np.rint(above @ below.T).astype(np.int64)
+    pi, pj = np.nonzero(np.triu(dist > delta, k=1))
+    stats = list(map(PairSeparation, pi.tolist(), pj.tolist(),
+                     dist[pi, pj].tolist(), counts[pi, pj].tolist(),
+                     counts[pj, pi].tolist()))
     return TessellationReport(m, delta, X, num_cells, max_diam, stats)

@@ -90,6 +90,8 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
     by (m, trial).  When config.output_path is set, the rows are written as
     CSV with a JSON manifest next to it.
     """
+    if config.trials < 1:
+        raise ValueError("need at least one trial")
     rows: list[SweepRow] = []
     failures = 0
     for m in config.m_list:
@@ -185,6 +187,8 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
     sqrt(2/pi) ~ 0.7979 at rate exp(-c m t^2).  The decay rate is fitted by
     regressing log exceedance on m t'^2 over a small threshold grid.
     """
+    if m < 1:
+        raise ValueError("need at least one row")
     if trials < 1:
         raise ValueError("need at least one trial")
     devs = np.empty(trials)
@@ -235,6 +239,8 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
     deviation lower-bounds the supremum that the uniform concentration bound
     controls with m ~ s log(2n/s) rows.
     """
+    if m < 1:
+        raise ValueError("need at least one row")
     if sample_count < 1:
         raise ValueError("need at least one sample")
     spec = SignalSetSpec(n, s, "effectively_sparse")
@@ -272,6 +278,8 @@ def verify_bernoulli_counterexample(n: int = 32, m: int = 1000,
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if m < 1:
+        raise ValueError("need at least one row")
     if num_seeds < 1:
         raise ValueError("need at least one seed")
     x = np.zeros(n)

@@ -2,16 +2,17 @@
 
 Problem form: minimize objective @ z subject to
 
-    eq_lhs @ z == eq_rhs        (p rows)
-    ineq_lhs @ z >= ineq_rhs    (q rows)
+    eq_lhs @ z == eq_rhs        (p rows, eq_rhs == 0)
+    ineq_lhs @ z >= ineq_rhs    (q rows, ineq_rhs <= 0)
     z_j >= 0                    (j where nonneg[j]; every other z_j is free)
 
-solve_lp runs a two-phase primal simplex on the standard-form conversion
-(split each free z_j into positive and negative parts, subtract surplus
-variables from the inequality rows) and reports the optimal vertex with its
-row multipliers.  Phase 1 runs only for rows the all-surplus crash basis
-cannot cover; it gives each such row an artificial variable, which starts
-basic and never re-enters, so the tableau stores no column for it.
+The right-hand-side conditions make z = 0 feasible; solve_lp requires them
+(the recovery LP meets them, every right-hand side being -1).  It runs a
+one-phase primal simplex on the standard-form conversion (split each free
+z_j into positive and negative parts, split each equality row into two
+opposite inequality rows, subtract a surplus variable from every row),
+starting from the all-surplus basis, and reports the optimal vertex with its
+row multipliers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dger
 
-FEASIBILITY_TOL = 1e-8   # phase 1 residual, relative to 1 + max |rhs|, that counts as feasible
 OPTIMALITY_TOL = 1e-9    # a reduced cost above -OPTIMALITY_TOL does not improve
 PIVOT_TOL = 1e-10        # smallest tableau entry accepted as a pivot
 
@@ -31,9 +31,8 @@ class ToleranceConfig:
     """Pivot budget of the simplex.
 
     iteration_factor caps pivots at iteration_factor * (rows + cols) of the
-    standard-form problem, artificials counted.  stall_limit is the number
-    of consecutive non-improving pivots tolerated before switching to
-    Bland's rule.
+    standard-form problem.  stall_limit is the number of consecutive
+    non-improving pivots tolerated before switching to Bland's rule.
     """
 
     iteration_factor: int = 50
@@ -83,7 +82,7 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str                      # optimal | infeasible | unbounded | iteration_limit
+    status: str                      # optimal | unbounded | iteration_limit
     primal: np.ndarray | None        # (d,) present iff optimal
     objective_value: float           # nan unless optimal, -inf if unbounded
     iterations: int
@@ -123,11 +122,7 @@ def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int) -> None:
 
 
 def _reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Cost row [reduced costs | -objective] for the current basis.
-
-    cost also covers the artificials (indices past the tableau's columns),
-    which may be basic but have no column.
-    """
+    """Cost row [reduced costs | -objective] for the current basis."""
     K = T.shape[1] - 1
     cb = cost[basis]
     r = np.empty(K + 1)
@@ -136,14 +131,16 @@ def _reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.nda
     return r
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, r: np.ndarray, cost: np.ndarray,
-             tol: ToleranceConfig, itmax: int, iters: int) -> tuple[str, int]:
+def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+             tol: ToleranceConfig, itmax: int) -> tuple[str, int]:
     """Run pivots until optimality, unboundedness, or the iteration cap.
 
     Dantzig pricing with lowest-index tie-breaks; switches to Bland's rule
     after tol.stall_limit consecutive degenerate pivots, back on progress.
     """
     K = T.shape[1] - 1
+    r = _reduced_costs(T, basis, cost)
+    iters = 0
     stall = 0
     bland = False
     refresh = 0
@@ -192,95 +189,67 @@ def _simplex(T: np.ndarray, basis: np.ndarray, r: np.ndarray, cost: np.ndarray,
 
 
 def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolution:
-    """Solve the LP with a two-phase dense simplex.
+    """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
 
+    Raises ValueError unless every eq_rhs is 0 and every ineq_rhs is <= 0.
     The returned primal and row multipliers are recomputed from the final
     basis with one linear solve each against the original standard-form
     data (B w = b and B^T pi = c_B), so accumulated tableau roundoff does
     not leak into the reported vertex.
     """
+    if np.any(lp.eq_rhs != 0.0) or np.any(lp.ineq_rhs > 0.0):
+        raise ValueError("solve_lp needs an LP feasible at z = 0: "
+                         "every eq_rhs must be 0 and every ineq_rhs <= 0")
     if tol is None:
         tol = ToleranceConfig()
     c = lp.objective
     d = lp.num_vars
-    E, e = lp.eq_lhs, lp.eq_rhs
-    I, f = lp.ineq_lhs, lp.ineq_rhs
-    p, q = E.shape[0], I.shape[0]
-    M = p + q
+    p = lp.eq_lhs.shape[0]
 
-    # standard form, each row negated where that makes the crash basis
-    # feasible: a surplus column serves any inequality row with rhs <= 0,
-    # every other row gets one artificial.  Tableau columns: z (z+ for the
-    # free variables), z- of the free variables, surplus, rhs.  Artificial k
-    # is basic on row art_rows[k] and is named N + k in basis; it has no
-    # tableau column, as it leaves the basis for good once it leaves
+    # standard form, every row negated: an equality row a z = 0 becomes the
+    # pair a z >= 0, -a z >= 0, and inequality row i reads -a_i z + s_i = -f_i
+    # with surplus s_i >= 0, so the all-surplus basis is feasible.  Tableau
+    # columns: z (z+ for the free variables), z- of the free variables,
+    # surplus, rhs
     free = np.flatnonzero(~lp.nonneg)
     nf = free.size
-    b = np.concatenate([e, f])
-    crash = (np.arange(M) >= p) & (b <= 0.0)
-    flip = np.where(crash | (b < 0.0), -1.0, 1.0)
-    b *= flip
-    Z = np.vstack([E, I]) * flip[:, None]
+    Z = -np.vstack([lp.eq_lhs, -lp.eq_lhs, lp.ineq_lhs])
+    M = Z.shape[0]
+    b = -np.concatenate([lp.eq_rhs, lp.eq_rhs, lp.ineq_rhs])
     Z = np.hstack([Z, -Z[:, free]])   # the unpivoted z columns
-    art_rows = np.flatnonzero(~crash)
-    n_art = art_rows.size
-    N = d + nf + q
-    basis = np.empty(M, dtype=np.int64)
-    basis[crash] = d + nf + np.flatnonzero(crash) - p
-    basis[art_rows] = N + np.arange(n_art)
+    N = d + nf + M
+    basis = d + nf + np.arange(M)
     T = np.zeros((M, N + 1), order="F")
     T[:, :d + nf] = Z
-    T[np.arange(p, M), np.arange(d + nf, N)] = -flip[p:]
+    T[np.arange(M), np.arange(d + nf, N)] = 1.0
     T[:, N] = b
-    itmax = tol.iteration_factor * (M + N + n_art)
-    iters = 0
-
-    if n_art:
-        cost1 = np.zeros(N + n_art)
-        cost1[N:] = 1.0
-        r = _reduced_costs(T, basis, cost1)
-        status, iters = _simplex(T, basis, r, cost1, tol, itmax, iters)
-        if status == "iteration_limit":
-            return LpSolution("iteration_limit", None, np.nan, iters, np.nan)
-        phase1 = -r[N]
-        if phase1 > FEASIBILITY_TOL * (1.0 + float(np.max(np.abs(b)))):
-            return LpSolution("infeasible", None, np.nan, iters, np.nan)
-        # pivot any artificial still basic at level zero out of the basis
-        for i in np.where(basis >= N)[0]:
-            j = int(np.argmax(np.abs(T[i, :N])))
-            if abs(T[i, j]) > PIVOT_TOL:
-                _pivot(T, r, int(i), j)
-                basis[i] = j
-                iters += 1
-            # else: row is redundant; its artificial stays basic at zero
-
-    cost2 = np.zeros(N + n_art)
-    cost2[:d] = c
-    cost2[d:d + nf] = -c[free]
-    r = _reduced_costs(T, basis, cost2)
-    status, iters = _simplex(T, basis, r, cost2, tol, itmax, iters)
+    cost = np.zeros(N)
+    cost[:d] = c
+    cost[d:d + nf] = -c[free]
+    status, iters = _simplex(T, basis, cost, tol, tol.iteration_factor * (M + N))
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
         return LpSolution(status, None, value, iters, np.nan)
 
     # clean vertex and multipliers: re-solve the basis systems B w = b and
-    # B^T pi = c_B against the unpivoted data.  A basic surplus or artificial
-    # is a zero-cost unit column on its own row, so both systems reduce to
-    # the block of the basic z columns on the rows no unit column covers (in
+    # B^T pi = c_B against the unpivoted data.  A basic surplus is a
+    # zero-cost unit column on its own row, so both systems reduce to the
+    # block of the basic z columns on the rows whose surplus is nonbasic (in
     # the recovery dual: the support of x_hat by the basic measurements);
-    # undoing the row flips gives the multipliers of lp's rows
+    # undoing the row negation gives the multipliers of the rows >= form,
+    # and an equality row's multiplier is the difference of its pair's
     unit = basis >= d + nf
     cols = basis[~unit]
     rows = np.ones(M, dtype=bool)
-    rows[np.concatenate([np.arange(p, M), art_rows])[basis[unit] - d - nf]] = False
+    rows[basis[unit] - d - nf] = False
     block = Z[np.ix_(rows, cols)]
     w = np.zeros(d + nf)
     w[cols] = _solve_square(block, b[rows])
     z = w[:d].copy()
     z[free] -= w[d:]
     pi = np.zeros(M)
-    pi[rows] = _solve_square(block.T, cost2[cols])
-    pi *= flip
+    pi[rows] = _solve_square(block.T, cost[cols])
+    pi = -np.concatenate([pi[:p] - pi[p:2 * p], pi[2 * p:]])
     return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), pi)
 
 

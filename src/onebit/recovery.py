@@ -12,8 +12,8 @@ a_i where y_i = 0, and g = (1/m) sum_i y_i a_i, the dual is
     maximize t   subject to   -1 <= W^T w + t g <= 1   (2n rows)
                               t >= 0, w_i >= 0 where y_i != 0, other w_i free
 
-in m + 1 variables.  Every right-hand side is -1, so the simplex starts from
-the all-surplus basis, which is feasible, and never runs phase 1.  x_hat is
+in m + 1 variables.  Every right-hand side is -1, so z = 0 is feasible and
+the all-surplus basis is the start that solve_lp requires.  x_hat is
 read back by complementary slackness as the multipliers of the upper rows
 minus those of the lower rows.  The normalization is posed as >= 1 and must
 be tight at the optimum (scaling the solution down would otherwise lower

@@ -14,13 +14,14 @@ import numpy as np
 from scipy.linalg import null_space
 
 from onebit.lp_core import (
-    FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     LinearProgram,
     LpSolution,
     max_violation,
 )
 from onebit.measurement import MeasurementEnsemble, as_rows, derive_seed, normal_grid, uniform_grid
+
+FEASIBILITY_TOL = 1e-8   # row residual, relative to 1 + max |rhs|, that counts as satisfied
 
 
 def brute_force_vertex_solve(lp: LinearProgram) -> LpSolution:

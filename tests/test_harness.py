@@ -156,6 +156,13 @@ def test_run_sweep_all_failures_raise(monkeypatch):
         run_sweep(small_config())
 
 
+def test_run_sweep_needs_a_trial(tmp_path):
+    # zero trials would measure nothing; refuse before writing any file
+    with pytest.raises(ValueError, match="need at least one trial"):
+        run_sweep(small_config(tmp_path, trials=0))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_concentration_report():
     rep = verify_concentration(16, 2000, trials=30, t=0.05, seed=7)
     assert rep.deviations.shape == (30,)
@@ -169,6 +176,9 @@ def test_verify_concentration_report():
     assert np.array_equal(rep.deviations, again.deviations)
     with pytest.raises(ValueError, match="at least one trial"):
         verify_concentration(16, 2000, trials=0, t=0.05, seed=7)
+    # no rows would make every moment the nan mean of an empty slice
+    with pytest.raises(ValueError, match="need at least one row"):
+        verify_concentration(16, 0, trials=30, t=0.05, seed=7)
 
 
 def test_verify_uniform_concentration_bound():
@@ -198,6 +208,9 @@ def test_verify_uniform_concentration_single_sample():
     assert rep.max_deviation == rep.deviations[0]
     with pytest.raises(ValueError):
         verify_uniform_concentration(16, 2, 1000, sample_count=0, t=0.05, seed=1)
+    # no rows would give a nan max_deviation, which no threshold exceeds
+    with pytest.raises(ValueError, match="need at least one row"):
+        verify_uniform_concentration(16, 2, 0, sample_count=1, t=0.05, seed=1)
 
 
 def test_verify_bernoulli_counterexample_report():
@@ -209,6 +222,8 @@ def test_verify_bernoulli_counterexample_report():
     # no seeds would make all_identical vacuously true
     with pytest.raises(ValueError, match="at least one seed"):
         verify_bernoulli_counterexample(n=8, m=500, num_seeds=0, seed=5)
+    with pytest.raises(ValueError, match="need at least one row"):
+        verify_bernoulli_counterexample(n=8, m=0, num_seeds=10, seed=5)
 
 
 def test_cli_usage_errors():
@@ -295,6 +310,13 @@ def test_cli_sweep(tmp_path, capsys):
     assert len(data) == 4
     assert (tmp_path / "runs" / "a.manifest.json").exists()
     assert "median_error" in capsys.readouterr().out
+    # zero trials is an error, and nothing is written
+    empty = tmp_path / "empty"
+    code = main(["sweep", "--n", "16", "--s", "2", "--m", "20", "--trials", "0",
+                 "--out", str(empty / "b.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: need at least one trial\n"
+    assert not empty.exists()
 
 
 def test_cli_tessellate(tmp_path, capsys):
@@ -364,6 +386,10 @@ def test_cli_verify_checks(capsys):
                      "--trials", "0"]) == 1, check
         err = capsys.readouterr().err
         assert err.startswith("error: need at least one"), (check, err)
+    # nor at zero rows, where the moments would be nan and nan passes no test
+    for check in ("bernoulli-counterexample", "concentration", "uniform-concentration"):
+        assert main(["verify", "--check", check, "--n", "8", "--m", "0"]) == 1, check
+        assert capsys.readouterr().err == "error: need at least one row\n", check
     assert main(["verify", "--check", "separation", "--n", "1"]) == 1
     assert capsys.readouterr().err == "error: need n >= 2\n"
     assert main(["verify", "--check", "separation", "--n", "2", "--trials", "1"]) == 0
@@ -391,4 +417,4 @@ def test_manifest_path_derivation(tmp_path):
     cfg = small_config()
     path = write_manifest(cfg, str(tmp_path / "data.csv"))
     assert path.endswith("data.manifest.json")
-    assert json.loads(open(path, encoding="utf-8").read())["config"]["task"] == "sweep"
+    assert json.loads(Path(path).read_text(encoding="utf-8"))["config"]["task"] == "sweep"

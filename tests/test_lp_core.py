@@ -9,7 +9,6 @@ import onebit
 import onebit.lp_core
 import onebit.recovery
 from onebit.lp_core import (
-    FEASIBILITY_TOL,
     OPTIMALITY_TOL,
     PIVOT_TOL,
     LinearProgram,
@@ -31,10 +30,12 @@ def lp(objective, eq_lhs=(), eq_rhs=(), ineq_lhs=(), ineq_rhs=(), nonneg=None):
 
 
 def random_small_lp(seed, mask="free"):
-    """Half-integer random LP with d <= 6 and p + q <= 8.
+    """Half-integer random LP with d <= 6 and p + q <= 8, feasible at z = 0.
 
-    mask picks the nonnegative variables: "free" (none), "nonneg" (all) or
-    "mixed" (each with probability 1/2).
+    The equality rhs is 0 and the inequality rhs is -|draw|; the rhs draws
+    stay, so the rest of the stream is the same.  mask picks the nonnegative
+    variables: "free" (none), "nonneg" (all) or "mixed" (each with
+    probability 1/2).
     """
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 7))
@@ -42,41 +43,60 @@ def random_small_lp(seed, mask="free"):
     q = int(rng.integers(0, 9 - p))
     mk = lambda r: rng.integers(-4, 5, size=(r, d)) / 2.0
     args = (rng.integers(-4, 5, size=d) / 2.0,
-            mk(p), rng.integers(-4, 5, size=p) / 2.0,
-            mk(q), rng.integers(-4, 5, size=q) / 2.0)
+            mk(p), np.zeros_like(rng.integers(-4, 5, size=p), dtype=float),
+            mk(q), -np.abs(rng.integers(-4, 5, size=q)) / 2.0)
     nonneg = {"free": np.zeros(d, dtype=bool), "nonneg": np.ones(d, dtype=bool),
               "mixed": rng.integers(0, 2, size=d).astype(bool)}[mask]
     return lp(*args, nonneg=nonneg)
 
 
 def test_single_bound():
-    sol = solve_lp(lp([1.0], ineq_lhs=[[1.0]], ineq_rhs=[3.0]))
+    # min -z subject to z <= 3 -> z = 3, multiplier 1
+    sol = solve_lp(lp([-1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-3.0]))
     assert sol.status == "optimal"
     assert sol.primal[0] == pytest.approx(3.0, abs=1e-9)
-    assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+    assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
+    assert np.allclose(sol.multipliers, [1.0], atol=1e-9)
 
 
 def test_tight_third_constraint():
-    sol = solve_lp(lp([1.0, 1.0],
-                      ineq_lhs=[[1, 0], [0, 1], [1, 1]],
-                      ineq_rhs=[1.0, 1.0, 3.0]))
+    # min -z1 - z2 subject to z1 <= 1, z2 <= 1, z1 + z2 <= 1.5: the third
+    # row binds, so the optimum is -1.5 rather than -2
+    prob = lp([-1.0, -1.0], ineq_lhs=[[-1, 0], [0, -1], [-1, -1]],
+              ineq_rhs=[-1.0, -1.0, -1.5])
+    sol = solve_lp(prob)
     assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+    assert sol.objective_value == pytest.approx(-1.5, abs=1e-9)
+    assert max_violation(prob, sol.primal) <= 1e-9
 
 
 def test_equality_rows():
-    sol = solve_lp(lp([1.0, 2.0], eq_lhs=[[1, 1]], eq_rhs=[4.0],
-                      ineq_lhs=[[1, 0], [0, 1]], ineq_rhs=[0.0, 0.0]))
-    # min z1 + 2 z2 on the segment z1 + z2 = 4, z >= 0 -> (4, 0)
+    # min z1 + 2 z2 on the line z1 + z2 = 0 with z1 <= 4 -> (4, -4); the
+    # objective (1, 2) is 2 (1, 1) + 1 (-1, 0), so the multipliers are (2, 1)
+    sol = solve_lp(lp([1.0, 2.0], eq_lhs=[[1, 1]], eq_rhs=[0.0],
+                      ineq_lhs=[[-1, 0]], ineq_rhs=[-4.0]))
     assert sol.status == "optimal"
-    assert sol.objective_value == pytest.approx(4.0, abs=1e-9)
-    assert np.allclose(sol.primal, [4.0, 0.0], atol=1e-8)
+    assert sol.objective_value == pytest.approx(-4.0, abs=1e-9)
+    assert np.allclose(sol.primal, [4.0, -4.0], atol=1e-8)
+    assert np.allclose(sol.multipliers, [2.0, 1.0], atol=1e-9)
+    # mirrored: min -z1 - 2 z2 with z1 >= -4 -> (-4, 4), equality multiplier -2
+    sol = solve_lp(lp([-1.0, -2.0], eq_lhs=[[1, 1]], eq_rhs=[0.0],
+                      ineq_lhs=[[1, 0]], ineq_rhs=[-4.0]))
+    assert sol.status == "optimal"
+    assert sol.objective_value == pytest.approx(-4.0, abs=1e-9)
+    assert np.allclose(sol.primal, [-4.0, 4.0], atol=1e-8)
+    assert np.allclose(sol.multipliers, [-2.0, 1.0], atol=1e-9)
 
 
-def test_infeasible_toy():
-    sol = solve_lp(lp([1.0], ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[1.0, 1.0]))
-    assert sol.status == "infeasible"
-    assert sol.primal is None
+def test_rhs_outside_domain_raises():
+    # solve_lp takes only LPs feasible at z = 0: z >= 1 and -z >= 1 (which
+    # is infeasible) has a positive inequality rhs, z = 1 a nonzero equality rhs
+    with pytest.raises(ValueError, match="feasible at z = 0"):
+        solve_lp(lp([1.0], ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[1.0, 1.0]))
+    with pytest.raises(ValueError, match="feasible at z = 0"):
+        solve_lp(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[1.0]))
+    with pytest.raises(ValueError, match="feasible at z = 0"):
+        solve_lp(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[-1.0]))
 
 
 def test_unbounded_toys():
@@ -147,9 +167,13 @@ def test_multipliers_certify_optimality(mask):
 
 
 def test_iteration_limit_status():
+    # min -z subject to z <= 3 takes one pivot, which a zero budget denies
+    prob = lp([-1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-3.0])
+    assert solve_lp(prob).iterations == 1
     cfg = ToleranceConfig(iteration_factor=0)
-    sol = solve_lp(lp([1.0], ineq_lhs=[[1.0]], ineq_rhs=[3.0]), cfg)
+    sol = solve_lp(prob, cfg)
     assert sol.status == "iteration_limit"
+    assert sol.primal is None
     # an LP with no rows takes the same path, so the same limit applies
     assert solve_lp(lp([1.0, -1.0]), cfg).status == "iteration_limit"
 
@@ -176,14 +200,14 @@ def test_determinism():
 
 
 def random_box_lp(seed):
-    """Box-constrained LP with a couple of extra cuts; usually bounded."""
+    """Box-constrained LP with a couple of extra cuts, feasible at z = 0."""
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 4))
     lo = rng.integers(-4, 0, size=d) / 2.0
     hi = rng.integers(1, 5, size=d) / 2.0
     rows = np.vstack([np.eye(d), -np.eye(d),
                       rng.integers(-4, 5, size=(2, d)) / 2.0])
-    rhs = np.concatenate([lo, -hi, rng.integers(-4, 2, size=2) / 2.0])
+    rhs = np.concatenate([lo, -hi, -np.abs(rng.integers(-4, 2, size=2)) / 2.0])
     return lp(rng.integers(-4, 5, size=d) / 2.0, ineq_lhs=rows, ineq_rhs=rhs)
 
 
@@ -217,7 +241,7 @@ def test_oracle_agreement_small():
     bland = ToleranceConfig(stall_limit=1)
     moved = 0
     for mask in ("free", "nonneg", "mixed"):
-        statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+        statuses = {"optimal": 0, "unbounded": 0}
         for seed in range(1000, 1060):
             prob = random_small_lp(seed, mask)
             want = brute_force_vertex_solve(prob)
@@ -256,10 +280,12 @@ def test_brute_force_guard():
 
 
 def test_settings_and_public_surface():
-    # the pivot budget is the only setting; the thresholds are constants
+    # the pivot budget is the only setting; the thresholds are constants,
+    # and with no phase 1 the solver has no feasibility threshold
     assert [f.name for f in dataclasses.fields(ToleranceConfig)] == \
         ["iteration_factor", "stall_limit"]
-    assert (FEASIBILITY_TOL, OPTIMALITY_TOL, PIVOT_TOL) == (1e-8, 1e-9, 1e-10)
+    assert (OPTIMALITY_TOL, PIVOT_TOL) == (1e-9, 1e-10)
+    assert not hasattr(onebit.lp_core, "FEASIBILITY_TOL")
     # the reference oracles are test code, not library API
     for module in (onebit, onebit.lp_core, onebit.recovery):
         for name in ("brute_force_vertex_solve", "nonconvex_oracle"):
