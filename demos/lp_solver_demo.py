@@ -4,9 +4,11 @@
 The recovery pipeline runs on a self-contained one-phase dense simplex for
 LPs that z = 0 satisfies (every equality rhs 0, every inequality rhs <= 0),
 as the recovery LP does; it starts from the all-surplus basis.  Variables
-are free unless marked nonnegative.  The test suite checks it against an
-independent oracle that enumerates candidate active sets on tiny instances
-(tests/oracles.py).
+are free unless marked nonnegative.  Its tableau is condensed: one column
+per nonbasic variable plus the rhs, with no stored identity for the basic
+surplus variables.  The test suite checks it against an independent oracle
+that enumerates candidate active sets on tiny instances, and against a
+full-tableau copy that must take the same pivots (tests/oracles.py).
 """
 
 import numpy as np

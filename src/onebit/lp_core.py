@@ -13,6 +13,13 @@ z_j into positive and negative parts, split each equality row into two
 opposite inequality rows, subtract a surplus variable from every row),
 starting from the all-surplus basis, and reports the optimal vertex with its
 row multipliers.
+
+The tableau is a condensed exchange tableau: one column per nonbasic
+variable plus the rhs, filled straight from the LP blocks.  The basic
+columns of the full tableau are unit columns and are not stored; a pivot
+hands the entering variable's column to the leaving variable.  Pricing
+breaks ties by variable index, so the pivots, and the vertex, are those of
+the full tableau.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from scipy.linalg.blas import dger
 
 OPTIMALITY_TOL = 1e-9    # a reduced cost above -OPTIMALITY_TOL does not improve
 PIVOT_TOL = 1e-10        # smallest tableau entry accepted as a pivot
+REFRESH_PIVOTS = 512     # pivots between recomputations of the cost row
 
 
 @dataclass
@@ -92,6 +100,8 @@ class LpSolution:
     # on free variables (<= on nonnegative ones), pi_ineq >= 0, and
     # eq_rhs @ pi_eq + ineq_rhs @ pi_ineq = objective_value
     multipliers: np.ndarray | None = None
+    degenerate_pivots: int = 0       # pivots that did not improve the objective
+    bland_switches: int = 0          # switches to Bland's rule after a stall
 
 
 def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
@@ -106,59 +116,76 @@ def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
 
 
 def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int) -> None:
-    """Gauss-Jordan pivot on T (tableau with rhs column) and cost row r.
+    """Exchange pivot on the condensed tableau T and its cost row r.
 
-    T must be Fortran-ordered: BLAS then applies the rank-one update in place.
+    The nonbasic variable of column cpiv enters at row rpiv, and the variable
+    leaving row rpiv takes over column cpiv.  In the full tableau the leaving
+    variable's column is the unit column of row rpiv, so setting column cpiv
+    to 1/pivot on row rpiv and 0 elsewhere before the rank-one update writes
+    it with the full tableau's arithmetic.  T must be Fortran-ordered: BLAS
+    then applies the update in place.
     """
     row = T[rpiv]
-    row /= row[cpiv]
+    piv = row[cpiv]
+    row /= piv
     col = T[:, cpiv].copy()
     col[rpiv] = 0.0
-    dger(-1.0, col, row, a=T, overwrite_a=True)   # T -= col row^T
-    r -= r[cpiv] * row
     T[:, cpiv] = 0.0
-    T[rpiv, cpiv] = 1.0
+    T[rpiv, cpiv] = 1.0 / piv
+    dger(-1.0, col, row, a=T, overwrite_a=True)   # T -= col row^T
+    rc = r[cpiv]
     r[cpiv] = 0.0
+    r -= rc * row
 
 
-def _reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """Cost row [reduced costs | -objective] for the current basis."""
+def _reduced_costs(T: np.ndarray, slots: np.ndarray, basis: np.ndarray,
+                   cost: np.ndarray) -> np.ndarray:
+    """Cost row [reduced costs of the nonbasic columns | -objective]."""
     K = T.shape[1] - 1
     cb = cost[basis]
     r = np.empty(K + 1)
-    r[:K] = cost[:K] - cb @ T[:, :K]
+    r[:K] = cost[slots] - cb @ T[:, :K]
     r[K] = -cb @ T[:, K]
     return r
 
 
-def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-             tol: ToleranceConfig, itmax: int) -> tuple[str, int]:
+def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+             tol: ToleranceConfig, itmax: int) -> tuple[str, int, int, int]:
     """Run pivots until optimality, unboundedness, or the iteration cap.
 
-    Dantzig pricing with lowest-index tie-breaks; switches to Bland's rule
-    after tol.stall_limit consecutive degenerate pivots, back on progress.
+    Returns the status, the pivots, the degenerate pivots (those that did
+    not improve the objective) and the switches to Bland's rule.  Dantzig
+    pricing with lowest-index tie-breaks; switches to Bland's rule after
+    tol.stall_limit consecutive degenerate pivots, back on progress.  Both
+    rules rank by variable index (slots), not column, so the pivots are
+    those of the full tableau.
     """
     K = T.shape[1] - 1
-    r = _reduced_costs(T, basis, cost)
+    r = _reduced_costs(T, slots, basis, cost)
     iters = 0
+    degenerate = 0
+    switches = 0
     stall = 0
     bland = False
     refresh = 0
     while iters < itmax:
         red = r[:K]
         if bland:
-            neg = np.where(red < -OPTIMALITY_TOL)[0]
-            if neg.size == 0:
-                return "optimal", iters
-            cpiv = int(neg[0])
+            cand = np.flatnonzero(red < -OPTIMALITY_TOL)
+            if cand.size == 0:
+                return "optimal", iters, degenerate, switches
         else:
-            cpiv = int(np.argmin(red))
-            if red[cpiv] >= -OPTIMALITY_TOL:
-                return "optimal", iters
+            # the full tableau also prices its basic columns, at 0;
+            # initial=0.0 stands in for them
+            best_red = np.min(red, initial=0.0)
+            if best_red >= -OPTIMALITY_TOL:
+                return "optimal", iters, degenerate, switches
+            cand = np.flatnonzero(red == best_red)
+        cpiv = int(cand[np.argmin(slots[cand])])
         col = T[:, cpiv]
         pos = np.where(col > PIVOT_TOL)[0]
         if pos.size == 0:
-            return "unbounded", iters
+            return "unbounded", iters, degenerate, switches
         ratios = np.maximum(T[pos, K], 0.0) / col[pos]
         best = float(np.min(ratios))
         # among (near-)tied rows take the stoutest pivot first: index-only
@@ -171,21 +198,23 @@ def _simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             rpiv = int(stout[np.argmax(col[stout])])
         gain = -r[cpiv] * best
         _pivot(T, r, rpiv, cpiv)
-        basis[rpiv] = cpiv
+        slots[cpiv], basis[rpiv] = basis[rpiv], slots[cpiv]
         iters += 1
         refresh += 1
-        if refresh >= 512:
+        if refresh >= REFRESH_PIVOTS:
             # recompute the cost row from the basis to shed pivot roundoff
-            r[:] = _reduced_costs(T, basis, cost)
+            r[:] = _reduced_costs(T, slots, basis, cost)
             refresh = 0
         if gain <= 1e-12 * (1.0 + abs(r[K])):
+            degenerate += 1
             stall += 1
-            if stall >= tol.stall_limit:
+            if stall >= tol.stall_limit and not bland:
                 bland = True
+                switches += 1
         else:
             stall = 0
             bland = False
-    return "iteration_limit", iters
+    return "iteration_limit", iters, degenerate, switches
 
 
 def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolution:
@@ -208,28 +237,32 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
 
     # standard form, every row negated: an equality row a z = 0 becomes the
     # pair a z >= 0, -a z >= 0, and inequality row i reads -a_i z + s_i = -f_i
-    # with surplus s_i >= 0, so the all-surplus basis is feasible.  Tableau
-    # columns: z (z+ for the free variables), z- of the free variables,
-    # surplus, rhs
+    # with surplus s_i >= 0, so the all-surplus basis is feasible.  Variables:
+    # z (z+ for the free variables), z- of the free variables, surplus.  The
+    # condensed tableau holds one column per nonbasic variable (slots names
+    # it) and the rhs; basis names each row's basic variable
     free = np.flatnonzero(~lp.nonneg)
     nf = free.size
-    Z = -np.vstack([lp.eq_lhs, -lp.eq_lhs, lp.ineq_lhs])
-    M = Z.shape[0]
+    K = d + nf
+    M = 2 * p + lp.ineq_lhs.shape[0]
     b = -np.concatenate([lp.eq_rhs, lp.eq_rhs, lp.ineq_rhs])
-    Z = np.hstack([Z, -Z[:, free]])   # the unpivoted z columns
-    N = d + nf + M
-    basis = d + nf + np.arange(M)
-    T = np.zeros((M, N + 1), order="F")
-    T[:, :d + nf] = Z
-    T[np.arange(M), np.arange(d + nf, N)] = 1.0
-    T[:, N] = b
-    cost = np.zeros(N)
+    T = np.empty((M, K + 1), order="F")
+    np.negative(lp.eq_lhs, out=T[:p, :d])
+    T[p:2 * p, :d] = lp.eq_lhs
+    np.negative(lp.ineq_lhs, out=T[2 * p:, :d])
+    np.negative(T[:, free], out=T[:, d:K])
+    T[:, K] = b
+    slots = np.arange(K)
+    basis = K + np.arange(M)
+    cost = np.zeros(K + M)
     cost[:d] = c
-    cost[d:d + nf] = -c[free]
-    status, iters = _simplex(T, basis, cost, tol, tol.iteration_factor * (M + N))
+    cost[d:K] = -c[free]
+    status, iters, degenerate, switches = _simplex(
+        T, slots, basis, cost, tol, tol.iteration_factor * (2 * M + K))
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
-        return LpSolution(status, None, value, iters, np.nan)
+        return LpSolution(status, None, value, iters, np.nan,
+                          degenerate_pivots=degenerate, bland_switches=switches)
 
     # clean vertex and multipliers: re-solve the basis systems B w = b and
     # B^T pi = c_B against the unpivoted data.  A basic surplus is a
@@ -238,19 +271,36 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     # the recovery dual: the support of x_hat by the basic measurements);
     # undoing the row negation gives the multipliers of the rows >= form,
     # and an equality row's multiplier is the difference of its pair's
-    unit = basis >= d + nf
+    unit = basis >= K
     cols = basis[~unit]
     rows = np.ones(M, dtype=bool)
-    rows[basis[unit] - d - nf] = False
-    block = Z[np.ix_(rows, cols)]
-    w = np.zeros(d + nf)
+    rows[basis[unit] - K] = False
+    block = _standard_rows(lp, free, np.flatnonzero(rows))[:, cols]
+    w = np.zeros(K)
     w[cols] = _solve_square(block, b[rows])
     z = w[:d].copy()
     z[free] -= w[d:]
     pi = np.zeros(M)
     pi[rows] = _solve_square(block.T, cost[cols])
     pi = -np.concatenate([pi[:p] - pi[p:2 * p], pi[2 * p:]])
-    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), pi)
+    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), pi,
+                      degenerate, switches)
+
+
+def _standard_rows(lp: LinearProgram, free: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows idx (ascending) of the standard-form z columns [z+ | z-].
+
+    Standard-form row i is -eq_lhs[i] for i < p, eq_lhs[i - p] for
+    p <= i < 2p and -ineq_lhs[i - 2p] after that; the z- columns negate the
+    free ones.  Gathered from the LP blocks, so only these rows are copied.
+    """
+    p = lp.eq_lhs.shape[0]
+    eq = idx < 2 * p
+    pair = idx[eq]
+    lhs = np.concatenate([lp.eq_lhs[pair - p * (pair >= p)],
+                          lp.ineq_lhs[idx[~eq] - 2 * p]])
+    lhs[(idx < p) | ~eq] *= -1.0
+    return np.hstack([lhs, -lhs[:, free]])
 
 
 def _solve_square(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:

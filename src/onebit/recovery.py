@@ -92,14 +92,14 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
         raise ValueError("degenerate sign pattern")
 
     W = np.where(nz[:, None], y[:, None] * A, A)
-    G = np.empty((n, m + 1))
-    G[:, :m] = W.T
-    G[:, m] = W[nz].sum(axis=0) / m
+    rows = np.empty((2 * n, m + 1))   # [G; -G] with G = [W^T | g]
+    rows[:n, :m] = W.T
+    rows[:n, m] = W[nz].sum(axis=0) / m
+    np.negative(rows[:n], out=rows[n:])
     c = np.zeros(m + 1)
     c[m] = -1.0
     return LinearProgram(c, np.zeros((0, m + 1)), np.zeros(0),
-                         np.vstack([G, -G]), np.full(2 * n, -1.0),
-                         nonneg=np.append(nz, True))
+                         rows, np.full(2 * n, -1.0), nonneg=np.append(nz, True))
 
 
 def extract_certificate(ensemble: MeasurementEnsemble, x_hat) -> VertexCertificate:

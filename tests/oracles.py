@@ -4,6 +4,9 @@ brute_force_vertex_solve solves a tiny LP by enumerating candidate active
 sets, so it shares no pivoting code with lp_core.solve_lp.  nonconvex_oracle
 approximates the sphere-constrained l1 minimizer that the recovery LP
 relaxes.  Both are small-instance references, not solvers.
+full_tableau_solve_lp is the simplex on the full tableau (surplus identity
+columns stored), which lp_core.solve_lp replaced by the condensed exchange
+tableau; solve_lp must take its pivots and return its bytes.
 """
 
 from __future__ import annotations
@@ -12,16 +15,21 @@ from itertools import combinations
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.linalg.blas import dger
 
 from onebit.lp_core import (
     OPTIMALITY_TOL,
+    PIVOT_TOL,
     LinearProgram,
     LpSolution,
+    ToleranceConfig,
+    _solve_square,
     max_violation,
 )
 from onebit.measurement import MeasurementEnsemble, as_rows, derive_seed, normal_grid, uniform_grid
 
 FEASIBILITY_TOL = 1e-8   # row residual, relative to 1 + max |rhs|, that counts as satisfied
+FULL_REFRESH_PIVOTS = 512   # pivots between cost-row recomputations in full_tableau_solve_lp
 
 
 def brute_force_vertex_solve(lp: LinearProgram) -> LpSolution:
@@ -203,3 +211,151 @@ def _coordinate_descent(v: np.ndarray, consistent, max_passes: int = 60) -> np.n
         if not improved:
             break
     return v
+
+
+def _full_pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int) -> None:
+    """Gauss-Jordan pivot on T (tableau with rhs column) and cost row r.
+
+    T must be Fortran-ordered: BLAS then applies the rank-one update in place.
+    """
+    row = T[rpiv]
+    row /= row[cpiv]
+    col = T[:, cpiv].copy()
+    col[rpiv] = 0.0
+    dger(-1.0, col, row, a=T, overwrite_a=True)   # T -= col row^T
+    r -= r[cpiv] * row
+    T[:, cpiv] = 0.0
+    T[rpiv, cpiv] = 1.0
+    r[cpiv] = 0.0
+
+
+def _full_reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """Cost row [reduced costs | -objective] for the current basis."""
+    K = T.shape[1] - 1
+    cb = cost[basis]
+    r = np.empty(K + 1)
+    r[:K] = cost[:K] - cb @ T[:, :K]
+    r[K] = -cb @ T[:, K]
+    return r
+
+
+def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+                  tol: ToleranceConfig, itmax: int) -> tuple[str, int]:
+    """Run pivots until optimality, unboundedness, or the iteration cap.
+
+    Dantzig pricing with lowest-index tie-breaks; switches to Bland's rule
+    after tol.stall_limit consecutive degenerate pivots, back on progress.
+    """
+    K = T.shape[1] - 1
+    r = _full_reduced_costs(T, basis, cost)
+    iters = 0
+    stall = 0
+    bland = False
+    refresh = 0
+    while iters < itmax:
+        red = r[:K]
+        if bland:
+            neg = np.where(red < -OPTIMALITY_TOL)[0]
+            if neg.size == 0:
+                return "optimal", iters
+            cpiv = int(neg[0])
+        else:
+            cpiv = int(np.argmin(red))
+            if red[cpiv] >= -OPTIMALITY_TOL:
+                return "optimal", iters
+        col = T[:, cpiv]
+        pos = np.where(col > PIVOT_TOL)[0]
+        if pos.size == 0:
+            return "unbounded", iters
+        ratios = np.maximum(T[pos, K], 0.0) / col[pos]
+        best = float(np.min(ratios))
+        # among (near-)tied rows take the stoutest pivot first: index-only
+        # tie-breaking happily pivots on 1e-10 entries and wrecks the tableau
+        ties = pos[ratios <= best + 1e-9 * (1.0 + best)]
+        stout = ties[col[ties] >= 0.1 * float(np.max(col[ties]))]
+        if bland:
+            rpiv = int(stout[np.argmin(basis[stout])])
+        else:
+            rpiv = int(stout[np.argmax(col[stout])])
+        gain = -r[cpiv] * best
+        _full_pivot(T, r, rpiv, cpiv)
+        basis[rpiv] = cpiv
+        iters += 1
+        refresh += 1
+        if refresh >= FULL_REFRESH_PIVOTS:
+            # recompute the cost row from the basis to shed pivot roundoff
+            r[:] = _full_reduced_costs(T, basis, cost)
+            refresh = 0
+        if gain <= 1e-12 * (1.0 + abs(r[K])):
+            stall += 1
+            if stall >= tol.stall_limit:
+                bland = True
+        else:
+            stall = 0
+            bland = False
+    return "iteration_limit", iters
+
+
+def full_tableau_solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolution:
+    """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
+
+    Raises ValueError unless every eq_rhs is 0 and every ineq_rhs is <= 0.
+    The returned primal and row multipliers are recomputed from the final
+    basis with one linear solve each against the original standard-form
+    data (B w = b and B^T pi = c_B), so accumulated tableau roundoff does
+    not leak into the reported vertex.
+    """
+    if np.any(lp.eq_rhs != 0.0) or np.any(lp.ineq_rhs > 0.0):
+        raise ValueError("solve_lp needs an LP feasible at z = 0: "
+                         "every eq_rhs must be 0 and every ineq_rhs <= 0")
+    if tol is None:
+        tol = ToleranceConfig()
+    c = lp.objective
+    d = lp.num_vars
+    p = lp.eq_lhs.shape[0]
+
+    # standard form, every row negated: an equality row a z = 0 becomes the
+    # pair a z >= 0, -a z >= 0, and inequality row i reads -a_i z + s_i = -f_i
+    # with surplus s_i >= 0, so the all-surplus basis is feasible.  Tableau
+    # columns: z (z+ for the free variables), z- of the free variables,
+    # surplus, rhs
+    free = np.flatnonzero(~lp.nonneg)
+    nf = free.size
+    Z = -np.vstack([lp.eq_lhs, -lp.eq_lhs, lp.ineq_lhs])
+    M = Z.shape[0]
+    b = -np.concatenate([lp.eq_rhs, lp.eq_rhs, lp.ineq_rhs])
+    Z = np.hstack([Z, -Z[:, free]])   # the unpivoted z columns
+    N = d + nf + M
+    basis = d + nf + np.arange(M)
+    T = np.zeros((M, N + 1), order="F")
+    T[:, :d + nf] = Z
+    T[np.arange(M), np.arange(d + nf, N)] = 1.0
+    T[:, N] = b
+    cost = np.zeros(N)
+    cost[:d] = c
+    cost[d:d + nf] = -c[free]
+    status, iters = _full_simplex(T, basis, cost, tol, tol.iteration_factor * (M + N))
+    if status != "optimal":
+        value = -np.inf if status == "unbounded" else np.nan
+        return LpSolution(status, None, value, iters, np.nan)
+
+    # clean vertex and multipliers: re-solve the basis systems B w = b and
+    # B^T pi = c_B against the unpivoted data.  A basic surplus is a
+    # zero-cost unit column on its own row, so both systems reduce to the
+    # block of the basic z columns on the rows whose surplus is nonbasic (in
+    # the recovery dual: the support of x_hat by the basic measurements);
+    # undoing the row negation gives the multipliers of the rows >= form,
+    # and an equality row's multiplier is the difference of its pair's
+    unit = basis >= d + nf
+    cols = basis[~unit]
+    rows = np.ones(M, dtype=bool)
+    rows[basis[unit] - d - nf] = False
+    block = Z[np.ix_(rows, cols)]
+    w = np.zeros(d + nf)
+    w[cols] = _solve_square(block, b[rows])
+    z = w[:d].copy()
+    z[free] -= w[d:]
+    pi = np.zeros(M)
+    pi[rows] = _solve_square(block.T, cost[cols])
+    pi = -np.concatenate([pi[:p] - pi[p:2 * p], pi[2 * p:]])
+    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), pi)

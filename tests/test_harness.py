@@ -257,7 +257,10 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
                  "--signal", prefix + "_signal.txt", "--out", out])
     assert code == 0
     text = capsys.readouterr().out
-    assert "status=optimal" in text
+    sol = recover(A, np.loadtxt(prefix + "_signs.txt")).lp_solution
+    assert (f"status=optimal iterations={sol.iterations} "
+            f"degenerate_pivots={sol.degenerate_pivots} "
+            f"bland_switches={sol.bland_switches}\n") in text
     assert "error=" in text
     direction = np.loadtxt(out).ravel()
     assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)
@@ -367,7 +370,7 @@ def test_gen_instance_is_the_cli_and_sweep_instance(tmp_path, dist, mag):
         assert r.l1l2_ratio_in == np.abs(xt).sum() / np.linalg.norm(xt)
 
 
-def test_cli_verify_checks(capsys):
+def test_cli_verify_checks(capsys, monkeypatch):
     assert main(["verify", "--check", "bernoulli-counterexample",
                  "--n", "8", "--m", "200", "--trials", "5"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -392,8 +395,26 @@ def test_cli_verify_checks(capsys):
         assert capsys.readouterr().err == "error: need at least one row\n", check
     assert main(["verify", "--check", "separation", "--n", "1"]) == 1
     assert capsys.readouterr().err == "error: need n >= 2\n"
-    assert main(["verify", "--check", "separation", "--n", "2", "--trials", "1"]) == 0
-    assert "separation: trials=1\n" in capsys.readouterr().out
+    # nor a PASS at a count whose 5 sigma band around 1/4 reaches 0 (trials
+    # <= 75), where no estimate can fail
+    for trials in ("1", "75"):
+        assert main(["verify", "--check", "separation", "--n", "2",
+                     "--trials", trials]) == 0, trials
+        out = capsys.readouterr().out
+        assert f"separation: trials={trials}\n" in out
+        assert "INCONCLUSIVE: " in out and "PASS" not in out, (trials, out)
+    assert main(["verify", "--check", "separation", "--n", "2", "--trials", "76"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("PASS\n") and "INCONCLUSIVE" not in out
+    # each pair's band is 5 binomial sigmas of its own p: at 100 trials an
+    # orthogonal estimate of 0.03 is 5.1 sigmas below 1/4 and fails, and
+    # 0.04 passes (a band of 5 * 0.5/sqrt(trials) passed anything in [0, 0.5])
+    for p_orth, code in ((0.03, 1), (0.04, 0)):
+        estimates = iter((p_orth, 0.5))
+        monkeypatch.setattr(onebit.cli, "single_hyperplane_separation_prob",
+                            lambda *args, **kw: next(estimates))
+        assert main(["verify", "--check", "separation", "--trials", "100"]) == code, p_orth
+        assert capsys.readouterr().out.endswith("FAIL\n" if code else "PASS\n")
 
 
 def test_console_script_version(tmp_path):

@@ -8,6 +8,8 @@ import pytest
 import onebit
 import onebit.lp_core
 import onebit.recovery
+import oracles
+from onebit.harness import gen_instance
 from onebit.lp_core import (
     OPTIMALITY_TOL,
     PIVOT_TOL,
@@ -16,7 +18,9 @@ from onebit.lp_core import (
     max_violation,
     solve_lp,
 )
-from oracles import brute_force_vertex_solve
+from onebit.measurement import sign_quantize
+from onebit.recovery import build_recovery_lp
+from oracles import brute_force_vertex_solve, full_tableau_solve_lp
 
 
 def lp(objective, eq_lhs=(), eq_rhs=(), ineq_lhs=(), ineq_rhs=(), nonneg=None):
@@ -257,6 +261,48 @@ def test_oracle_agreement_small():
                 assert max_violation(prob, want.primal) <= 1e-8
         assert min(statuses.values()) >= 3, mask   # the mix exercises every status
     assert moved > 0   # Bland's rule took another pivot path at least once
+
+
+def recovery_lp(n, s, m, seed, dist="gaussian", mag="unit_gaussian"):
+    x, ens = gen_instance(n, s, m, seed, dist, mag)
+    return build_recovery_lp(ens, sign_quantize(ens.rows @ x))
+
+
+@pytest.mark.parametrize("refresh", [512, 3])
+def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
+    # the condensed exchange tableau takes the full tableau's pivots and
+    # returns its bytes; a refresh every 3 pivots compares that path too
+    monkeypatch.setattr(onebit.lp_core, "REFRESH_PIVOTS", refresh)
+    monkeypatch.setattr(oracles, "FULL_REFRESH_PIVOTS", refresh)
+    bland = ToleranceConfig(stall_limit=1)
+    cases = [(f"{mask} seed {seed}", random_small_lp(seed, mask))
+             for mask in ("free", "nonneg", "mixed") for seed in range(300)]
+    cases += [(f"gaussian m={m} seed {seed}", recovery_lp(128, 4, m, seed))
+              for m in (50, 100, 200, 400, 800) for seed in (0, 1)]
+    signs = [(f"+-1 m={m} seed {seed}", recovery_lp(128, 4, m, seed, "bernoulli", "constant"))
+             for m in (100, 200, 400) for seed in (0, 1)]
+    assert all(not prob.nonneg.all() for _, prob in signs)   # free w_i from zero signs
+    cases += signs + [("gaussian n=256 m=1600", recovery_lp(256, 8, 1600, 3))]   # 91 pivots
+    for label, prob in cases:
+        for tol in (None, bland):
+            got, want = solve_lp(prob, tol), full_tableau_solve_lp(prob, tol)
+            assert (got.status, got.iterations) == (want.status, want.iterations), label
+            if want.status == "optimal":
+                assert got.primal.tobytes() == want.primal.tobytes(), label
+                assert got.multipliers.tobytes() == want.multipliers.tobytes(), label
+
+
+def test_solver_telemetry_on_stalls():
+    # +-1 rows pivot degenerately; with stall_limit=1 one degenerate pivot
+    # switches to Bland's rule
+    prob = recovery_lp(128, 4, 100, 1, "bernoulli", "constant")
+    sol = solve_lp(prob, ToleranceConfig(stall_limit=1))
+    assert sol.status == "optimal"
+    assert sol.bland_switches >= 1
+    assert 1 <= sol.degenerate_pivots <= sol.iterations
+    default = solve_lp(prob)
+    assert default.bland_switches == 0
+    assert default.degenerate_pivots <= default.iterations
 
 
 def test_brute_force_toys():
