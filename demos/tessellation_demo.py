@@ -25,10 +25,12 @@ print(f"K(n={spec.n}, s={spec.s}), {samples} sampled points, delta={delta}\n")
 print(f"{'m':>4}  {'cells':>6}  {'max cell diameter lb':>21}  {'far pairs':>9}  {'min separators':>14}")
 for m in (0, 25, 50, 100, 200, 400):
     rep = tessellate_and_report(spec, m, delta, samples, seed)
-    far = rep.separation_stats
-    min_sep = min((max(p.count_fwd, p.count_rev) for p in far), default=0)
+    # far pairs as arrays: pair k is (pair_i[k], pair_j[k]), with its
+    # separating-row counts in both orientations
+    best = np.maximum(rep.count_fwd, rep.count_rev)
+    min_sep = int(best.min()) if best.size else 0
     print(f"{m:>4}  {rep.nonempty_cells:>6}  {rep.max_cell_diameter_lb:>21.4f}  "
-          f"{len(far):>9}  {min_sep:>14}")
+          f"{rep.pair_i.size:>9}  {min_sep:>14}")
 
 # refinement is exact, not statistical: adding rows only ever splits cells
 X = tessellation_points(spec, samples, seed)

@@ -9,6 +9,7 @@ deterministic checks).  Exit codes: 0 success, 1 experiment failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -32,8 +33,7 @@ from .recovery import constraint_violation, recover, recovery_error
 
 CHECKS = ("concentration", "uniform-concentration", "bernoulli-counterexample", "separation")
 # the checks that read --delta, with the threshold each uses without it
-# (calibrated, like the checks' pass limits, for the default m = 20000 and
-# 100 trials)
+# (for concentration, at m = 20000: see cmd_verify)
 DELTA_DEFAULTS = {"concentration": 0.02, "uniform-concentration": 0.1}
 # the separation check wants each estimate within 5 binomial sigmas,
 # sqrt(p (1 - p) / trials), of its exact p; for p = 1/4 that band reaches 0,
@@ -110,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ver, n=64, s=4, m=20000, trials=100)
     ver.add_argument("--delta", type=float, default=None,
                      help="deviation threshold, read by the concentration and "
-                          "uniform-concentration checks only; the check-specific "
-                          "defaults are calibrated for m = 20000 and 100 trials.  "
-                          "One trial's moment deviation has standard deviation "
-                          "sqrt(1 - 2/pi)/sqrt(m), so scale --delta with it at "
-                          "another m")
+                          "uniform-concentration checks only (defaults 0.02 and "
+                          "0.1).  The concentration default holds at m = 20000 and "
+                          "scales as sqrt(20000/m), as one trial's moment deviation "
+                          "does (standard deviation sqrt(1 - 2/pi)/sqrt(m)); a given "
+                          "value is used as is")
     ver.set_defaults(usage_error=ver.error)
     return ap
 
@@ -189,6 +189,11 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _min_or_zero(a: np.ndarray) -> int:
+    # not np.min(a, initial=0): that is 0 for any array of positive counts
+    return int(a.min()) if a.size else 0
+
+
 def cmd_tessellate(args) -> int:
     spec = SignalSetSpec(args.n, args.s, "effectively_sparse")
     lines = []
@@ -200,9 +205,9 @@ def cmd_tessellate(args) -> int:
             "sample_count": args.trials,
             "nonempty_cells": rep.nonempty_cells,
             "max_cell_diameter_lb": rep.max_cell_diameter_lb,
-            "pairs_beyond_delta": len(rep.separation_stats),
-            "min_count_fwd": min((p.count_fwd for p in rep.separation_stats), default=0),
-            "min_count_rev": min((p.count_rev for p in rep.separation_stats), default=0),
+            "pairs_beyond_delta": rep.pair_i.size,
+            "min_count_fwd": _min_or_zero(rep.count_fwd),
+            "min_count_rev": _min_or_zero(rep.count_rev),
         }
         lines.append(summary)
         print(f"m={m} cells={summary['nonempty_cells']} "
@@ -223,12 +228,19 @@ def cmd_verify(args) -> int:
     check = args.check
     t = DELTA_DEFAULTS.get(check) if args.delta is None else args.delta
     if check == "concentration":
+        # one trial's moment deviation has standard deviation
+        # sqrt(1 - 2/pi)/sqrt(m): the default threshold and the tolerance on
+        # the mean over trials hold at m = 20000 and 100 trials and scale with
+        # it (m < 1 is refused by verify_concentration)
+        if args.delta is None:
+            t *= math.sqrt(20000 / max(args.m, 1))
         rep = verify_concentration(args.n, args.m, args.trials, t, args.seed)
         print(f"concentration: n={rep.n} m={rep.m} trials={rep.trials}")
         print(f"mean_abs_moment={rep.mean_abs_moment:.6f} target={ROOT_TWO_OVER_PI:.6f}")
         print(f"exceedance@{t}={rep.exceedance_fraction:.4f} decay_rate={rep.decay_rate:.3f}")
         passed = rep.exceedance_fraction <= 0.05 and \
-            abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= 0.005
+            abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= \
+            0.005 * math.sqrt(20000 * 100 / (rep.m * rep.trials))
     elif check == "uniform-concentration":
         rep = verify_uniform_concentration(args.n, args.s, args.m,
                                            args.trials, t, args.seed)

@@ -9,7 +9,8 @@ measurements informative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,12 +187,33 @@ class PairSeparation:
 
 @dataclass
 class TessellationReport:
+    """One tessellation report; pair k is (pair_i[k], pair_j[k]), i < j.
+
+    The pairs are the sampled pairs at distance greater than delta, in
+    row-major order, with the separating-row counts in both orientations.
+    """
+
     m: int
     delta: float
     sampled_points: np.ndarray          # (count, n)
     nonempty_cells: int
     max_cell_diameter_lb: float         # max within-cell pairwise distance seen
-    separation_stats: list[PairSeparation] = field(default_factory=list)
+    pair_i: np.ndarray                  # int64
+    pair_j: np.ndarray                  # int64
+    pair_distance: np.ndarray           # float64
+    count_fwd: np.ndarray               # int64, as PairSeparation.count_fwd
+    count_rev: np.ndarray               # int64, as PairSeparation.count_rev
+
+    @functools.cached_property
+    def separation_stats(self) -> list[PairSeparation]:
+        """The pairs as records, built from the arrays on first access.
+
+        Later accesses return the same list object.  Only the benchmark's
+        workload reads records; the library and the CLI read the arrays.
+        """
+        return list(map(PairSeparation, self.pair_i.tolist(), self.pair_j.tolist(),
+                        self.pair_distance.tolist(), self.count_fwd.tolist(),
+                        self.count_rev.tolist()))
 
 
 def sign_pattern_cells(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -235,8 +257,8 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     pattern of the m measurements, and reports the number of nonempty
     cells plus the largest within-cell distance (a lower bound on the true
     cell diameter).  For every sampled pair at distance greater than delta
-    the report records the separating-row counts at margin delta / 30 in
-    both orientations.
+    the report holds, as arrays, the separating-row counts at margin
+    delta / 30 in both orientations.
 
     Points come from tessellation_points and rows from tessellation_rows,
     so reports at increasing m share the sample set and use nested row
@@ -264,7 +286,5 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     # exact integers while m < 2**24
     counts = np.rint(above @ below.T).astype(np.int64)
     pi, pj = np.nonzero(np.triu(dist > delta, k=1))
-    stats = list(map(PairSeparation, pi.tolist(), pj.tolist(),
-                     dist[pi, pj].tolist(), counts[pi, pj].tolist(),
-                     counts[pj, pi].tolist()))
-    return TessellationReport(m, delta, X, num_cells, max_diam, stats)
+    return TessellationReport(m, delta, X, num_cells, max_diam, pi, pj, dist[pi, pj],
+                              counts[pi, pj], counts[pj, pi])

@@ -3,7 +3,9 @@
 All randomness flows through a counter-based SplitMix64 scheme: entry (i, j) of
 any generated matrix is a pure function of (seed, i, j), so individual rows can
 be regenerated in any order and the first m rows of a larger ensemble coincide
-with the m-row ensemble for the same seed.
+with the m-row ensemble for the same seed.  Likewise the first k columns of a
+grid are the k-column grid for the same seed, so a computation that reads only
+some leading coordinates can generate just those.
 
 Grids are generated in row blocks of about 16K entries, mixed in place in two
 reused word buffers and converted straight into the output array.  Every entry

@@ -313,10 +313,9 @@ def test_tessellate_report_shrinks_with_m():
     for r in reports:
         assert r.max_cell_diameter_lb <= 2.0
         assert np.array_equal(r.sampled_points, reports[0].sampled_points)
-        for st in r.separation_stats:
-            assert st.distance > 0.5
-            assert 0 <= st.count_fwd <= r.m
-            assert 0 <= st.count_rev <= r.m
+        assert np.all(r.pair_distance > 0.5)
+        for counts in (r.count_fwd, r.count_rev):
+            assert np.all((0 <= counts) & (counts <= r.m))
 
 
 def test_tessellation_rows_nest():
@@ -355,9 +354,18 @@ def test_pair_records_match_loop_reference(count):
         rep = tessellate_and_report(spec, m, 0.5, count, seed=9)
         A = tessellation_rows(spec, m, seed=9)
         want = _loop_pair_records(rep.sampled_points, A, 0.5)
+        # the report's arrays, then the records built from them
+        for name, dtype in (("pair_i", np.int64), ("pair_j", np.int64),
+                            ("pair_distance", np.float64), ("count_fwd", np.int64),
+                            ("count_rev", np.int64)):
+            got = getattr(rep, name)
+            assert got.dtype == dtype and got.shape == (len(want),), name
         assert rep.separation_stats == want
+        # built once: a reader that edits the list sees its edit again
+        assert rep.separation_stats is rep.separation_stats
         if count == 120 and m:
             assert want and max(p.count_fwd for p in want) > 0
+            assert max(p.count_rev for p in want) > 0
         for p in rep.separation_stats:
             assert type(p.i) is int and type(p.j) is int
             assert type(p.count_fwd) is int and type(p.count_rev) is int

@@ -1,6 +1,7 @@
 """Tests for sweep orchestration, statistical checks, CSV output, and CLI."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -226,6 +227,48 @@ def test_verify_bernoulli_counterexample_report():
         verify_bernoulli_counterexample(n=8, m=0, num_seeds=10, seed=5)
 
 
+def _full_width_bernoulli_counterexample(n, m, num_seeds, seed):
+    """verify_bernoulli_counterexample as it was, on whole n-column ensembles."""
+    x = np.zeros(n)
+    x[0] = 1.0
+    xp = np.zeros(n)
+    xp[0] = 1.0
+    xp[1] = 0.5
+    seeds = [derive_seed(seed, k) for k in range(num_seeds)]
+    identical = []
+    for sd in seeds:
+        ens = gen_bernoulli_ensemble(m, n, sd)
+        identical.append(bool(np.array_equal(sign_quantize(ens.rows @ x),
+                                             sign_quantize(ens.rows @ xp))))
+    gens = gen_gaussian_ensemble(m, n, derive_seed(seed, num_seeds))
+    differs = not np.array_equal(sign_quantize(gens.rows @ x),
+                                 sign_quantize(gens.rows @ xp))
+    return harness.BernoulliCounterexampleReport(
+        n=n, m=m, seeds=seeds, identical_per_seed=identical,
+        all_identical=all(identical), gaussian_differs=differs,
+    )
+
+
+@pytest.mark.parametrize("n, m, num_seeds, seed", [
+    (2, 1, 3, 0), (5, 777, 7, 123), (32, 1000, 20, 1), (64, 20000, 4, 7)])
+def test_bernoulli_counterexample_matches_full_width(monkeypatch, n, m, num_seeds, seed):
+    # the check reads two columns; the products it quantizes must be the
+    # full-width ones to the bit, not just give the same report
+    def recorder(log, real=sign_quantize):
+        def quantize(values):
+            log.append(np.asarray(values).tobytes())
+            return real(values)
+        return quantize
+
+    got_log, want_log = [], []
+    monkeypatch.setattr(harness, "sign_quantize", recorder(got_log))
+    got = verify_bernoulli_counterexample(n, m, num_seeds, seed)
+    monkeypatch.setattr(sys.modules[__name__], "sign_quantize", recorder(want_log))
+    want = _full_width_bernoulli_counterexample(n, m, num_seeds, seed)
+    assert got == want
+    assert len(got_log) == 2 * (num_seeds + 1) and got_log == want_log
+
+
 def test_cli_usage_errors():
     assert main(["sweep", "--frobnicate"]) == 2
     assert main(["frobnicate"]) == 2
@@ -347,6 +390,33 @@ def test_cli_tessellate(tmp_path, capsys):
     assert man["config"]["m_list"] == [10, 20]
 
 
+def test_cli_tessellate_reads_arrays_only(capsys, monkeypatch):
+    # the CLI reads the report's arrays; building a single record would raise
+    def no_records(*args):
+        raise AssertionError("the CLI built a PairSeparation record")
+
+    ms = (0, 40, 400)
+    argv = ["tessellate", "--n", "12", "--s", "2", "--m", ",".join(map(str, ms)),
+            "--trials", "60", "--seed", "2"]
+    monkeypatch.setattr(onebit.geometry, "PairSeparation", no_records)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    monkeypatch.undo()
+    spec = onebit.SignalSetSpec(12, 2, "effectively_sparse")
+    mins = []
+    for m, line in zip(ms, lines, strict=True):
+        st = onebit.tessellate_and_report(spec, m, 0.5, 60, 2).separation_stats
+        mins.append((min(p.count_fwd for p in st), min(p.count_rev for p in st)))
+        assert line.endswith(f" pairs>0.5={len(st)} min_sep=({mins[-1][0]},{mins[-1][1]})"), line
+    # positive minima at m = 400 print as themselves, not as 0
+    assert min(mins[-1]) > 0
+    # no pair at one point: the count and both minima print as 0
+    assert main(["tessellate", "--trials", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    assert all(line.endswith(" pairs>0.5=0 min_sep=(0,0)") for line in lines), lines
+
+
 @pytest.mark.parametrize("dist,mag", [("gaussian", "unit_gaussian"), ("bernoulli", "constant")])
 def test_gen_instance_is_the_cli_and_sweep_instance(tmp_path, dist, mag):
     # x comes from derive_seed(seed, 1) and the rows from derive_seed(seed, 2)
@@ -415,6 +485,38 @@ def test_cli_verify_checks(capsys, monkeypatch):
                             lambda *args, **kw: next(estimates))
         assert main(["verify", "--check", "separation", "--trials", "100"]) == code, p_orth
         assert capsys.readouterr().out.endswith("FAIL\n" if code else "PASS\n")
+
+
+def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
+    # a correct generator passes at m = 1000 too (0.02 was about 1 sigma there)
+    assert main(["verify", "--check", "concentration", "--m", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("PASS\n") and f"exceedance@{0.02 * math.sqrt(20)}=" in out
+
+    seen = []
+
+    def fake(n, m, trials, t, seed, gap=0.0):
+        seen.append(t)
+        return harness.ConcentrationReport(
+            n=n, m=m, trials=trials, threshold=t, mean_abs_moment=ROOT_TWO_OVER_PI + gap,
+            deviations=np.zeros(trials), exceedance_fraction=0.0, fit_thresholds=np.zeros(0),
+            fit_fractions=np.zeros(0), decay_rate=float("nan"))
+
+    # at m = 20000 and 100 trials: threshold 0.02 and mean tolerance 0.005,
+    # exactly as before; the tolerance scales as 1/sqrt(m * trials)
+    for argv, gap, code in ((["--m", "20000"], 0.0049, 0), (["--m", "20000"], 0.0051, 1),
+                            (["--m", "1000"], 0.022, 0), (["--m", "1000"], 0.023, 1),
+                            (["--m", "20000", "--trials", "25"], 0.0099, 0),
+                            (["--m", "20000", "--trials", "25"], 0.0101, 1)):
+        monkeypatch.setattr(onebit.cli, "verify_concentration",
+                            lambda *a, gap=gap: fake(*a, gap=gap))
+        assert main(["verify", "--check", "concentration"] + argv) == code, (argv, gap)
+        capsys.readouterr()
+    assert seen[:2] == [0.02, 0.02] and seen[2] == 0.02 * math.sqrt(20)
+    # a given --delta is used as is
+    seen.clear()
+    assert main(["verify", "--check", "concentration", "--m", "1000", "--delta", "0.05"]) == 0
+    assert seen == [0.05] and "exceedance@0.05=" in capsys.readouterr().out
 
 
 def test_console_script_version(tmp_path):

@@ -234,6 +234,20 @@ def test_grids_bit_identical_to_whole_array_reference(seed, rows, cols, row_offs
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), grid.__name__
 
 
+@pytest.mark.parametrize("seed, row_offset", [(2**64 - 1, 0), (2**64 - 1, 999), (7, 123456)])
+def test_grids_column_prefix(seed, row_offset):
+    # a k-column grid is the first k columns of any wider grid at the same
+    # seed; the narrow grids here take fewer, longer row blocks than n = 64
+    r, n = 20000, 64
+    for grid in (uniform_grid, normal_grid, sign_grid):
+        wide = grid(seed, r, n, row_offset)
+        for k in (1, 2, 63):
+            got = grid(seed, r, k, row_offset)
+            assert got.shape == (r, k)
+            assert np.array_equal(got.view(np.uint64), wide[:, :k].view(np.uint64)), \
+                (grid.__name__, k)
+
+
 @pytest.mark.parametrize("grid, args, digest", [
     (uniform_grid, (7, 300, 64, 0), "e423ab08041355b8"),
     (uniform_grid, (2**64 - 1, 257, 129, 1000), "be0da0ef0256b2dc"),
