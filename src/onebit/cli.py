@@ -33,8 +33,9 @@ from .recovery import constraint_violation, recover, recovery_error
 
 CHECKS = ("concentration", "uniform-concentration", "bernoulli-counterexample", "separation")
 # the checks that read --delta, with the threshold each uses without it
-# (for concentration, at m = 20000: see cmd_verify)
-DELTA_DEFAULTS = {"concentration": 0.02, "uniform-concentration": 0.1}
+# (for concentration, at m = 20000; for uniform-concentration, in units of
+# sqrt(s ln(2n/s)/m): see cmd_verify)
+DELTA_DEFAULTS = {"concentration": 0.02, "uniform-concentration": 1.5}
 # the separation check wants each estimate within 5 binomial sigmas,
 # sqrt(p (1 - p) / trials), of its exact p; for p = 1/4 that band reaches 0,
 # and no estimate can fail, unless trials > 25 (1 - p) / p = 75
@@ -110,11 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ver, n=64, s=4, m=20000, trials=100)
     ver.add_argument("--delta", type=float, default=None,
                      help="deviation threshold, read by the concentration and "
-                          "uniform-concentration checks only (defaults 0.02 and "
-                          "0.1).  The concentration default holds at m = 20000 and "
-                          "scales as sqrt(20000/m), as one trial's moment deviation "
-                          "does (standard deviation sqrt(1 - 2/pi)/sqrt(m)); a given "
-                          "value is used as is")
+                          "uniform-concentration checks only.  The concentration "
+                          "default is 0.02 at m = 20000 and scales as sqrt(20000/m), "
+                          "as one trial's moment deviation does (standard deviation "
+                          "sqrt(1 - 2/pi)/sqrt(m)); the uniform-concentration default "
+                          "is 1.5 sqrt(s ln(2n/s)/m), as the largest deviation over "
+                          "the sampled points scales; a given value is used as is")
     ver.set_defaults(usage_error=ver.error)
     return ap
 
@@ -242,6 +244,11 @@ def cmd_verify(args) -> int:
             abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= \
             0.005 * math.sqrt(20000 * 100 / (rep.m * rep.trials))
     elif check == "uniform-concentration":
+        # the largest deviation over the sampled cap points scales as
+        # sqrt(s ln(2n/s)/m), not as one point's sqrt(1 - 2/pi)/sqrt(m)
+        # (other s, and m < 1, are refused by verify_uniform_concentration)
+        if args.delta is None and 1 <= args.s <= args.n:
+            t *= math.sqrt(args.s * math.log(2 * args.n / args.s) / max(args.m, 1))
         rep = verify_uniform_concentration(args.n, args.s, args.m,
                                            args.trials, t, args.seed)
         print(f"uniform concentration: n={rep.n} s={rep.s} m={rep.m} "

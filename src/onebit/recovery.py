@@ -12,12 +12,14 @@ a_i where y_i = 0, and g = (1/m) sum_i y_i a_i, the dual is
     maximize t   subject to   -1 <= W^T w + t g <= 1   (2n rows)
                               t >= 0, w_i >= 0 where y_i != 0, other w_i free
 
-in m + 1 variables.  Every right-hand side is -1, so z = 0 is feasible and
-the all-surplus basis is the start that solve_lp requires.  x_hat is
-read back by complementary slackness as the multipliers of the upper rows
-minus those of the lower rows.  The normalization is posed as >= 1 and must
-be tight at the optimum (scaling the solution down would otherwise lower
-the objective); tightness is asserted after the solve.
+A row <a_i, x'> = 0 is two opposite inequalities, so its free w_i is posed
+as w_i+ - w_i-, and the LP has m + 1 + #zeros nonnegative variables with
+columns [W^T | g | -W^T[:, y == 0]].  Every right-hand side is -1, so
+z = 0 is feasible and the all-surplus basis is the start that solve_lp
+requires.  x_hat is read back by complementary slackness as the multipliers
+of the upper rows minus those of the lower rows.  The normalization is
+posed as >= 1 and must be tight at the optimum (scaling the solution down
+would otherwise lower the objective); tightness is asserted after the solve.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ class RecoveryResult:
 def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     """Assemble the dual of the sign-consistent l1 minimization LP.
 
-    Variables are (w_1, ..., w_m, t), one per measurement plus t; w_i is
-    nonnegative where y_i != 0 and free where y_i = 0, and t is nonnegative.
-    The objective is -t.  Inequality rows, in order: the lower rows
-    W^T w + t g >= -1, then the upper rows -(W^T w + t g) >= -1, one of
-    each per coordinate of x (see the module docstring for W and g).
+    Variables are (w_1, ..., w_m, t), then one w_i- per zero sign y_i = 0
+    in row order, all nonnegative; the dual's free w_i at a zero sign is
+    w_i - w_i-.  The objective is -t.  Inequality rows, in order: the lower
+    rows W^T w + t g >= -1, then the upper rows -(W^T w + t g) >= -1, one
+    of each per coordinate of x (see the module docstring for W and g).
 
     Raises:
         ValueError: on length mismatch or when every sign is zero
@@ -92,14 +94,15 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
         raise ValueError("degenerate sign pattern")
 
     W = np.where(nz[:, None], y[:, None] * A, A)
-    rows = np.empty((2 * n, m + 1))   # [G; -G] with G = [W^T | g]
+    d = m + 1 + int(np.count_nonzero(~nz))
+    rows = np.empty((2 * n, d))   # [G; -G] with G = [W^T | g | -W^T[:, y == 0]]
     rows[:n, :m] = W.T
     rows[:n, m] = W[nz].sum(axis=0) / m
+    np.negative(W[~nz].T, out=rows[:n, m + 1:])
     np.negative(rows[:n], out=rows[n:])
-    c = np.zeros(m + 1)
+    c = np.zeros(d)
     c[m] = -1.0
-    return LinearProgram(c, np.zeros((0, m + 1)), np.zeros(0),
-                         rows, np.full(2 * n, -1.0), nonneg=np.append(nz, True))
+    return LinearProgram(c, rows, np.full(2 * n, -1.0))
 
 
 def extract_certificate(ensemble: MeasurementEnsemble, x_hat) -> VertexCertificate:

@@ -1,9 +1,12 @@
 """Reference oracles that the tests check the solver and the recovery LP against.
 
-brute_force_vertex_solve solves a tiny LP by enumerating candidate active
-sets, so it shares no pivoting code with lp_core.solve_lp.  nonconvex_oracle
-approximates the sphere-constrained l1 minimizer that the recovery LP
-relaxes.  Both are small-instance references, not solvers.
+GeneralLP is the general-form LP the tests pose (equality rows, free
+variables); canonical() turns it into lp_core's one form, and solve_general
+solves it through that form and maps the result back.
+brute_force_vertex_solve solves a tiny general-form LP by enumerating
+candidate active sets, so it shares no pivoting code with lp_core.solve_lp.
+nonconvex_oracle approximates the sphere-constrained l1 minimizer that the
+recovery LP relaxes.  Both are small-instance references, not solvers.
 full_tableau_solve_lp is the simplex on the full tableau (surplus identity
 columns stored), which lp_core.solve_lp replaced by the condensed exchange
 tableau; solve_lp must take its pivots and return its bytes.
@@ -11,6 +14,7 @@ tableau; solve_lp must take its pivots and return its bytes.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -25,6 +29,7 @@ from onebit.lp_core import (
     ToleranceConfig,
     _solve_square,
     max_violation,
+    solve_lp,
 )
 from onebit.measurement import MeasurementEnsemble, as_rows, derive_seed, normal_grid, uniform_grid
 
@@ -32,7 +37,84 @@ FEASIBILITY_TOL = 1e-8   # row residual, relative to 1 + max |rhs|, that counts 
 FULL_REFRESH_PIVOTS = 512   # pivots between cost-row recomputations in full_tableau_solve_lp
 
 
-def brute_force_vertex_solve(lp: LinearProgram) -> LpSolution:
+@dataclass
+class GeneralLP:
+    """Dense general-form LP: minimize objective @ z subject to
+
+        eq_lhs @ z == eq_rhs, ineq_lhs @ z >= ineq_rhs, z_j >= 0 where nonneg[j]
+
+    and every other z_j free (by default every variable is free).
+    """
+
+    objective: np.ndarray        # (d,)
+    eq_lhs: np.ndarray = ()      # (p, d)
+    eq_rhs: np.ndarray = ()      # (p,)
+    ineq_lhs: np.ndarray = ()    # (q, d)
+    ineq_rhs: np.ndarray = ()    # (q,)
+    nonneg: np.ndarray | None = None   # (d,) bool, None means all free
+
+    def __post_init__(self) -> None:
+        self.objective = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
+        d = self.objective.shape[0]
+        self.eq_lhs = np.asarray(self.eq_lhs, dtype=np.float64).reshape(-1, d)
+        self.eq_rhs = np.atleast_1d(np.asarray(self.eq_rhs, dtype=np.float64))
+        self.ineq_lhs = np.asarray(self.ineq_lhs, dtype=np.float64).reshape(-1, d)
+        self.ineq_rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=np.float64))
+        self.nonneg = np.zeros(d, dtype=bool) if self.nonneg is None \
+            else np.asarray(self.nonneg, dtype=bool)
+
+    @property
+    def num_vars(self) -> int:
+        return self.objective.shape[0]
+
+    def max_violation(self, z: np.ndarray) -> float:
+        """Largest violation by z of the rows and nonnegativity bounds."""
+        worst = float(np.max(-z[self.nonneg], initial=0.0))
+        if self.eq_lhs.shape[0]:
+            worst = max(worst, float(np.max(np.abs(self.eq_lhs @ z - self.eq_rhs))))
+        if self.ineq_lhs.shape[0]:
+            slack = self.ineq_lhs @ z - self.ineq_rhs
+            worst = max(worst, float(np.max(-slack, initial=0.0)))
+        return worst
+
+
+def canonical(lp: GeneralLP) -> LinearProgram:
+    """lp in lp_core's form: every row >=, every variable nonnegative.
+
+    Each equality row e z = r becomes the pair e z >= r, -e z >= -r, the
+    pairs ahead of the inequality rows; each free z_j becomes z_j - z_j-,
+    with the z_j- columns after all d columns, in the order of j.
+    """
+    free = ~lp.nonneg
+    rows = np.vstack([lp.eq_lhs, -lp.eq_lhs, lp.ineq_lhs])
+    # 0.0 - r, not -r: at r = 0 the -0.0 would flip the sign of some zero
+    # entries of the primal
+    return LinearProgram(np.concatenate([lp.objective, -lp.objective[free]]),
+                         np.hstack([rows, -rows[:, free]]),
+                         np.concatenate([lp.eq_rhs, 0.0 - lp.eq_rhs, lp.ineq_rhs]))
+
+
+def solve_general(lp: GeneralLP, tol: ToleranceConfig | None = None) -> LpSolution:
+    """Solve lp with solve_lp through canonical(), in lp's variables and rows.
+
+    z = w[:d] minus the z_j- parts, and an equality row's multiplier is the
+    difference of its pair's.
+    """
+    sol = solve_lp(canonical(lp), tol)
+    if sol.status != "optimal":
+        return sol
+    d, p = lp.num_vars, lp.eq_lhs.shape[0]
+    z = sol.primal[:d].copy()
+    z[~lp.nonneg] -= sol.primal[d:]
+    pi = sol.multipliers
+    # -(second - first), not first - second: a pair whose surplus variables
+    # are both basic gets -0.0, as a single row does
+    pi = np.concatenate([-(pi[p:2 * p] - pi[:p]), pi[2 * p:]])
+    return replace(sol, primal=z, objective_value=float(lp.objective @ z),
+                   max_constraint_violation=lp.max_violation(z), multipliers=pi)
+
+
+def brute_force_vertex_solve(lp: GeneralLP) -> LpSolution:
     """Exact reference solve by enumerating candidate active sets.
 
     Each nonnegative variable adds the row z_j >= 0.  Lineality directions
@@ -117,7 +199,7 @@ def brute_force_vertex_solve(lp: LinearProgram) -> LpSolution:
     objs = [float(c @ z) for z in verts]
     best = int(np.argmin(objs))
     z = verts[best]
-    return LpSolution("optimal", z, objs[best], examined, max_violation(lp, z))
+    return LpSolution("optimal", z, objs[best], examined, lp.max_violation(z))
 
 
 def _l1(v: np.ndarray) -> float:
@@ -299,41 +381,34 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
 def full_tableau_solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolution:
     """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
 
-    Raises ValueError unless every eq_rhs is 0 and every ineq_rhs is <= 0.
-    The returned primal and row multipliers are recomputed from the final
-    basis with one linear solve each against the original standard-form
-    data (B w = b and B^T pi = c_B), so accumulated tableau roundoff does
-    not leak into the reported vertex.
+    Raises ValueError unless every ineq_rhs is <= 0.  The returned primal
+    and row multipliers are recomputed from the final basis with one linear
+    solve each against the original standard-form data (B w = b and
+    B^T pi = c_B), so accumulated tableau roundoff does not leak into the
+    reported vertex.
     """
-    if np.any(lp.eq_rhs != 0.0) or np.any(lp.ineq_rhs > 0.0):
+    if np.any(lp.ineq_rhs > 0.0):
         raise ValueError("solve_lp needs an LP feasible at z = 0: "
-                         "every eq_rhs must be 0 and every ineq_rhs <= 0")
+                         "every ineq_rhs must be <= 0")
     if tol is None:
         tol = ToleranceConfig()
     c = lp.objective
     d = lp.num_vars
-    p = lp.eq_lhs.shape[0]
 
-    # standard form, every row negated: an equality row a z = 0 becomes the
-    # pair a z >= 0, -a z >= 0, and inequality row i reads -a_i z + s_i = -f_i
-    # with surplus s_i >= 0, so the all-surplus basis is feasible.  Tableau
-    # columns: z (z+ for the free variables), z- of the free variables,
-    # surplus, rhs
-    free = np.flatnonzero(~lp.nonneg)
-    nf = free.size
-    Z = -np.vstack([lp.eq_lhs, -lp.eq_lhs, lp.ineq_lhs])
+    # standard form, every row negated: row i reads -a_i z + s_i = -f_i with
+    # surplus s_i >= 0, so the all-surplus basis is feasible.  Tableau
+    # columns: z, surplus, rhs
+    Z = -lp.ineq_lhs   # the unpivoted z columns
     M = Z.shape[0]
-    b = -np.concatenate([lp.eq_rhs, lp.eq_rhs, lp.ineq_rhs])
-    Z = np.hstack([Z, -Z[:, free]])   # the unpivoted z columns
-    N = d + nf + M
-    basis = d + nf + np.arange(M)
+    b = -lp.ineq_rhs
+    N = d + M
+    basis = d + np.arange(M)
     T = np.zeros((M, N + 1), order="F")
-    T[:, :d + nf] = Z
-    T[np.arange(M), np.arange(d + nf, N)] = 1.0
+    T[:, :d] = Z
+    T[np.arange(M), np.arange(d, N)] = 1.0
     T[:, N] = b
     cost = np.zeros(N)
     cost[:d] = c
-    cost[d:d + nf] = -c[free]
     status, iters = _full_simplex(T, basis, cost, tol, tol.iteration_factor * (M + N))
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
@@ -342,20 +417,15 @@ def full_tableau_solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None)
     # clean vertex and multipliers: re-solve the basis systems B w = b and
     # B^T pi = c_B against the unpivoted data.  A basic surplus is a
     # zero-cost unit column on its own row, so both systems reduce to the
-    # block of the basic z columns on the rows whose surplus is nonbasic (in
-    # the recovery dual: the support of x_hat by the basic measurements);
-    # undoing the row negation gives the multipliers of the rows >= form,
-    # and an equality row's multiplier is the difference of its pair's
-    unit = basis >= d + nf
+    # block of the basic z columns on the rows whose surplus is nonbasic;
+    # undoing the row negation gives the multipliers of the rows >= form
+    unit = basis >= d
     cols = basis[~unit]
     rows = np.ones(M, dtype=bool)
-    rows[basis[unit] - d - nf] = False
+    rows[basis[unit] - d] = False
     block = Z[np.ix_(rows, cols)]
-    w = np.zeros(d + nf)
-    w[cols] = _solve_square(block, b[rows])
-    z = w[:d].copy()
-    z[free] -= w[d:]
+    z = np.zeros(d)
+    z[cols] = _solve_square(block, b[rows])
     pi = np.zeros(M)
     pi[rows] = _solve_square(block.T, cost[cols])
-    pi = -np.concatenate([pi[:p] - pi[p:2 * p], pi[2 * p:]])
-    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), pi)
+    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), -pi)

@@ -29,7 +29,6 @@ from onebit.harness import (
     verify_bernoulli_counterexample,
     verify_concentration,
 )
-from onebit.lp_core import LinearProgram, max_violation, solve_lp
 from onebit.measurement import (
     gen_gaussian_ensemble,
     gen_sparse_signal,
@@ -37,7 +36,7 @@ from onebit.measurement import (
     uniform_grid,
 )
 from onebit.recovery import recover, recovery_error
-from oracles import brute_force_vertex_solve
+from oracles import GeneralLP, brute_force_vertex_solve, solve_general
 
 SWEEP_MS = (100, 200, 400, 800)
 
@@ -50,13 +49,14 @@ def random_small_lp(seed):
     """Half-integer random LP with d <= 6 and p + q <= 8, feasible at z = 0.
 
     The equality rhs is 0 and the inequality rhs is -|draw|; the rhs draws
-    stay, so the rest of the stream is the same.
+    stay, so the rest of the stream is the same.  Every variable is free;
+    solve_general poses the LP in solve_lp's form.
     """
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 7))
     p = int(rng.integers(0, 3))
     q = int(rng.integers(0, 9 - p))
-    return LinearProgram(
+    return GeneralLP(
         rng.integers(-4, 5, size=d) / 2.0,
         rng.integers(-4, 5, size=(p, d)) / 2.0,
         np.zeros_like(rng.integers(-4, 5, size=p), dtype=float),
@@ -87,7 +87,7 @@ def test_criterion_01_lp_oracle_equivalence():
     statuses = {"optimal": 0, "unbounded": 0}
     for seed in range(100):
         prob = random_small_lp(seed)
-        got = solve_lp(prob)
+        got = solve_general(prob)
         want = brute_force_vertex_solve(prob)
         if got.status != want.status:
             continue

@@ -519,6 +519,38 @@ def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
     assert seen == [0.05] and "exceedance@0.05=" in capsys.readouterr().out
 
 
+def test_cli_verify_uniform_concentration_default_scales_with_m(capsys, monkeypatch):
+    # the largest deviation over the sampled points scales as
+    # sqrt(s ln(2n/s)/m): a correct generator passes at small m, where the
+    # old fixed 0.1 failed it (max deviations 0.121, 0.167 and 0.186)
+    def verify(*argv):
+        code = main(["verify", "--check", "uniform-concentration", *argv])
+        out = capsys.readouterr().out
+        return code, float(re.search(r"threshold=(\S+)", out).group(1)), out
+
+    for m, seed in ((300, 0), (100, 0), (100, 7)):
+        code, t, out = verify("--m", str(m), "--seed", str(seed))
+        assert code == 0 and out.endswith("PASS\n"), (m, seed, out)
+        assert t == 1.5 * math.sqrt(4 * math.log(2 * 64 / 4) / m)
+    # at the default m = 20000 the threshold is 0.0395; rows scaled by 1.1
+    # shift every moment by about 0.08, which the old 0.1 let pass
+    code, t, out = verify()
+    assert code == 0 and round(t, 4) == 0.0395
+
+    def scaled(m, n, seed):
+        ens = gen_gaussian_ensemble(m, n, seed)
+        ens.rows *= 1.1
+        return ens
+
+    monkeypatch.setattr(harness, "gen_gaussian_ensemble", scaled)
+    code, t, out = verify()
+    assert code == 1 and out.endswith("FAIL\n")
+    assert 0.07 < float(re.search(r"max_deviation=(\S+)", out).group(1)) < 0.1
+    # a given --delta is used as is
+    code, t, out = verify("--delta", "0.1")
+    assert code == 0 and t == 0.1
+
+
 def test_console_script_version(tmp_path):
     # run the declared entry point the way an installed script wrapper would,
     # so the check needs no install: only the importable package

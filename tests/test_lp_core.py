@@ -1,4 +1,9 @@
-"""Tests for the dense simplex and its brute-force vertex oracle."""
+"""Tests for the dense simplex and its brute-force vertex oracle.
+
+The general-form families (equality rows, free variables) are posed through
+oracles.GeneralLP and solved through canonical() by solve_general; the
+recovery LPs are in solve_lp's form already.
+"""
 
 import dataclasses
 
@@ -20,17 +25,16 @@ from onebit.lp_core import (
 )
 from onebit.measurement import sign_quantize
 from onebit.recovery import build_recovery_lp
-from oracles import brute_force_vertex_solve, full_tableau_solve_lp
+from oracles import (
+    GeneralLP,
+    brute_force_vertex_solve,
+    canonical,
+    full_tableau_solve_lp,
+    solve_general,
+)
 
 
-def lp(objective, eq_lhs=(), eq_rhs=(), ineq_lhs=(), ineq_rhs=(), nonneg=None):
-    d = len(objective)
-    return LinearProgram(np.array(objective, dtype=float),
-                         np.array(eq_lhs, dtype=float).reshape(-1, d),
-                         np.array(eq_rhs, dtype=float),
-                         np.array(ineq_lhs, dtype=float).reshape(-1, d),
-                         np.array(ineq_rhs, dtype=float),
-                         nonneg)
+lp = GeneralLP
 
 
 def random_small_lp(seed, mask="free"):
@@ -56,7 +60,7 @@ def random_small_lp(seed, mask="free"):
 
 def test_single_bound():
     # min -z subject to z <= 3 -> z = 3, multiplier 1
-    sol = solve_lp(lp([-1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-3.0]))
+    sol = solve_general(lp([-1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-3.0]))
     assert sol.status == "optimal"
     assert sol.primal[0] == pytest.approx(3.0, abs=1e-9)
     assert sol.objective_value == pytest.approx(-3.0, abs=1e-9)
@@ -68,24 +72,24 @@ def test_tight_third_constraint():
     # row binds, so the optimum is -1.5 rather than -2
     prob = lp([-1.0, -1.0], ineq_lhs=[[-1, 0], [0, -1], [-1, -1]],
               ineq_rhs=[-1.0, -1.0, -1.5])
-    sol = solve_lp(prob)
+    sol = solve_general(prob)
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-1.5, abs=1e-9)
-    assert max_violation(prob, sol.primal) <= 1e-9
+    assert prob.max_violation(sol.primal) <= 1e-9
 
 
 def test_equality_rows():
     # min z1 + 2 z2 on the line z1 + z2 = 0 with z1 <= 4 -> (4, -4); the
     # objective (1, 2) is 2 (1, 1) + 1 (-1, 0), so the multipliers are (2, 1)
-    sol = solve_lp(lp([1.0, 2.0], eq_lhs=[[1, 1]], eq_rhs=[0.0],
-                      ineq_lhs=[[-1, 0]], ineq_rhs=[-4.0]))
+    sol = solve_general(lp([1.0, 2.0], eq_lhs=[[1, 1]], eq_rhs=[0.0],
+                          ineq_lhs=[[-1, 0]], ineq_rhs=[-4.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-4.0, abs=1e-9)
     assert np.allclose(sol.primal, [4.0, -4.0], atol=1e-8)
     assert np.allclose(sol.multipliers, [2.0, 1.0], atol=1e-9)
     # mirrored: min -z1 - 2 z2 with z1 >= -4 -> (-4, 4), equality multiplier -2
-    sol = solve_lp(lp([-1.0, -2.0], eq_lhs=[[1, 1]], eq_rhs=[0.0],
-                      ineq_lhs=[[1, 0]], ineq_rhs=[-4.0]))
+    sol = solve_general(lp([-1.0, -2.0], eq_lhs=[[1, 1]], eq_rhs=[0.0],
+                          ineq_lhs=[[1, 0]], ineq_rhs=[-4.0]))
     assert sol.status == "optimal"
     assert sol.objective_value == pytest.approx(-4.0, abs=1e-9)
     assert np.allclose(sol.primal, [-4.0, 4.0], atol=1e-8)
@@ -94,24 +98,27 @@ def test_equality_rows():
 
 def test_rhs_outside_domain_raises():
     # solve_lp takes only LPs feasible at z = 0: z >= 1 and -z >= 1 (which
-    # is infeasible) has a positive inequality rhs, z = 1 a nonzero equality rhs
+    # is infeasible) has a positive inequality rhs, z = 1 a nonzero equality
+    # rhs, whose pair of rows has a positive rhs either way
     with pytest.raises(ValueError, match="feasible at z = 0"):
-        solve_lp(lp([1.0], ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[1.0, 1.0]))
+        solve_lp(LinearProgram([1.0], [[1.0]], [1.0]))
     with pytest.raises(ValueError, match="feasible at z = 0"):
-        solve_lp(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[1.0]))
+        solve_general(lp([1.0], ineq_lhs=[[1.0], [-1.0]], ineq_rhs=[1.0, 1.0]))
     with pytest.raises(ValueError, match="feasible at z = 0"):
-        solve_lp(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[-1.0]))
+        solve_general(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[1.0]))
+    with pytest.raises(ValueError, match="feasible at z = 0"):
+        solve_general(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[-1.0]))
 
 
 def test_unbounded_toys():
-    assert solve_lp(lp([-1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0])).status == "unbounded"
+    assert solve_general(lp([-1.0], ineq_lhs=[[1.0]], ineq_rhs=[0.0])).status == "unbounded"
     # no constraints at all
-    free = solve_lp(lp([-1.0, 0.5]))
+    free = solve_general(lp([-1.0, 0.5]))
     assert free.status == "unbounded"
     assert free.objective_value == -np.inf
     # costs within the optimality tolerance of zero leave the optimum at 0
     for cost in ([0.0, 0.0], [1e-9, -1e-9], [-1e-9, 5e-10]):
-        flat = solve_lp(lp(cost))
+        flat = solve_general(lp(cost))
         assert flat.status == "optimal", cost
         assert flat.objective_value == 0.0
         assert np.array_equal(flat.primal, [0.0, 0.0])
@@ -120,33 +127,35 @@ def test_unbounded_toys():
 
 def test_negative_variables_reachable():
     # free variables: the optimum sits at z = (-2, -3)
-    sol = solve_lp(lp([1.0, 1.0], ineq_lhs=[[1, 0], [0, 1]],
-                      ineq_rhs=[-2.0, -3.0]))
+    sol = solve_general(lp([1.0, 1.0], ineq_lhs=[[1, 0], [0, 1]],
+                          ineq_rhs=[-2.0, -3.0]))
     assert sol.status == "optimal"
     assert np.allclose(sol.primal, [-2.0, -3.0], atol=1e-8)
 
 
 def test_nonnegative_variables():
     # the same rows as test_negative_variables_reachable, with z1 >= 0
-    sol = solve_lp(lp([1.0, 1.0], ineq_lhs=[[1, 0], [0, 1]],
-                      ineq_rhs=[-2.0, -3.0], nonneg=[True, False]))
+    sol = solve_general(lp([1.0, 1.0], ineq_lhs=[[1, 0], [0, 1]],
+                          ineq_rhs=[-2.0, -3.0], nonneg=[True, False]))
     assert sol.status == "optimal"
     assert np.allclose(sol.primal, [0.0, -3.0], atol=1e-8)
     # min -z1 - z2 with z >= 0 and z1 + z2 <= 2: multiplier 1 on the cut
-    sol = solve_lp(lp([-1.0, -1.0], ineq_lhs=[[-1, -1]], ineq_rhs=[-2.0],
-                      nonneg=[True, True]))
+    sol = solve_general(lp([-1.0, -1.0], ineq_lhs=[[-1, -1]], ineq_rhs=[-2.0],
+                          nonneg=[True, True]))
     assert sol.objective_value == pytest.approx(-2.0, abs=1e-9)
     assert np.allclose(sol.multipliers, [1.0], atol=1e-9)
-    assert solve_lp(lp([-1.0], nonneg=[True])).status == "unbounded"
-    assert solve_lp(lp([-1.0, 0.0], nonneg=[True, False])).status == "unbounded"
+    assert solve_general(lp([-1.0], nonneg=[True])).status == "unbounded"
+    assert solve_general(lp([-1.0, 0.0], nonneg=[True, False])).status == "unbounded"
     for cost, mask in (([1.0], [True]), ([-1e-9], [True]),
                        ([1e-9, 2.0], [False, True]), ([-1e-9, -1e-9], [False, True])):
-        sol = solve_lp(lp(cost, nonneg=mask))
+        sol = solve_general(lp(cost, nonneg=mask))
         assert sol.status == "optimal", cost
         assert sol.objective_value == 0.0
         assert np.array_equal(sol.primal, np.zeros(len(cost)))
-    assert max_violation(lp([1.0, 1.0], nonneg=[True, False]),
-                         np.array([-0.5, -3.0])) == 0.5
+    assert lp([1.0, 1.0], nonneg=[True, False]).max_violation(np.array([-0.5, -3.0])) == 0.5
+    # solve_lp's form bounds every variable
+    assert max_violation(canonical(lp([1.0, 1.0], nonneg=[True, True])),
+                         np.array([-0.5, -3.0])) == 3.0
 
 
 @pytest.mark.parametrize("mask", ["free", "nonneg", "mixed"])
@@ -155,7 +164,7 @@ def test_multipliers_certify_optimality(mask):
     checked = 0
     for seed in range(200, 260):
         prob = random_small_lp(seed, mask)
-        sol = solve_lp(prob)
+        sol = solve_general(prob)
         if sol.status != "optimal":
             continue
         checked += 1
@@ -173,29 +182,29 @@ def test_multipliers_certify_optimality(mask):
 def test_iteration_limit_status():
     # min -z subject to z <= 3 takes one pivot, which a zero budget denies
     prob = lp([-1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-3.0])
-    assert solve_lp(prob).iterations == 1
+    assert solve_general(prob).iterations == 1
     cfg = ToleranceConfig(iteration_factor=0)
-    sol = solve_lp(prob, cfg)
+    sol = solve_general(prob, cfg)
     assert sol.status == "iteration_limit"
     assert sol.primal is None
     # an LP with no rows takes the same path, so the same limit applies
-    assert solve_lp(lp([1.0, -1.0]), cfg).status == "iteration_limit"
+    assert solve_general(lp([1.0, -1.0]), cfg).status == "iteration_limit"
 
 
 def test_optimal_within_feasibility_tolerance():
     for seed in range(40):
         prob = random_small_lp(seed)
-        sol = solve_lp(prob)
+        sol = solve_general(prob)
         if sol.status == "optimal":
             assert sol.max_constraint_violation <= 1e-8
-            assert max_violation(prob, sol.primal) <= 1e-8
+            assert prob.max_violation(sol.primal) <= 1e-8
 
 
 def test_determinism():
     for seed in (3, 11, 27):
         prob = random_small_lp(seed)
-        a = solve_lp(prob)
-        b = solve_lp(prob)
+        a = solve_general(prob)
+        b = solve_general(prob)
         assert a.status == b.status
         assert a.iterations == b.iterations
         if a.status == "optimal":
@@ -221,7 +230,7 @@ def test_weak_duality_on_sampled_feasible_points():
     checked = 0
     for seed in range(60):
         prob = random_box_lp(seed)
-        sol = solve_lp(prob)
+        sol = solve_general(prob)
         if sol.status != "optimal":
             continue
         # probe random directions away from the reported vertex
@@ -250,15 +259,15 @@ def test_oracle_agreement_small():
             prob = random_small_lp(seed, mask)
             want = brute_force_vertex_solve(prob)
             statuses[want.status] += 1
-            runs = [solve_lp(prob), solve_lp(prob, bland)]
+            runs = [solve_general(prob), solve_general(prob, bland)]
             moved += runs[0].iterations != runs[1].iterations
             for got in runs:
                 assert got.status == want.status, f"{mask} seed {seed}"
                 if got.status == "optimal":
                     assert abs(got.objective_value - want.objective_value) <= 1e-8
-                    assert max_violation(prob, got.primal) <= 1e-8
+                    assert prob.max_violation(got.primal) <= 1e-8
             if want.status == "optimal":
-                assert max_violation(prob, want.primal) <= 1e-8
+                assert prob.max_violation(want.primal) <= 1e-8
         assert min(statuses.values()) >= 3, mask   # the mix exercises every status
     assert moved > 0   # Bland's rule took another pivot path at least once
 
@@ -275,13 +284,14 @@ def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
     monkeypatch.setattr(onebit.lp_core, "REFRESH_PIVOTS", refresh)
     monkeypatch.setattr(oracles, "FULL_REFRESH_PIVOTS", refresh)
     bland = ToleranceConfig(stall_limit=1)
-    cases = [(f"{mask} seed {seed}", random_small_lp(seed, mask))
+    cases = [(f"{mask} seed {seed}", canonical(random_small_lp(seed, mask)))
              for mask in ("free", "nonneg", "mixed") for seed in range(300)]
     cases += [(f"gaussian m={m} seed {seed}", recovery_lp(128, 4, m, seed))
               for m in (50, 100, 200, 400, 800) for seed in (0, 1)]
     signs = [(f"+-1 m={m} seed {seed}", recovery_lp(128, 4, m, seed, "bernoulli", "constant"))
              for m in (100, 200, 400) for seed in (0, 1)]
-    assert all(not prob.nonneg.all() for _, prob in signs)   # free w_i from zero signs
+    # free w_i from zero signs: their w_i- columns follow t, the last column without them
+    assert all(prob.objective[-1] == 0.0 for _, prob in signs)
     cases += signs + [("gaussian n=256 m=1600", recovery_lp(256, 8, 1600, 3))]   # 91 pivots
     for label, prob in cases:
         for tol in (None, bland):
@@ -339,11 +349,28 @@ def test_settings_and_public_surface():
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        lp([1.0], eq_lhs=[[1.0]], eq_rhs=[])
-    with pytest.raises(ValueError):
-        lp([np.inf])
-    with pytest.raises(ValueError):
-        lp([1.0], ineq_lhs=[[np.nan]], ineq_rhs=[0.0])
-    with pytest.raises(ValueError, match="one entry per variable"):
-        lp([1.0, 1.0], nonneg=[True])
+    with pytest.raises(ValueError, match="row counts differ"):
+        LinearProgram([1.0], [[1.0]], [])
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram([np.inf], np.zeros((0, 1)), [])
+    with pytest.raises(ValueError, match="finite"):
+        LinearProgram([1.0], [[np.nan]], [0.0])
+
+
+def test_one_lp_form():
+    # solve_lp's only form is ineq_lhs @ z >= ineq_rhs, z >= 0: no equality
+    # block, no free variables
+    assert [f.name for f in dataclasses.fields(LinearProgram)] == \
+        ["objective", "ineq_lhs", "ineq_rhs"]
+    with pytest.raises(TypeError):
+        LinearProgram([1.0], [[1.0]], [0.0], nonneg=[True])
+    with pytest.raises(TypeError):
+        LinearProgram([1.0], [[1.0]], [0.0], [[1.0]], [0.0])
+    # the empty equality block that perfbench/run.py's traced run counts rows through
+    prob = LinearProgram([1.0, 2.0], [[1.0, 0.0]], [-1.0])
+    assert prob.eq_lhs.shape == (0, 2)
+    # the nonnegativity bound holds without a row: min z subject to z >= -5 is z = 0
+    sol = solve_lp(LinearProgram([1.0], [[1.0]], [-5.0]))
+    assert sol.status == "optimal"
+    assert sol.primal.tolist() == [0.0]
+    assert sol.multipliers.tolist() == [0.0]

@@ -8,6 +8,8 @@ still exist under the name the benchmark wraps it by.
 import ast
 import importlib
 import inspect
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +63,41 @@ def test_layer_info_attributes():
     assert lp.eq_lhs.shape[0] + lp.ineq_lhs.shape[0] == 8
     assert lp.num_vars == 13
     assert isinstance(solve_lp(lp).iterations, int)
+
+
+TRACED_ROUND = """
+import json, sys
+from pathlib import Path
+
+import onebit.cli
+import run, workloads
+from spans import Tracer
+
+out = {}
+for name in ("sweep-gaussian", "sweep-zero-signs"):
+    workload = workloads.make(name, Path(sys.argv[1]))
+    tracer = Tracer()
+    workload.install(tracer)
+    run.run_round(tracer, workload, 0, workload.round_seed(1, 0), True, onebit.cli.main)
+    tracer.unwrap()
+    metrics = run.layer_metrics(tracer, workload, [0], [])
+    out[name] = {"ops": len(workload.ops),
+                 "problems": [p for op in workload.ops for p in op.problems]
+                 + workload.run_problems(),
+                 "lp_rows": metrics["recovery.lp_rows"][0]}
+print(json.dumps(out))
+"""
+
+
+def test_traced_round_reads_the_recovery_lp(tmp_path):
+    # one traced round of each sweep: _layer_info reads the built LP's rows
+    # and columns, which the untraced self-test never does.  A subprocess,
+    # because importing run.py sets the BLAS thread variables
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"),
+                                                       str(ROOT / "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", TRACED_ROUND, str(tmp_path)], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    for name, got in json.loads(out.stdout.splitlines()[-1]).items():
+        assert got["ops"] > 0 and got["problems"] == [], (name, got)
+        assert got["lp_rows"] == 256, (name, got)   # 2n rows at n = 128

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from onebit.lp_core import ToleranceConfig, solve_lp
+from onebit.lp_core import ToleranceConfig, max_violation, solve_lp
 from onebit.measurement import (
     MeasurementEnsemble,
     derive_seed,
@@ -21,7 +21,7 @@ from onebit.recovery import (
     recover,
     recovery_error,
 )
-from oracles import brute_force_vertex_solve, nonconvex_oracle
+from oracles import GeneralLP, brute_force_vertex_solve, nonconvex_oracle
 
 
 def make_instance(n, s, m, seed):
@@ -60,6 +60,8 @@ def assert_matches_highs(ens, y):
     want = highs_l1_optimum(ens.rows, y.astype(np.float64))
     assert abs(np.abs(res.x_hat).sum() - want) <= 1e-9 * want
     assert constraint_violation(ens, y, res.x_hat) <= 1e-9
+    # the dual vertex, split columns of the zero signs included, is feasible
+    assert max_violation(build_recovery_lp(ens, y), res.lp_solution.primal) <= 1e-9
     return res
 
 
@@ -91,24 +93,32 @@ def test_recover_matches_highs_at_scale(m, dist, mag):
 
 
 def test_lp_row_counts():
-    # the dual: 2n rows, one column per measurement plus t, no equalities
+    # the dual: 2n rows, one column per measurement, then t, then one column
+    # per zero sign, every variable nonnegative
     n, m = 5, 7
     _, ens, y = make_instance(n, 2, m, seed=3)
     y = y.copy()
-    y[2] = 0
+    y[[2, 5]] = 0
+    zeros = 2
     prob = build_recovery_lp(ens, y)
-    assert prob.num_vars == m + 1
-    assert prob.ineq_lhs.shape == (2 * n, m + 1)
+    assert prob.num_vars == m + 1 + zeros
+    assert prob.ineq_lhs.shape == (2 * n, m + 1 + zeros)
     assert np.array_equal(prob.ineq_rhs, -np.ones(2 * n))
     assert prob.eq_lhs.shape[0] == 0
-    assert np.array_equal(prob.objective, np.eye(m + 1)[m] * -1.0)
-    # w_i >= 0 where y_i != 0, free where y_i = 0, and t >= 0
-    assert np.array_equal(prob.nonneg, np.append(y != 0, True))
-    # column i is y_i a_i (a_i where y_i = 0), the last column the normalization row
+    assert np.array_equal(prob.objective, np.eye(m + 1 + zeros)[m] * -1.0)
+    # column i is y_i a_i (a_i where y_i = 0), column m the normalization
+    # row, and the free w_i of the k-th zero sign is column i minus column
+    # m + 1 + k, which is -a_i
     cols = [ens.rows[i] * (y[i] if y[i] != 0 else 1.0) for i in range(m)]
     cols.append(sum(y[i] * ens.rows[i] for i in range(m)) / m)
-    assert np.allclose(prob.ineq_lhs[:n], np.column_stack(cols), rtol=0, atol=1e-15)
+    assert np.allclose(prob.ineq_lhs[:n, :m + 1], np.column_stack(cols), rtol=0, atol=1e-15)
     assert np.array_equal(prob.ineq_lhs[n:], -prob.ineq_lhs[:n])
+    for k, i in enumerate(np.flatnonzero(y == 0)):
+        assert np.array_equal(prob.ineq_lhs[:, m + 1 + k], -prob.ineq_lhs[:, i])
+    # no zero signs, no extra columns
+    _, ens, y = make_instance(n, 2, m, seed=3)
+    assert np.all(y != 0)
+    assert build_recovery_lp(ens, y).num_vars == m + 1
 
 
 def test_lp_hand_instance():
@@ -117,8 +127,9 @@ def test_lp_hand_instance():
     # x_hat = (1, 0), the minimizer of |x1| + |x2| s.t. x1 >= 0, x1 >= 1
     ens = MeasurementEnsemble(np.array([[1.0, 0.0]]), 1, 2, "gaussian", 0)
     prob = build_recovery_lp(ens, np.array([1], dtype=np.int8))
-    for solver in (solve_lp, brute_force_vertex_solve):
-        sol = solver(prob)
+    general = GeneralLP(prob.objective, ineq_lhs=prob.ineq_lhs, ineq_rhs=prob.ineq_rhs,
+                        nonneg=[True, True])
+    for sol in (solve_lp(prob), brute_force_vertex_solve(general)):
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
         assert np.allclose(sol.primal, [0.0, 1.0], atol=1e-9)
