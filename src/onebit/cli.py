@@ -103,7 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tes = sub.add_parser("tessellate", help="sign-pattern tessellation report")
     _add_common(tes, n=32, s=2, m="50,100,200,400", trials=500)
-    tes.add_argument("--delta", type=float, default=0.5)
+    tes.add_argument("--delta", type=float, default=0.5,
+                     help="report the pairs farther apart than this; "
+                          "positive and finite")
     tes.add_argument("--out", help="per-m summary CSV path")
 
     ver = sub.add_parser("verify", help="run a named check")
@@ -116,7 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "as one trial's moment deviation does (standard deviation "
                           "sqrt(1 - 2/pi)/sqrt(m)); the uniform-concentration default "
                           "is 1.5 sqrt(s ln(2n/s)/m), as the largest deviation over "
-                          "the sampled points scales; a given value is used as is")
+                          "the sampled points scales; a given value is used as is, "
+                          "and must be positive and finite")
     ver.set_defaults(usage_error=ver.error)
     return ap
 
@@ -138,7 +141,8 @@ def cmd_gen(args) -> int:
     np.savetxt(prefix + "_matrix.txt", ens.rows, fmt="%.17e")
     np.savetxt(prefix + "_signal.txt", x.reshape(1, -1), fmt="%.17e")
     np.savetxt(prefix + "_signs.txt", y, fmt="%d")
-    print(f"wrote {prefix}_matrix.txt ({ens.m}x{ens.n}), "
+    m, n = ens.rows.shape
+    print(f"wrote {prefix}_matrix.txt ({m}x{n}), "
           f"{prefix}_signal.txt, {prefix}_signs.txt")
     return 0
 

@@ -166,10 +166,7 @@ def single_hyperplane_separation_prob(x, y_pt, trials: int, seed: int,
     chunk = 65536
     while done < trials:
         take = min(chunk, trials - done)
-        rows = normal_grid(seed, take, n, row_offset=done)
-        px = rows @ u
-        py = rows @ v
-        hits += int(np.count_nonzero((px > margin) & (py < -margin)))
+        hits += separation_count(normal_grid(seed, take, n, row_offset=done), u, v, margin)
         done += take
     return hits / trials
 
@@ -266,8 +263,8 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     """
     if m < 0:
         raise ValueError("row count m must be nonnegative")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
     X = tessellation_points(spec, sample_count, seed)
     A = tessellation_rows(spec, m, seed)
     cells = sign_pattern_cells(X, A)

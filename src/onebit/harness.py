@@ -192,6 +192,8 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
         raise ValueError("need at least one row")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if not 0 < t < np.inf:
+        raise ValueError("threshold t must be positive and finite")
     devs = np.empty(trials)
     moments = np.empty(trials)
     for k in range(trials):
@@ -244,6 +246,8 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
         raise ValueError("need at least one row")
     if sample_count < 1:
         raise ValueError("need at least one sample")
+    if not 0 < t < np.inf:
+        raise ValueError("threshold t must be positive and finite")
     spec = SignalSetSpec(n, s, "effectively_sparse")
     X = sample_sphere_cap(spec, sample_count, derive_seed(seed, 1))
     ens = gen_gaussian_ensemble(m, n, derive_seed(seed, 2))

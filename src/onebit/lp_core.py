@@ -139,11 +139,12 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, cost: np.ndarr
     """Run pivots until optimality, unboundedness, or the iteration cap.
 
     Returns the status, the pivots, the degenerate pivots (those that did
-    not improve the objective) and the switches to Bland's rule.  Dantzig
-    pricing with lowest-index tie-breaks; switches to Bland's rule after
-    tol.stall_limit consecutive degenerate pivots, back on progress.  Both
-    rules rank by variable index (slots), not column, so the pivots are
-    those of the full tableau.
+    not improve the objective) and the switches to Bland's rule.  The
+    candidates are the columns with reduced cost below -OPTIMALITY_TOL;
+    Dantzig's rule keeps those of the most negative one, Bland's rule keeps
+    them all, and both take the lowest variable index (slots), not column,
+    so the pivots are those of the full tableau.  Switches to Bland's rule
+    after tol.stall_limit consecutive degenerate pivots, back on progress.
     """
     K = T.shape[1] - 1
     r = _reduced_costs(T, slots, basis, cost)
@@ -152,20 +153,13 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, cost: np.ndarr
     switches = 0
     stall = 0
     bland = False
-    refresh = 0
     while iters < itmax:
         red = r[:K]
-        if bland:
-            cand = np.flatnonzero(red < -OPTIMALITY_TOL)
-            if cand.size == 0:
-                return "optimal", iters, degenerate, switches
-        else:
-            # the full tableau also prices its basic columns, at 0;
-            # initial=0.0 stands in for them
-            best_red = np.min(red, initial=0.0)
-            if best_red >= -OPTIMALITY_TOL:
-                return "optimal", iters, degenerate, switches
-            cand = np.flatnonzero(red == best_red)
+        cand = np.flatnonzero(red < -OPTIMALITY_TOL)
+        if cand.size == 0:
+            return "optimal", iters, degenerate, switches
+        if not bland:
+            cand = cand[red[cand] == red[cand].min()]
         cpiv = int(cand[np.argmin(slots[cand])])
         col = T[:, cpiv]
         pos = np.where(col > PIVOT_TOL)[0]
@@ -185,11 +179,9 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, cost: np.ndarr
         _pivot(T, r, rpiv, cpiv)
         slots[cpiv], basis[rpiv] = basis[rpiv], slots[cpiv]
         iters += 1
-        refresh += 1
-        if refresh >= REFRESH_PIVOTS:
+        if iters % REFRESH_PIVOTS == 0:
             # recompute the cost row from the basis to shed pivot roundoff
             r[:] = _reduced_costs(T, slots, basis, cost)
-            refresh = 0
         if gain <= 1e-12 * (1.0 + abs(r[K])):
             degenerate += 1
             stall += 1

@@ -151,20 +151,17 @@ def sign_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarra
 
 @dataclass
 class MeasurementEnsemble:
-    """A bank of m measurement vectors in R^n, one per row."""
+    """A bank of measurement vectors in R^n: the rows of an (m, n) array.
+
+    The library reads plain arrays (see as_rows).  The generators still wrap
+    their rows in this class only because perfbench/ reads their .rows; it
+    goes with benchmark v2, and the generators then return the arrays.
+    """
 
     rows: np.ndarray      # (m, n) float64
-    m: int
-    n: int
-    distribution: str     # "gaussian" or "bernoulli"
-    seed: int
 
     def __post_init__(self) -> None:
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.shape != (self.m, self.n):
-            raise ValueError("ensemble rows shape does not match (m, n)")
-        if self.distribution not in ("gaussian", "bernoulli"):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
+        self.rows = as_rows(self.rows)
 
 
 def as_rows(ensemble) -> np.ndarray:
@@ -192,7 +189,7 @@ def gen_gaussian_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
         raise ValueError("ambient dimension n must be at least 1")
     if m < 0:
         raise ValueError("row count m must be nonnegative")
-    return MeasurementEnsemble(normal_grid(seed, m, n), m, n, "gaussian", seed)
+    return MeasurementEnsemble(normal_grid(seed, m, n))
 
 
 def gen_bernoulli_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
@@ -205,7 +202,7 @@ def gen_bernoulli_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
         raise ValueError("ambient dimension n must be at least 1")
     if m < 0:
         raise ValueError("row count m must be nonnegative")
-    return MeasurementEnsemble(sign_grid(seed, m, n), m, n, "bernoulli", seed)
+    return MeasurementEnsemble(sign_grid(seed, m, n))
 
 
 def sign_quantize(values) -> np.ndarray:

@@ -52,6 +52,9 @@ class VertexCertificate:
     A @ x_hat there is roundoff and its signs are arbitrary.  The sign
     pattern of x_hat itself is sign_quantize(A @ x_hat) with active_rows
     set to 0.
+
+    Rows are counted as given: a duplicated active row is listed twice in
+    active_rows, so cardinality_ok reads False at such a vertex.
     """
 
     support: np.ndarray            # indices with |x_hat_i| > SUPPORT_TOL
@@ -169,11 +172,10 @@ def recover(ensemble: MeasurementEnsemble, y,
     x_hat = sol.multipliers[n:] - sol.multipliers[:n]
     yf = np.asarray(y, dtype=np.float64).ravel()
     tightness = float((yf * (A @ x_hat)).sum() / m)
-    if abs(tightness - 1.0) > NORMALIZATION_TOL:
+    # x_hat = 0 reads 0 here, and a NaN x_hat fails the comparison
+    if not abs(tightness - 1.0) <= NORMALIZATION_TOL:
         raise RecoveryError("normalization not tight")
     x_norm = float(np.linalg.norm(x_hat))
-    if x_norm == 0.0:
-        raise RecoveryError("recovery LP returned the zero vector")
     direction = x_hat / x_norm
     l1_over_l2 = float(np.abs(x_hat).sum() / x_norm)
     cert = extract_certificate(ensemble, x_hat)

@@ -124,7 +124,7 @@ def test_run_sweep_records_error_rows(monkeypatch):
     real = harness.recover
 
     def flaky(ens, y, tol=None):
-        if ens.m == 30:
+        if len(ens.rows) == 30:
             raise RecoveryError("synthetic failure")
         return real(ens, y, tol)
 
@@ -549,6 +549,19 @@ def test_cli_verify_uniform_concentration_default_scales_with_m(capsys, monkeypa
     # a given --delta is used as is
     code, t, out = verify("--delta", "0.1")
     assert code == 0 and t == 0.1
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0", "-1"])
+def test_cli_delta_must_be_positive_and_finite(capsys, delta):
+    # x > nan is always False: a nan threshold would pass every check and
+    # count no pair beyond it, and an infinite one would do the same
+    commands = (["tessellate", "--m", "10", "--trials", "5"],
+                ["verify", "--check", "concentration", "--m", "10", "--trials", "2"],
+                ["verify", "--check", "uniform-concentration", "--m", "10", "--trials", "2"])
+    for argv in commands:
+        assert main(argv + ["--delta", delta]) == 1, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "positive and finite" in err, argv
 
 
 def test_console_script_version(tmp_path):

@@ -374,3 +374,10 @@ def test_one_lp_form():
     assert sol.status == "optimal"
     assert sol.primal.tolist() == [0.0]
     assert sol.multipliers.tolist() == [0.0]
+
+
+def test_solve_square_singular_block_falls_back_to_least_squares():
+    # a singular basis block has no unique solution: the minimum-norm
+    # least-squares one comes back instead of a LinAlgError
+    got = onebit.lp_core._solve_square(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([2.0, 2.0]))
+    assert np.allclose(got, [1.0, 1.0], rtol=0, atol=1e-12)

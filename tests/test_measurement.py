@@ -1,5 +1,6 @@
 """Tests for seeded generation, sign quantization, and sparsity metrics."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -61,7 +62,6 @@ def test_gaussian_ensemble_deterministic():
     b = gen_gaussian_ensemble(2, 3, seed=7)
     assert a.rows.shape == (2, 3)
     assert np.array_equal(a.rows, b.rows)
-    assert a.distribution == "gaussian"
     c = gen_gaussian_ensemble(2, 3, seed=8)
     assert not np.array_equal(a.rows, c.rows)
 
@@ -114,7 +114,6 @@ def test_gaussian_abs_first_moment():
 def test_bernoulli_entries_and_mean():
     ens = gen_bernoulli_ensemble(3, 2, seed=5)
     assert set(np.unique(ens.rows)) <= {-1.0, 1.0}
-    assert ens.distribution == "bernoulli"
     big = gen_bernoulli_ensemble(10000, 1, seed=2)
     assert abs(big.rows.mean()) <= 0.03
 
@@ -133,10 +132,13 @@ def test_bernoulli_indistinguishable_pair():
 
 
 def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        MeasurementEnsemble(np.zeros((2, 3)), 2, 4, "gaussian", 0)
-    with pytest.raises(ValueError):
-        MeasurementEnsemble(np.zeros((2, 3)), 2, 3, "cauchy", 0)
+    # an ensemble is its rows and nothing else
+    assert [f.name for f in dataclasses.fields(MeasurementEnsemble)] == ["rows"]
+    ens = MeasurementEnsemble([[1, 2, 3], [4, 5, 6]])
+    assert ens.rows.dtype == np.float64 and ens.rows.shape == (2, 3)
+    for bad in (np.zeros(3), np.zeros((2, 3, 1)), 1.0):
+        with pytest.raises(ValueError, match="2-d array"):
+            MeasurementEnsemble(bad)
     with pytest.raises(ValueError):
         gen_gaussian_ensemble(3, 0, seed=1)
 

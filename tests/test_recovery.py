@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from onebit.lp_core import ToleranceConfig, max_violation, solve_lp
+import onebit.recovery
+from onebit.harness import gen_instance
+from onebit.lp_core import LpSolution, ToleranceConfig, max_violation, solve_lp
 from onebit.measurement import (
     MeasurementEnsemble,
     derive_seed,
@@ -125,7 +127,7 @@ def test_lp_hand_instance():
     # one measurement a1 = (1, 0), y = +1: the dual is max t subject to
     # |w + t| <= 1, w >= 0, t >= 0 -> t = 1; its multipliers give
     # x_hat = (1, 0), the minimizer of |x1| + |x2| s.t. x1 >= 0, x1 >= 1
-    ens = MeasurementEnsemble(np.array([[1.0, 0.0]]), 1, 2, "gaussian", 0)
+    ens = MeasurementEnsemble(np.array([[1.0, 0.0]]))
     prob = build_recovery_lp(ens, np.array([1], dtype=np.int8))
     general = GeneralLP(prob.objective, ineq_lhs=prob.ineq_lhs, ineq_rhs=prob.ineq_rhs,
                         nonneg=[True, True])
@@ -187,7 +189,7 @@ def test_recover_feasibility_and_tightness():
         res = recover(ens, y)
         prods = y * (ens.rows @ res.x_hat)
         assert prods.min() >= -1e-6
-        assert abs(prods.sum() / ens.m - 1.0) <= 1e-6
+        assert abs(prods.sum() / len(ens.rows) - 1.0) <= 1e-6
         assert res.certificate.normalization_residual <= 1e-6
         # the direction never strays to the wrong halfspace of the truth
         assert recovery_error(res.direction, x) <= np.sqrt(2.0)
@@ -197,7 +199,7 @@ def test_support_bound():
     for seed in range(6):
         _, ens, y = make_instance(20, 4, 30, seed=seed + 50)
         res = recover(ens, y)
-        assert len(res.certificate.support) <= ens.m + 1
+        assert len(res.certificate.support) <= len(ens.rows) + 1
 
 
 def test_certificate_structure():
@@ -249,6 +251,58 @@ def test_recover_surfaces_solver_status():
         recover(ens, y, tol=ToleranceConfig(iteration_factor=0))
 
 
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_recover_rejects_untight_multipliers(monkeypatch, fill):
+    # an optimal status alone is not trusted: x_hat = 0 reads tightness 0,
+    # and a nan x_hat fails the tightness comparison instead of passing it
+    _, ens, y = make_instance(8, 2, 16, seed=5)
+
+    def fake_solve(lp, tol=None):
+        return LpSolution("optimal", np.zeros(lp.num_vars), 0.0, 0, 0.0,
+                          multipliers=np.full(lp.ineq_rhs.shape[0], fill))
+
+    monkeypatch.setattr(onebit.recovery, "solve_lp", fake_solve)
+    with pytest.raises(RecoveryError, match="normalization not tight"):
+        recover(ens, y)
+
+
+@pytest.mark.parametrize("dist, mag, s, m", [("gaussian", "unit_gaussian", 3, 60),
+                                             ("bernoulli", "constant", 4, 120)])
+def test_recover_duplicate_rows(dist, mag, s, m):
+    # [A; A] with [y; y] poses the same program: the copy of a row's dual
+    # variable never enters, so the pivots are the same and x_hat agrees to
+    # roundoff (not in bytes); each active row is listed twice.  The +-1
+    # instances all have zero signs, whose equality rows are duplicated too
+    twice_counted = 0
+    for seed in range(40):
+        x, ens = gen_instance(32, s, m, derive_seed(seed, 5), dist, mag)
+        A = ens.rows
+        y = sign_quantize(A @ x)
+        assert dist == "gaussian" or np.any(y == 0)
+        one = recover(A, y)
+        two = recover(np.vstack([A, A]), np.concatenate([y, y]))
+        assert two.lp_solution.iterations == one.lp_solution.iterations, seed
+        assert np.linalg.norm(two.x_hat - one.x_hat) <= 1e-12 * np.linalg.norm(one.x_hat)
+        c1, c2 = one.certificate, two.certificate
+        assert np.array_equal(c2.support, c1.support)
+        assert np.array_equal(c2.active_rows, np.concatenate([c1.active_rows, c1.active_rows + m]))
+        if c1.cardinality_ok and c1.active_rows.size:
+            assert not c2.cardinality_ok
+            twice_counted += 1
+    assert dist != "gaussian" or twice_counted == 40
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 20])
+def test_recover_fewer_rows_than_dimensions(m):
+    # m < n: the program stays feasible and bounded, and x_hat meets it
+    for seed in range(20):
+        x, ens = gen_instance(32, 3, m, seed, "gaussian", "unit_gaussian")
+        y = sign_quantize(ens.rows @ x)
+        res = recover(ens, y)
+        assert res.lp_solution.status == "optimal"
+        assert constraint_violation(ens, y, res.x_hat) <= 1e-12, seed
+
+
 def test_recovery_error_values():
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
@@ -270,7 +324,7 @@ def test_nonconvex_oracle_contracts():
 
 
 def test_nonconvex_oracle_no_constraints():
-    ens = MeasurementEnsemble(np.zeros((0, 5)), 0, 5, "gaussian", 0)
+    ens = MeasurementEnsemble(np.zeros((0, 5)))
     out = nonconvex_oracle(ens, np.zeros(0, dtype=np.int8), 1,
                            samples=100, seed=2)
     # the l1 minimum on the sphere is a signed basis vector
@@ -280,7 +334,7 @@ def test_nonconvex_oracle_no_constraints():
 
 def test_nonconvex_oracle_empty_cone():
     rows = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    ens = MeasurementEnsemble(rows, 4, 2, "gaussian", 0)
+    ens = MeasurementEnsemble(rows)
     y = np.ones(4, dtype=np.int8)
     with pytest.raises(ValueError, match="empty feasible cone sample"):
         nonconvex_oracle(ens, y, 1, samples=200, seed=3)
