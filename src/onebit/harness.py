@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .geometry import SignalSetSpec, sample_sphere_cap
@@ -150,13 +152,32 @@ def write_sweep_csv(records: list[dict], path: str, columns: list[str]) -> None:
             fh.write(",".join(_fmt(rec[name]) for name in columns) + "\n")
 
 
+def _environment() -> dict:
+    """The software a run's numbers depend on: versions, BLAS, thread settings.
+
+    The same tests give different bytes on different BLAS and numpy builds,
+    and the BLAS thread count changes timings.  A thread variable that is
+    not set reads None.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {var: os.environ.get(var) for var in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
+
+
 def write_manifest(config: ExperimentConfig, data_path: str) -> str:
-    """Write the run manifest (config echo, version, timestamp) next to the data."""
+    """Write the run manifest (config echo, version, environment, timestamp) next to the data."""
     base, _ = os.path.splitext(data_path)
     path = base + ".manifest.json"
     payload = {
         "config": asdict(config),
         "version": __version__,
+        "environment": _environment(),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -17,8 +17,11 @@ The tableau is a condensed exchange tableau: one column per nonbasic
 variable plus the rhs, filled straight from the LP blocks.  The basic
 columns of the full tableau are unit columns and are not stored; a pivot
 hands the entering variable's column to the leaving variable.  Pricing
-breaks ties by variable index, so the pivots, and the vertex, are those of
-the full tableau.
+takes the most negative reduced cost (Dantzig's rule, Bland's after a
+stall) and breaks ties by variable index, so the pivots, and the vertex,
+are those of the full tableau.  The ratio test runs over the whole
+entering column, with an infinite ratio on every row whose entry is not a
+usable pivot, and picks the stoutest pivot among near-tied rows.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ class LinearProgram:
         if self.ineq_lhs.shape[0] != self.ineq_rhs.shape[0]:
             raise ValueError("inequality lhs/rhs row counts differ")
         for block in (self.objective, self.ineq_lhs, self.ineq_rhs):
-            if not np.all(np.isfinite(block)):
+            if not np.isfinite(block).all():
                 raise ValueError("linear program data must be finite")
 
     @property
@@ -97,10 +100,10 @@ class LpSolution:
 def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
     """Largest violation by z of the LP's rows and of z >= 0."""
     slack = lp.ineq_lhs @ z - lp.ineq_rhs
-    return max(float(np.max(-z, initial=0.0)), float(np.max(-slack, initial=0.0)))
+    return max(float((-z).max(initial=0.0)), float((-slack).max(initial=0.0)))
 
 
-def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int) -> None:
+def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int, row: np.ndarray) -> None:
     """Exchange pivot on the condensed tableau T and its cost row r.
 
     The nonbasic variable of column cpiv enters at row rpiv, and the variable
@@ -108,19 +111,20 @@ def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int) -> None:
     variable's column is the unit column of row rpiv, so setting column cpiv
     to 1/pivot on row rpiv and 0 elsewhere before the rank-one update writes
     it with the full tableau's arithmetic.  T must be Fortran-ordered: BLAS
-    then applies the update in place.
+    then applies the update in place.  row is scratch space of T's width
+    that takes a contiguous copy of the new pivot row.
     """
-    row = T[rpiv]
-    piv = row[cpiv]
-    row /= piv
     col = T[:, cpiv].copy()
+    piv = col[rpiv]
     col[rpiv] = 0.0
+    np.divide(T[rpiv], piv, out=row)
+    row[cpiv] = 1.0 / piv
     T[:, cpiv] = 0.0
-    T[rpiv, cpiv] = 1.0 / piv
+    T[rpiv] = row
     dger(-1.0, col, row, a=T, overwrite_a=True)   # T -= col row^T
     rc = r[cpiv]
     r[cpiv] = 0.0
-    r -= rc * row
+    r -= np.multiply(row, rc, out=row)
 
 
 def _reduced_costs(T: np.ndarray, slots: np.ndarray, basis: np.ndarray,
@@ -145,38 +149,52 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, cost: np.ndarr
     them all, and both take the lowest variable index (slots), not column,
     so the pivots are those of the full tableau.  Switches to Bland's rule
     after tol.stall_limit consecutive degenerate pivots, back on progress.
+
+    The ratio test divides max(rhs, 0) by the entering column on the rows
+    whose entry exceeds PIVOT_TOL and gives every other row an infinite
+    ratio; a column with no such row is unbounded.  When several rows come
+    within 1e-9 (relative) of the least ratio, those whose entry is at least
+    a tenth of the largest tied entry stay in, and Dantzig's rule takes the
+    largest entry among them, Bland's rule the lowest basic variable index.
     """
-    K = T.shape[1] - 1
+    M, K = T.shape[0], T.shape[1] - 1
     r = _reduced_costs(T, slots, basis, cost)
+    red = r[:K]
+    rhs = T[:, K]
+    num = np.empty(M)
+    ratios = np.empty(M)
+    positive = np.empty(M, dtype=bool)
+    prow = np.empty(K + 1)
     iters = 0
     degenerate = 0
     switches = 0
     stall = 0
     bland = False
     while iters < itmax:
-        red = r[:K]
-        cand = np.flatnonzero(red < -OPTIMALITY_TOL)
-        if cand.size == 0:
+        cpiv = int(red.argmin())
+        if not red[cpiv] < -OPTIMALITY_TOL:
             return "optimal", iters, degenerate, switches
-        if not bland:
-            cand = cand[red[cand] == red[cand].min()]
-        cpiv = int(cand[np.argmin(slots[cand])])
+        cand = (red < -OPTIMALITY_TOL if bland else red == red[cpiv]).nonzero()[0]
+        if cand.size > 1:
+            cpiv = int(cand[slots[cand].argmin()])
         col = T[:, cpiv]
-        pos = np.where(col > PIVOT_TOL)[0]
-        if pos.size == 0:
+        np.greater(col, PIVOT_TOL, out=positive)
+        if not positive.any():
             return "unbounded", iters, degenerate, switches
-        ratios = np.maximum(T[pos, K], 0.0) / col[pos]
-        best = float(np.min(ratios))
+        np.maximum(rhs, 0.0, out=num)
+        ratios.fill(np.inf)
+        np.divide(num, col, out=ratios, where=positive)
+        rpiv = int(ratios.argmin())
+        best = float(ratios[rpiv])
         # among (near-)tied rows take the stoutest pivot first: index-only
         # tie-breaking happily pivots on 1e-10 entries and wrecks the tableau
-        ties = pos[ratios <= best + 1e-9 * (1.0 + best)]
-        stout = ties[col[ties] >= 0.1 * float(np.max(col[ties]))]
-        if bland:
-            rpiv = int(stout[np.argmin(basis[stout])])
-        else:
-            rpiv = int(stout[np.argmax(col[stout])])
+        ties = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
+        if ties.size > 1:
+            entries = col[ties]
+            stout = ties[entries >= 0.1 * entries.max()]
+            rpiv = int(stout[basis[stout].argmin()] if bland else stout[col[stout].argmax()])
         gain = -r[cpiv] * best
-        _pivot(T, r, rpiv, cpiv)
+        _pivot(T, r, rpiv, cpiv, prow)
         slots[cpiv], basis[rpiv] = basis[rpiv], slots[cpiv]
         iters += 1
         if iters % REFRESH_PIVOTS == 0:
@@ -203,7 +221,7 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     B^T pi = c_B), so accumulated tableau roundoff does not leak into the
     reported vertex.
     """
-    if np.any(lp.ineq_rhs > 0.0):
+    if (lp.ineq_rhs > 0.0).any():
         raise ValueError("solve_lp needs an LP feasible at z = 0: "
                          "every ineq_rhs must be <= 0")
     if tol is None:
@@ -245,7 +263,7 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     cols = basis[~unit]
     rows = np.ones(M, dtype=bool)
     rows[basis[unit] - K] = False
-    block = -lp.ineq_lhs[np.ix_(rows, cols)]
+    block = -lp.ineq_lhs[rows][:, cols]
     z = np.zeros(K)
     z[cols] = _solve_square(block, b[rows])
     pi = np.zeros(M)

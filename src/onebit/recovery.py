@@ -93,13 +93,15 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     if y.shape[0] != m:
         raise ValueError("sign pattern length does not match ensemble rows")
     nz = y != 0.0
-    if m == 0 or not np.any(nz):
+    if m == 0 or not nz.any():
         raise ValueError("degenerate sign pattern")
 
-    W = np.where(nz[:, None], y[:, None] * A, A)
     d = m + 1 + int(np.count_nonzero(~nz))
-    rows = np.empty((2 * n, d))   # [G; -G] with G = [W^T | g | -W^T[:, y == 0]]
-    rows[:n, :m] = W.T
+    # [G; -G] with G = [W^T | g | -W^T[:, y == 0]], column-major like the
+    # tableau that solve_lp copies it into
+    rows = np.empty((2 * n, d), order="F")
+    W = rows[:n, :m].T
+    np.multiply(A, np.where(nz, y, 1.0)[:, None], out=W)
     rows[:n, m] = W[nz].sum(axis=0) / m
     np.negative(W[~nz].T, out=rows[:n, m + 1:])
     np.negative(rows[:n], out=rows[n:])

@@ -10,6 +10,8 @@ recovery LP relaxes.  Both are small-instance references, not solvers.
 full_tableau_solve_lp is the simplex on the full tableau (surplus identity
 columns stored), which lp_core.solve_lp replaced by the condensed exchange
 tableau; solve_lp must take its pivots and return its bytes.
+reference_recovery_lp is recovery.build_recovery_lp as it was before the LP
+was assembled column-major; build_recovery_lp must return its bytes.
 """
 
 from __future__ import annotations
@@ -429,3 +431,25 @@ def full_tableau_solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None)
     pi = np.zeros(M)
     pi[rows] = _solve_square(block.T, cost[cols])
     return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), -pi)
+
+
+def reference_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
+    """The recovery dual LP of recovery.build_recovery_lp, assembled row-major.
+
+    W stacks y_i a_i (a_i where y_i = 0), g = (1/m) sum over y_i != 0 of
+    y_i a_i, and the rows are [G; -G] with G = [W^T | g | -W^T[:, y == 0]].
+    """
+    A = as_rows(ensemble)
+    m, n = A.shape
+    y = np.asarray(y, dtype=np.float64).ravel()
+    nz = y != 0.0
+    W = np.where(nz[:, None], y[:, None] * A, A)
+    d = m + 1 + int(np.count_nonzero(~nz))
+    rows = np.empty((2 * n, d))
+    rows[:n, :m] = W.T
+    rows[:n, m] = W[nz].sum(axis=0) / m
+    np.negative(W[~nz].T, out=rows[:n, m + 1:])
+    np.negative(rows[:n], out=rows[n:])
+    c = np.zeros(d)
+    c[m] = -1.0
+    return LinearProgram(c, rows, np.full(2 * n, -1.0))

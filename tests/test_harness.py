@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import onebit
 import onebit.harness as harness
@@ -107,7 +109,9 @@ def test_sweep_csv_schema_and_format(tmp_path):
     assert "\r" not in text
 
 
-def test_manifest(tmp_path):
+def test_manifest(tmp_path, monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = small_config(tmp_path)
     run_sweep(cfg)
     man = json.loads((tmp_path / "sweep.manifest.json").read_text(encoding="utf-8"))
@@ -115,6 +119,15 @@ def test_manifest(tmp_path):
     assert man["config"]["m_list"] == [20, 30]
     assert man["config"]["seed"] == 3
     assert "generated_at" in man and "version" in man
+    env = man["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["scipy"] == scipy.__version__
+    assert env["blas"]["name"] and env["blas"]["version"]
+    assert set(env["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+    assert env["threads"]["OMP_NUM_THREADS"] == "3"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
     # the timestamp lives in the manifest only, never in the data file
     header, _ = read_csv(tmp_path / "sweep.csv")
     assert "generated_at" not in header
@@ -269,12 +282,17 @@ def test_bernoulli_counterexample_matches_full_width(monkeypatch, n, m, num_seed
     assert len(got_log) == 2 * (num_seeds + 1) and got_log == want_log
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(tmp_path):
     assert main(["sweep", "--frobnicate"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
     assert main(["verify"]) == 2          # --check is required
     assert main(["sweep", "--n", "8", "--s", "2", "--m", ""]) == 2
+    # every m of a list is at least 1, as verify requires of its one m
+    assert main(["sweep", "--n", "8", "--s", "2", "--m", "0,40", "--trials", "1",
+                 "--out", str(tmp_path / "m0.csv")]) == 2
+    assert not (tmp_path / "m0.csv").exists()
+    assert main(["tessellate", "--m", "0"]) == 2
     # the solver tolerances are library API only, not command-line flags
     assert main(["recover", "--tol-feas", "1e-8"]) == 2
     assert main(["sweep", "--out", "x.csv", "--tol-opt", "1e-9"]) == 2
@@ -395,7 +413,7 @@ def test_cli_tessellate_reads_arrays_only(capsys, monkeypatch):
     def no_records(*args):
         raise AssertionError("the CLI built a PairSeparation record")
 
-    ms = (0, 40, 400)
+    ms = (1, 40, 400)
     argv = ["tessellate", "--n", "12", "--s", "2", "--m", ",".join(map(str, ms)),
             "--trials", "60", "--seed", "2"]
     monkeypatch.setattr(onebit.geometry, "PairSeparation", no_records)

@@ -23,7 +23,7 @@ from onebit.recovery import (
     recover,
     recovery_error,
 )
-from oracles import GeneralLP, brute_force_vertex_solve, nonconvex_oracle
+from oracles import GeneralLP, brute_force_vertex_solve, nonconvex_oracle, reference_recovery_lp
 
 
 def make_instance(n, s, m, seed):
@@ -94,6 +94,27 @@ def test_recover_matches_highs_at_scale(m, dist, mag):
         assert_matches_highs(ens, y)
 
 
+@pytest.mark.parametrize("dist, mag, zero_every", [("gaussian", "unit_gaussian", 0),
+                                                   ("gaussian", "unit_gaussian", 7),
+                                                   ("bernoulli", "constant", 0)])
+def test_lp_assembly_matches_reference(dist, mag, zero_every):
+    # the column-major assembly writes the bytes of the row-major one; the
+    # +-1 rows have zero signs of their own, the Gaussian ones get every
+    # zero_every-th sign set to 0
+    for m in (50, 100, 150, 200, 800):
+        for seed in (0, 1):
+            _, ens, y = sweep_trial(seed, m, dist, mag)
+            if zero_every:
+                y = y.copy()
+                y[::zero_every] = 0.0
+            if dist == "bernoulli" or zero_every:
+                assert np.any(y == 0)
+            got, want = build_recovery_lp(ens, y), reference_recovery_lp(ens, y)
+            assert got.objective.tobytes() == want.objective.tobytes()
+            assert got.ineq_lhs.tobytes() == want.ineq_lhs.tobytes()
+            assert got.ineq_rhs.tobytes() == want.ineq_rhs.tobytes()
+
+
 def test_lp_row_counts():
     # the dual: 2n rows, one column per measurement, then t, then one column
     # per zero sign, every variable nonnegative
@@ -113,7 +134,7 @@ def test_lp_row_counts():
     # m + 1 + k, which is -a_i
     cols = [ens.rows[i] * (y[i] if y[i] != 0 else 1.0) for i in range(m)]
     cols.append(sum(y[i] * ens.rows[i] for i in range(m)) / m)
-    assert np.allclose(prob.ineq_lhs[:n, :m + 1], np.column_stack(cols), rtol=0, atol=1e-15)
+    assert np.array_equal(prob.ineq_lhs[:n, :m + 1], np.column_stack(cols))
     assert np.array_equal(prob.ineq_lhs[n:], -prob.ineq_lhs[:n])
     for k, i in enumerate(np.flatnonzero(y == 0)):
         assert np.array_equal(prob.ineq_lhs[:, m + 1 + k], -prob.ineq_lhs[:, i])
