@@ -203,7 +203,9 @@ def _min_or_zero(a: np.ndarray) -> int:
 
 
 def cmd_tessellate(args) -> int:
-    spec = SignalSetSpec(args.n, args.s, "effectively_sparse")
+    if args.trials < 1:
+        raise ValueError("need at least one sample")
+    spec = SignalSetSpec(args.n, args.s)
     lines = []
     for m in args.m:
         rep = tessellate_and_report(spec, m, args.delta, args.trials, args.seed)

@@ -19,11 +19,9 @@ from .measurement import as_rows, derive_seed, normal_grid, uniform_grid
 
 @dataclass
 class SignalSetSpec:
-    """Parameters of a signal set on or inside the unit ball.
+    """The signal set K(n, s) above; s may be fractional, 1 <= s <= n.
 
-    kind "effectively_sparse" is K(n, s) above; "exactly_sparse" is the set
-    of at most floor(s)-sparse vectors in the unit ball.  s may be fractional
-    for the effectively sparse kind and must satisfy 1 <= s <= n.
+    kind names the set and has the one value "effectively_sparse".
     """
 
     n: int
@@ -31,20 +29,19 @@ class SignalSetSpec:
     kind: str = "effectively_sparse"
 
     def __post_init__(self) -> None:
-        if self.kind not in ("effectively_sparse", "exactly_sparse"):
+        if self.kind != "effectively_sparse":
             raise ValueError(f"unknown signal set kind {self.kind!r}")
         if not 1 <= self.s <= self.n:
             raise ValueError("sparsity must satisfy 1 <= s <= n")
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x) -> bool:
+        """Membership in K(n, s), with 1e-9 slack on both norm bounds."""
         v = np.asarray(x, dtype=np.float64)
         if v.shape != (self.n,):
             return False
-        if np.linalg.norm(v) > 1.0 + tol:
+        if np.linalg.norm(v) > 1.0 + 1e-9:
             return False
-        if self.kind == "exactly_sparse":
-            return int(np.count_nonzero(v)) <= int(self.s)
-        return float(np.abs(v).sum()) <= np.sqrt(self.s) + tol
+        return float(np.abs(v).sum()) <= np.sqrt(self.s) + 1e-9
 
 
 def hard_threshold(x, t: int) -> np.ndarray:
@@ -83,7 +80,7 @@ def block_decompose(x, s: int) -> list[np.ndarray]:
     """
     v = np.asarray(x, dtype=np.float64)
     n = v.shape[0]
-    spec = SignalSetSpec(n, s, "effectively_sparse")   # rejects s outside [1, n]
+    spec = SignalSetSpec(n, s)   # rejects s outside [1, n]
     if not spec.contains(v):
         raise ValueError("not in K")
     support = np.flatnonzero(v)
@@ -96,11 +93,10 @@ def block_decompose(x, s: int) -> list[np.ndarray]:
 def sample_sphere_cap(spec: SignalSetSpec, count: int, seed: int) -> np.ndarray:
     """Sample unit vectors from the sphere restricted to the signal set.
 
-    For the effectively sparse kind, samples alternate between exactly
-    floor(s)-sparse unit vectors (always members, by Cauchy-Schwarz) and
-    dense perturbations of such vectors accepted once ||x||_1 <= sqrt(s),
-    with the perturbation radius halved until acceptance.  The exactly
-    sparse kind uses the sparse branch only.
+    Samples alternate between exactly floor(s)-sparse unit vectors (always
+    members, by Cauchy-Schwarz) and dense perturbations of such vectors
+    accepted once ||x||_1 <= sqrt(s), with the perturbation radius halved
+    until acceptance.
 
     Returns
     -------
@@ -119,8 +115,6 @@ def sample_sphere_cap(spec: SignalSetSpec, count: int, seed: int) -> np.ndarray:
     # row norms through vecdot: the same dot product as the 1-d
     # np.linalg.norm, so every value is bit-identical to a row-by-row loop
     out /= np.sqrt(np.vecdot(out, out))[:, None]
-    if spec.kind == "exactly_sparse":
-        return out
     noise = normal_grid(derive_seed(seed, 3), count, n)
     rows = np.arange(1, count, 2)   # the perturbed rows still rejected
     g = noise[rows] / np.sqrt(np.vecdot(noise[rows], noise[rows]))[:, None]
@@ -143,13 +137,12 @@ def separation_count(ensemble, x, y_pt, margin: float) -> int:
 
 
 def single_hyperplane_separation_prob(x, y_pt, trials: int, seed: int,
-                                      margin: float | None = None) -> float:
+                                      margin: float) -> float:
     """Monte Carlo estimate of the one-row separation probability.
 
     Draws fresh Gaussian rows a and estimates P(<a, x> > margin and
-    <a, y_pt> < -margin).  With margin = None the margin defaults to
-    ||x - y_pt||_2 / 12, the value for which the separation probability
-    of points at distance delta is still at least delta / 12.
+    <a, y_pt> < -margin).  At margin ||x - y_pt||_2 / 12 the separation
+    probability of points at distance delta is still at least delta / 12.
 
     For margin 0 the exact probability is d_g(x, y) / (2 pi) with d_g the
     geodesic distance: 1/4 for orthogonal unit vectors, 1/2 for antipodal.
@@ -158,8 +151,6 @@ def single_hyperplane_separation_prob(x, y_pt, trials: int, seed: int,
     v = np.asarray(y_pt, dtype=np.float64)
     if trials < 1:
         raise ValueError("need at least one trial")
-    if margin is None:
-        margin = float(np.linalg.norm(u - v)) / 12.0
     n = u.shape[0]
     hits = 0
     done = 0
@@ -190,8 +181,6 @@ class TessellationReport:
     row-major order, with the separating-row counts in both orientations.
     """
 
-    m: int
-    delta: float
     sampled_points: np.ndarray          # (count, n)
     nonempty_cells: int
     max_cell_diameter_lb: float         # max within-cell pairwise distance seen
@@ -283,5 +272,5 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     # exact integers while m < 2**24
     counts = np.rint(above @ below.T).astype(np.int64)
     pi, pj = np.nonzero(np.triu(dist > delta, k=1))
-    return TessellationReport(m, delta, X, num_cells, max_diam, pi, pj, dist[pi, pj],
+    return TessellationReport(X, num_cells, max_diam, pi, pj, dist[pi, pj],
                               counts[pi, pj], counts[pj, pi])

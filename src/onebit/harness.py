@@ -75,6 +75,8 @@ def gen_instance(n: int, s: int, m: int, seed: int, distribution: str,
     derive_seed(seed, 2).  `onebit gen` and `onebit recover` use the master
     seed; a sweep trial uses derive_seed(seed, m, trial).
     """
+    if m < 1:
+        raise ValueError("need at least one row")
     x = gen_sparse_signal(n, s, derive_seed(seed, 1), magnitude_model)
     if distribution == "gaussian":
         return x, gen_gaussian_ensemble(m, n, derive_seed(seed, 2))
@@ -191,10 +193,9 @@ class ConcentrationReport:
     n: int
     m: int
     trials: int
-    threshold: float
     mean_abs_moment: float        # mean over trials of (1/m) sum |<a_i, x>|
     deviations: np.ndarray        # per-trial deviation from sqrt(2/pi)
-    exceedance_fraction: float    # fraction of trials with deviation > threshold
+    exceedance_fraction: float    # fraction of trials with deviation > t
     fit_thresholds: np.ndarray
     fit_fractions: np.ndarray
     decay_rate: float             # c in exceedance ~ C exp(-c m t^2), nan if unfit
@@ -207,7 +208,9 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
     Each trial draws a fresh unit vector and a fresh m-row Gaussian ensemble
     and computes (1/m) sum_i |<a_i, x>|, which concentrates around
     sqrt(2/pi) ~ 0.7979 at rate exp(-c m t^2).  The decay rate is fitted by
-    regressing log exceedance on m t'^2 over a small threshold grid.
+    regressing log exceedance on m t'^2 over a small threshold grid; it is
+    nan unless at least two of the grid's exceedance fractions are positive
+    and distinct.
     """
     if m < 1:
         raise ValueError("need at least one row")
@@ -227,13 +230,14 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
     grid = np.linspace(0.0, max(float(devs.max()), 1e-12), 9)[1:-1]
     fracs = np.array([(devs > g).mean() for g in grid])
     mask = fracs > 0
-    if mask.sum() >= 2:
+    # equal fractions fit slope 0 whatever the decay: fit only where two differ
+    if np.unique(fracs[mask]).size >= 2:
         slope = np.polyfit(m * grid[mask] ** 2, np.log(fracs[mask]), 1)[0]
         decay = float(-slope)
     else:
         decay = float("nan")
     return ConcentrationReport(
-        n=n, m=m, trials=trials, threshold=t,
+        n=n, m=m, trials=trials,
         mean_abs_moment=float(moments.mean()),
         deviations=devs,
         exceedance_fraction=float((devs > t).mean()),
@@ -249,7 +253,6 @@ class UniformConcentrationReport:
     s: float
     m: int
     sample_count: int
-    threshold: float
     deviations: np.ndarray    # one per sampled point, same ensemble throughout
     max_deviation: float      # lower bound on the supremum over the cap
     exceeded: bool
@@ -269,14 +272,13 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
         raise ValueError("need at least one sample")
     if not 0 < t < np.inf:
         raise ValueError("threshold t must be positive and finite")
-    spec = SignalSetSpec(n, s, "effectively_sparse")
-    X = sample_sphere_cap(spec, sample_count, derive_seed(seed, 1))
+    X = sample_sphere_cap(SignalSetSpec(n, s), sample_count, derive_seed(seed, 1))
     ens = gen_gaussian_ensemble(m, n, derive_seed(seed, 2))
     products = ens.rows @ X.T
     moments = np.abs(products, out=products).mean(axis=0)
     devs = np.abs(moments - ROOT_TWO_OVER_PI)
     return UniformConcentrationReport(
-        n=n, s=s, m=m, sample_count=sample_count, threshold=t,
+        n=n, s=s, m=m, sample_count=sample_count,
         deviations=devs, max_deviation=float(devs.max()),
         exceeded=bool(devs.max() > t),
     )

@@ -37,6 +37,7 @@ from onebit.measurement import MeasurementEnsemble, as_rows, derive_seed, normal
 
 FEASIBILITY_TOL = 1e-8   # row residual, relative to 1 + max |rhs|, that counts as satisfied
 FULL_REFRESH_PIVOTS = 512   # pivots between cost-row recomputations in full_tableau_solve_lp
+FULL_STALL_LIMIT = 1000     # degenerate pivots before Bland's rule in full_tableau_solve_lp
 
 
 @dataclass
@@ -324,11 +325,11 @@ def _full_reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> n
 
 
 def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-                  tol: ToleranceConfig, itmax: int) -> tuple[str, int]:
+                  itmax: int) -> tuple[str, int]:
     """Run pivots until optimality, unboundedness, or the iteration cap.
 
     Dantzig pricing with lowest-index tie-breaks; switches to Bland's rule
-    after tol.stall_limit consecutive degenerate pivots, back on progress.
+    after FULL_STALL_LIMIT consecutive degenerate pivots, back on progress.
     """
     K = T.shape[1] - 1
     r = _full_reduced_costs(T, basis, cost)
@@ -372,7 +373,7 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             refresh = 0
         if gain <= 1e-12 * (1.0 + abs(r[K])):
             stall += 1
-            if stall >= tol.stall_limit:
+            if stall >= FULL_STALL_LIMIT:
                 bland = True
         else:
             stall = 0
@@ -380,7 +381,7 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     return "iteration_limit", iters
 
 
-def full_tableau_solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolution:
+def full_tableau_solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
 
     Raises ValueError unless every ineq_rhs is <= 0.  The returned primal
@@ -392,8 +393,6 @@ def full_tableau_solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None)
     if np.any(lp.ineq_rhs > 0.0):
         raise ValueError("solve_lp needs an LP feasible at z = 0: "
                          "every ineq_rhs must be <= 0")
-    if tol is None:
-        tol = ToleranceConfig()
     c = lp.objective
     d = lp.num_vars
 
@@ -411,7 +410,7 @@ def full_tableau_solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None)
     T[:, N] = b
     cost = np.zeros(N)
     cost[:d] = c
-    status, iters = _full_simplex(T, basis, cost, tol, tol.iteration_factor * (M + N))
+    status, iters = _full_simplex(T, basis, cost, ToleranceConfig().iteration_factor * (M + N))
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
         return LpSolution(status, None, value, iters, np.nan)

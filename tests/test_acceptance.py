@@ -207,7 +207,8 @@ def test_criterion_07_single_hyperplane_separation():
     for delta in (0.5, 1.0):
         c = 1.0 - delta ** 2 / 2.0
         y = np.array([c, np.sqrt(1.0 - c * c), 0.0])
-        est = single_hyperplane_separation_prob(e1, y, trials, seed=8)
+        est = single_hyperplane_separation_prob(e1, y, trials, seed=8,
+                                                margin=np.linalg.norm(e1 - y) / 12.0)
         sigma = np.sqrt(max(est * (1.0 - est), 1e-12) / trials)
         margin_ok = margin_ok and est >= delta / 12.0 - 3.0 * sigma
         margin_parts.append(f"delta={delta}: {est:.4f}>={delta / 12.0:.4f}-3sig")

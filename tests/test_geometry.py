@@ -36,6 +36,8 @@ def test_hard_threshold_examples():
     assert np.array_equal(tied, [0.5, 0.0, 0.0])
     with pytest.raises(ValueError):
         hard_threshold(x, 0)
+    with pytest.raises(ValueError, match="expected a vector"):
+        hard_threshold(np.zeros((2, 2)), 1)
 
 
 def test_hard_threshold_tail_bound():
@@ -94,6 +96,8 @@ def test_sample_sphere_cap_contracts():
     dense = ((X != 0).sum(axis=1) > 2).sum()
     assert dense >= 400
     assert np.array_equal(X, sample_sphere_cap(spec, 1000, seed=4))
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_sphere_cap(spec, -1, seed=4)
 
 
 def test_sample_sphere_cap_full_sparsity():
@@ -101,12 +105,6 @@ def test_sample_sphere_cap_full_sparsity():
     X = sample_sphere_cap(cap_spec(6, 6), 200, seed=1)
     assert np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)) <= 1e-12
     assert np.abs(X).sum(axis=1).max() <= np.sqrt(6.0) + 1e-12
-
-
-def test_sample_sphere_cap_exactly_sparse_kind():
-    X = sample_sphere_cap(SignalSetSpec(16, 3, "exactly_sparse"), 100, seed=6)
-    assert ((X != 0).sum(axis=1) <= 3).all()
-    assert np.max(np.abs(np.linalg.norm(X, axis=1) - 1.0)) <= 1e-12
 
 
 def _loop_sample_sphere_cap(spec, count, seed):
@@ -123,7 +121,7 @@ def _loop_sample_sphere_cap(spec, count, seed):
         w = np.zeros(n)
         w[support] = vals[i][support]
         w /= np.linalg.norm(w)
-        if spec.kind == "exactly_sparse" or i % 2 == 0:
+        if i % 2 == 0:
             out[i] = w
             continue
         g = noise[i] / np.linalg.norm(noise[i])
@@ -165,14 +163,13 @@ def test_sample_sphere_cap_matches_loop_reference():
     # bit for bit: the array code must reproduce every row the loop made
     for n in (8, 32, 128):
         for s in (1, 1.5, 2.7, 4):
-            for kind in ("effectively_sparse", "exactly_sparse"):
-                spec = SignalSetSpec(n, s, kind)
-                for count in (0, 1, 2, 17, 500 if n == 32 else 60):
-                    for seed in (0, 5, 2**64 - 1):
-                        got = sample_sphere_cap(spec, count, seed)
-                        want = _loop_sample_sphere_cap(spec, count, seed)
-                        assert got.shape == (count, n)
-                        assert got.tobytes() == want.tobytes(), (n, s, kind, count, seed)
+            spec = cap_spec(n, s)
+            for count in (0, 1, 2, 17, 500 if n == 32 else 60):
+                for seed in (0, 5, 2**64 - 1):
+                    got = sample_sphere_cap(spec, count, seed)
+                    want = _loop_sample_sphere_cap(spec, count, seed)
+                    assert got.shape == (count, n)
+                    assert got.tobytes() == want.tobytes(), (n, s, count, seed)
     # one point is an exactly floor(s)-sparse unit vector
     one = sample_sphere_cap(cap_spec(16, 2.7), 1, seed=3)[0]
     assert np.count_nonzero(one) == 2
@@ -206,6 +203,10 @@ def test_signal_set_spec_validation():
         SignalSetSpec(8, 9, "effectively_sparse")     # s > n
     with pytest.raises(ValueError):
         SignalSetSpec(8, 2, "banded")
+    with pytest.raises(ValueError, match="unknown signal set kind"):
+        SignalSetSpec(8, 2, "exactly_sparse")   # K(n, s) is the one set
+    assert cap_spec(8, 2).contains(np.full(8, 0.125))
+    assert not cap_spec(8, 2).contains(np.full(7, 0.125))   # wrong shape
 
 
 def test_separation_count_basics():
@@ -249,13 +250,14 @@ def test_separation_probability_monotone_in_margin():
 
 def test_separation_probability_at_distance_margin():
     # pairs at distance delta separate with probability >= delta/12 at
-    # margin delta/12 (the default margin)
+    # margin delta/12
     for delta in (0.5, 1.0):
         c = 1.0 - delta ** 2 / 2.0
         y = np.array([c, np.sqrt(1.0 - c * c), 0.0])
         x = np.array([1.0, 0.0, 0.0])
         assert np.linalg.norm(x - y) == pytest.approx(delta)
-        est = single_hyperplane_separation_prob(x, y, 100000, seed=41)
+        est = single_hyperplane_separation_prob(x, y, 100000, seed=41,
+                                                margin=np.linalg.norm(x - y) / 12.0)
         sigma = np.sqrt(max(est * (1.0 - est), 1e-12) / 100000)
         assert est >= delta / 12.0 - 3.0 * sigma
 
@@ -300,22 +302,24 @@ def test_tessellate_report_m_zero():
     gram = X @ X.T
     d2 = np.add.outer(np.diag(gram), np.diag(gram)) - 2 * gram
     assert rep.max_cell_diameter_lb == pytest.approx(np.sqrt(d2.max()), abs=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tessellate_and_report(spec, -1, 0.5, 30, seed=14)
 
 
 def test_tessellate_report_shrinks_with_m():
     spec = cap_spec(16, 2)
-    reports = [tessellate_and_report(spec, m, 0.5, 120, seed=5)
-               for m in (20, 40, 80)]
+    ms = (20, 40, 80)
+    reports = [tessellate_and_report(spec, m, 0.5, 120, seed=5) for m in ms]
     lbs = [r.max_cell_diameter_lb for r in reports]
     assert lbs[0] >= lbs[1] >= lbs[2]
     cells = [r.nonempty_cells for r in reports]
     assert cells[0] <= cells[1] <= cells[2]
-    for r in reports:
+    for m, r in zip(ms, reports):
         assert r.max_cell_diameter_lb <= 2.0
         assert np.array_equal(r.sampled_points, reports[0].sampled_points)
         assert np.all(r.pair_distance > 0.5)
         for counts in (r.count_fwd, r.count_rev):
-            assert np.all((0 <= counts) & (counts <= r.m))
+            assert np.all((0 <= counts) & (counts <= m))
 
 
 def test_tessellation_rows_nest():

@@ -238,6 +238,8 @@ def test_verify_bernoulli_counterexample_report():
         verify_bernoulli_counterexample(n=8, m=500, num_seeds=0, seed=5)
     with pytest.raises(ValueError, match="need at least one row"):
         verify_bernoulli_counterexample(n=8, m=0, num_seeds=10, seed=5)
+    with pytest.raises(ValueError, match="need n >= 2"):
+        verify_bernoulli_counterexample(n=1, m=500, num_seeds=10, seed=5)
 
 
 def _full_width_bernoulli_counterexample(n, m, num_seeds, seed):
@@ -288,6 +290,8 @@ def test_cli_usage_errors(tmp_path):
     assert main([]) == 2
     assert main(["verify"]) == 2          # --check is required
     assert main(["sweep", "--n", "8", "--s", "2", "--m", ""]) == 2
+    assert main(["sweep", "--n", "8", "--s", "2", "--m", "10,x",
+                 "--out", str(tmp_path / "mx.csv")]) == 2
     # every m of a list is at least 1, as verify requires of its one m
     assert main(["sweep", "--n", "8", "--s", "2", "--m", "0,40", "--trials", "1",
                  "--out", str(tmp_path / "m0.csv")]) == 2
@@ -435,6 +439,31 @@ def test_cli_tessellate_reads_arrays_only(capsys, monkeypatch):
     assert all(line.endswith(" pairs>0.5=0 min_sep=(0,0)") for line in lines), lines
 
 
+def test_cli_tessellate_needs_a_sample(capsys):
+    # no sample points would print a report of 0 cells and 0 pairs
+    assert main(["tessellate", "--trials", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: need at least one sample\n")
+
+
+def test_cli_gen_and_recover_need_a_row(tmp_path, capsys):
+    # no rows: gen would write a 0 x n matrix, and recover would blame the signs
+    assert main(["gen", "--m", "0", "--out", str(tmp_path / "inst")]) == 1
+    assert capsys.readouterr().err == "error: need at least one row\n"
+    assert list(tmp_path.iterdir()) == []
+    assert main(["recover", "--m", "0"]) == 1
+    assert capsys.readouterr().err == "error: need at least one row\n"
+    with pytest.raises(ValueError, match="unknown distribution"):
+        gen_instance(16, 2, 10, 1, "cauchy", "unit_gaussian")
+
+
+def test_cli_verify_concentration_decay_needs_two_fractions(capsys):
+    # one trial makes every fraction of the decay fit 1: no slope to read
+    assert main(["verify", "--check", "concentration", "--trials", "1"]) == 0
+    assert " decay_rate=nan\n" in capsys.readouterr().out
+    rep = verify_concentration(16, 2000, trials=1, t=0.05, seed=7)
+    assert (rep.fit_fractions == 1.0).all() and math.isnan(rep.decay_rate)
+
+
 @pytest.mark.parametrize("dist,mag", [("gaussian", "unit_gaussian"), ("bernoulli", "constant")])
 def test_gen_instance_is_the_cli_and_sweep_instance(tmp_path, dist, mag):
     # x comes from derive_seed(seed, 1) and the rows from derive_seed(seed, 2)
@@ -516,7 +545,7 @@ def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
     def fake(n, m, trials, t, seed, gap=0.0):
         seen.append(t)
         return harness.ConcentrationReport(
-            n=n, m=m, trials=trials, threshold=t, mean_abs_moment=ROOT_TWO_OVER_PI + gap,
+            n=n, m=m, trials=trials, mean_abs_moment=ROOT_TWO_OVER_PI + gap,
             deviations=np.zeros(trials), exceedance_fraction=0.0, fit_thresholds=np.zeros(0),
             fit_fractions=np.zeros(0), decay_rate=float("nan"))
 

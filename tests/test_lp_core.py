@@ -246,12 +246,11 @@ def test_weak_duality_on_sampled_feasible_points():
     assert checked >= 25
 
 
-def test_oracle_agreement_small():
+def test_oracle_agreement_small(monkeypatch):
     # smaller sibling of the acceptance run, same generator family, with
     # every variable free, every variable nonnegative, and a mix.  Each LP
-    # is also solved with stall_limit=1, which switches to Bland's rule
+    # is also solved with STALL_LIMIT = 1, which switches to Bland's rule
     # after one degenerate pivot
-    bland = ToleranceConfig(stall_limit=1)
     moved = 0
     for mask in ("free", "nonneg", "mixed"):
         statuses = {"optimal": 0, "unbounded": 0}
@@ -259,7 +258,10 @@ def test_oracle_agreement_small():
             prob = random_small_lp(seed, mask)
             want = brute_force_vertex_solve(prob)
             statuses[want.status] += 1
-            runs = [solve_general(prob), solve_general(prob, bland)]
+            runs = [solve_general(prob)]
+            with monkeypatch.context() as mp:
+                mp.setattr(onebit.lp_core, "STALL_LIMIT", 1)
+                runs.append(solve_general(prob))
             moved += runs[0].iterations != runs[1].iterations
             for got in runs:
                 assert got.status == want.status, f"{mask} seed {seed}"
@@ -280,10 +282,10 @@ def recovery_lp(n, s, m, seed, dist="gaussian", mag="unit_gaussian"):
 @pytest.mark.parametrize("refresh", [512, 3])
 def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
     # the condensed exchange tableau takes the full tableau's pivots and
-    # returns its bytes; a refresh every 3 pivots compares that path too
+    # returns its bytes; a refresh every 3 pivots compares that path too,
+    # and a stall limit of 1 compares Bland's rule
     monkeypatch.setattr(onebit.lp_core, "REFRESH_PIVOTS", refresh)
     monkeypatch.setattr(oracles, "FULL_REFRESH_PIVOTS", refresh)
-    bland = ToleranceConfig(stall_limit=1)
     cases = [(f"{mask} seed {seed}", canonical(random_small_lp(seed, mask)))
              for mask in ("free", "nonneg", "mixed") for seed in range(300)]
     cases += [(f"gaussian m={m} seed {seed}", recovery_lp(128, 4, m, seed))
@@ -293,26 +295,30 @@ def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
     # free w_i from zero signs: their w_i- columns follow t, the last column without them
     assert all(prob.objective[-1] == 0.0 for _, prob in signs)
     cases += signs + [("gaussian n=256 m=1600", recovery_lp(256, 8, 1600, 3))]   # 91 pivots
+    stalls = (onebit.lp_core.STALL_LIMIT, 1)
     for label, prob in cases:
-        for tol in (None, bland):
-            got, want = solve_lp(prob, tol), full_tableau_solve_lp(prob, tol)
-            assert (got.status, got.iterations) == (want.status, want.iterations), label
+        for stall in stalls:
+            monkeypatch.setattr(onebit.lp_core, "STALL_LIMIT", stall)
+            monkeypatch.setattr(oracles, "FULL_STALL_LIMIT", stall)
+            got, want = solve_lp(prob), full_tableau_solve_lp(prob)
+            assert (got.status, got.iterations) == (want.status, want.iterations), (label, stall)
             if want.status == "optimal":
-                assert got.primal.tobytes() == want.primal.tobytes(), label
-                assert got.multipliers.tobytes() == want.multipliers.tobytes(), label
+                assert got.primal.tobytes() == want.primal.tobytes(), (label, stall)
+                assert got.multipliers.tobytes() == want.multipliers.tobytes(), (label, stall)
 
 
-def test_solver_telemetry_on_stalls():
-    # +-1 rows pivot degenerately; with stall_limit=1 one degenerate pivot
+def test_solver_telemetry_on_stalls(monkeypatch):
+    # +-1 rows pivot degenerately; with STALL_LIMIT = 1 one degenerate pivot
     # switches to Bland's rule
     prob = recovery_lp(128, 4, 100, 1, "bernoulli", "constant")
-    sol = solve_lp(prob, ToleranceConfig(stall_limit=1))
-    assert sol.status == "optimal"
-    assert sol.bland_switches >= 1
-    assert 1 <= sol.degenerate_pivots <= sol.iterations
     default = solve_lp(prob)
     assert default.bland_switches == 0
     assert default.degenerate_pivots <= default.iterations
+    monkeypatch.setattr(onebit.lp_core, "STALL_LIMIT", 1)
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert sol.bland_switches >= 1
+    assert 1 <= sol.degenerate_pivots <= sol.iterations
 
 
 def test_brute_force_toys():
@@ -338,9 +344,8 @@ def test_brute_force_guard():
 def test_settings_and_public_surface():
     # the pivot budget is the only setting; the thresholds are constants,
     # and with no phase 1 the solver has no feasibility threshold
-    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == \
-        ["iteration_factor", "stall_limit"]
-    assert (OPTIMALITY_TOL, PIVOT_TOL) == (1e-9, 1e-10)
+    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["iteration_factor"]
+    assert (OPTIMALITY_TOL, PIVOT_TOL, onebit.lp_core.STALL_LIMIT) == (1e-9, 1e-10, 1000)
     assert not hasattr(onebit.lp_core, "FEASIBILITY_TOL")
     # the reference oracles are test code, not library API
     for module in (onebit, onebit.lp_core, onebit.recovery):

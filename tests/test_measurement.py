@@ -141,6 +141,12 @@ def test_ensemble_validation():
             MeasurementEnsemble(bad)
     with pytest.raises(ValueError):
         gen_gaussian_ensemble(3, 0, seed=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gen_gaussian_ensemble(-1, 3, seed=1)
+    with pytest.raises(ValueError, match="at least 1"):
+        gen_bernoulli_ensemble(3, 0, seed=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        gen_bernoulli_ensemble(-1, 3, seed=1)
 
 
 def test_sign_quantize_examples():
@@ -172,6 +178,8 @@ def test_sparse_signal_support_and_models():
         gen_sparse_signal(4, 5, seed=0)
     with pytest.raises(ValueError):
         gen_sparse_signal(4, 0, seed=0)
+    with pytest.raises(ValueError, match="unknown magnitude model"):
+        gen_sparse_signal(4, 2, seed=0, magnitude_model="laplace")
 
 
 def test_sparse_signal_support_uniformity():
