@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -21,6 +20,7 @@ from .harness import (
     ExperimentConfig,
     ROOT_TWO_OVER_PI,
     gen_instance,
+    make_parent_dir,
     run_sweep,
     verify_bernoulli_counterexample,
     verify_concentration,
@@ -89,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(gen, n=32, s=3, m=60)
     _add_model(gen)
     gen.add_argument("--out", required=True, help="output path prefix")
+    gen.set_defaults(func=cmd_gen)
 
     rec = sub.add_parser("recover", help="recover a direction from sign measurements")
     _add_common(rec, n=32, s=3, m=60)
@@ -97,11 +98,13 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--signs", help="sign pattern file (one of -1, 0, 1 per line)")
     rec.add_argument("--signal", help="optional true signal file for error reporting")
     rec.add_argument("--out", help="write the recovered direction here")
+    rec.set_defaults(func=cmd_recover)
 
     sw = sub.add_parser("sweep", help="recovery error sweep over m, written as CSV")
     _add_common(sw, n=128, s=4, m="100,200,400,800", trials=25)
     _add_model(sw)
     sw.add_argument("--out", required=True, help="CSV output path")
+    sw.set_defaults(func=cmd_sweep)
 
     tes = sub.add_parser("tessellate", help="sign-pattern tessellation report")
     _add_common(tes, n=32, s=2, m="50,100,200,400", trials=500)
@@ -109,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report the pairs farther apart than this; "
                           "positive and finite")
     tes.add_argument("--out", help="per-m summary CSV path")
+    tes.set_defaults(func=cmd_tessellate)
 
     ver = sub.add_parser("verify", help="run a named check")
     ver.add_argument("--check", required=True, choices=CHECKS)
@@ -122,24 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
                           "is 1.5 sqrt(s ln(2n/s)/m), as the largest deviation over "
                           "the sampled points scales; a given value is used as is, "
                           "and must be positive and finite")
-    ver.set_defaults(usage_error=ver.error)
+    ver.set_defaults(func=cmd_verify, usage_error=ver.error)
     return ap
-
-
-def _load_signs(path: str) -> np.ndarray:
-    y = np.atleast_1d(np.loadtxt(path, dtype=np.int64))
-    if not np.all(np.isin(y, (-1, 0, 1))):
-        raise ValueError("sign pattern entries must be -1, 0, or 1")
-    return y
 
 
 def cmd_gen(args) -> int:
     x, ens = gen_instance(args.n, args.s, args.m, args.seed, args.dist, args.mag)
     y = sign_quantize(ens.rows @ x)
     prefix = args.out
-    parent = os.path.dirname(prefix)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    make_parent_dir(prefix)
     np.savetxt(prefix + "_matrix.txt", ens.rows, fmt="%.17e")
     np.savetxt(prefix + "_signal.txt", x.reshape(1, -1), fmt="%.17e")
     np.savetxt(prefix + "_signs.txt", y, fmt="%d")
@@ -155,9 +150,12 @@ def cmd_recover(args) -> int:
         if not args.signs:
             raise ValueError("--matrix requires --signs")
         rows = np.loadtxt(args.matrix, dtype=np.float64, ndmin=2)
-        y = _load_signs(args.signs)
+        # recover rejects entries other than -1, 0 and 1
+        y = np.loadtxt(args.signs, dtype=np.float64, ndmin=1)
         if args.signal:
             x_true = np.loadtxt(args.signal, dtype=np.float64).ravel()
+            if x_true.shape[0] != rows.shape[1]:
+                raise ValueError("signal length does not match the matrix columns")
     else:
         x_true, ens = gen_instance(args.n, args.s, args.m, args.seed, args.dist, args.mag)
         rows = ens.rows
@@ -176,6 +174,7 @@ def cmd_recover(args) -> int:
     if x_true is not None:
         print(f"error={recovery_error(res.direction, x_true):.6f}")
     if args.out:
+        make_parent_dir(args.out)
         np.savetxt(args.out, res.direction.reshape(1, -1), fmt="%.17e")
         print(f"wrote {args.out}")
     return 0
@@ -245,12 +244,12 @@ def cmd_verify(args) -> int:
         if args.delta is None:
             t *= math.sqrt(20000 / max(args.m, 1))
         rep = verify_concentration(args.n, args.m, args.trials, t, args.seed)
-        print(f"concentration: n={rep.n} m={rep.m} trials={rep.trials}")
+        print(f"concentration: n={args.n} m={args.m} trials={args.trials}")
         print(f"mean_abs_moment={rep.mean_abs_moment:.6f} target={ROOT_TWO_OVER_PI:.6f}")
         print(f"exceedance@{t}={rep.exceedance_fraction:.4f} decay_rate={rep.decay_rate:.3f}")
         passed = rep.exceedance_fraction <= 0.05 and \
             abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= \
-            0.005 * math.sqrt(20000 * 100 / (rep.m * rep.trials))
+            0.005 * math.sqrt(20000 * 100 / (args.m * args.trials))
     elif check == "uniform-concentration":
         # the largest deviation over the sampled cap points scales as
         # sqrt(s ln(2n/s)/m), not as one point's sqrt(1 - 2/pi)/sqrt(m)
@@ -259,13 +258,13 @@ def cmd_verify(args) -> int:
             t *= math.sqrt(args.s * math.log(2 * args.n / args.s) / max(args.m, 1))
         rep = verify_uniform_concentration(args.n, args.s, args.m,
                                            args.trials, t, args.seed)
-        print(f"uniform concentration: n={rep.n} s={rep.s} m={rep.m} "
-              f"samples={rep.sample_count}")
+        print(f"uniform concentration: n={args.n} s={args.s} m={args.m} "
+              f"samples={args.trials}")
         print(f"max_deviation={rep.max_deviation:.6f} threshold={t}")
         passed = not rep.exceeded
     elif check == "bernoulli-counterexample":
         rep = verify_bernoulli_counterexample(args.n, args.m, args.trials, args.seed)
-        print(f"bernoulli counterexample: n={rep.n} m={rep.m} seeds={len(rep.seeds)}")
+        print(f"bernoulli counterexample: n={args.n} m={args.m} seeds={len(rep.seeds)}")
         print(f"identical sign patterns under +-1 rows: "
               f"{sum(rep.identical_per_seed)}/{len(rep.seeds)}")
         print(f"gaussian rows distinguish the pair: {rep.gaussian_differs}")
@@ -304,15 +303,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "recover":
-            return cmd_recover(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "tessellate":
-            return cmd_tessellate(args)
-        return cmd_verify(args)
+        return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -56,8 +56,6 @@ def hard_threshold(x, t: int) -> np.ndarray:
         raise ValueError("expected a vector")
     if t < 1:
         raise ValueError("threshold size t must be at least 1")
-    if t >= v.shape[0]:
-        return v.copy()
     order = np.argsort(-np.abs(v), kind="stable")
     out = np.zeros_like(v)
     keep = order[:t]

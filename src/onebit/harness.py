@@ -43,7 +43,7 @@ class ExperimentConfig:
     seed: int
     distribution: str = "gaussian"
     magnitude_model: str = "unit_gaussian"
-    delta: float = 0.5
+    delta: float | None = None     # tessellate's delta; no sweep reads one
     output_path: str | None = None
 
 
@@ -139,15 +139,20 @@ def _fmt(value) -> str:
     return f"{float(value):.11e}"   # 12 significant digits
 
 
+def make_parent_dir(path: str) -> None:
+    """Create the directory path will be written in, if it names one."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+
+
 def write_sweep_csv(records: list[dict], path: str, columns: list[str]) -> None:
     """Write records (dicts keyed by column) as CSV: header line, LF endings, UTF-8.
 
     The one CSV writer: sweep rows and the tessellation summary both go
     through it, so every data file has the same number format.
     """
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
+    make_parent_dir(path)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for rec in records:
@@ -190,9 +195,6 @@ def write_manifest(config: ExperimentConfig, data_path: str) -> str:
 
 @dataclass
 class ConcentrationReport:
-    n: int
-    m: int
-    trials: int
     mean_abs_moment: float        # mean over trials of (1/m) sum |<a_i, x>|
     deviations: np.ndarray        # per-trial deviation from sqrt(2/pi)
     exceedance_fraction: float    # fraction of trials with deviation > t
@@ -237,7 +239,6 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
     else:
         decay = float("nan")
     return ConcentrationReport(
-        n=n, m=m, trials=trials,
         mean_abs_moment=float(moments.mean()),
         deviations=devs,
         exceedance_fraction=float((devs > t).mean()),
@@ -249,10 +250,6 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
 
 @dataclass
 class UniformConcentrationReport:
-    n: int
-    s: float
-    m: int
-    sample_count: int
     deviations: np.ndarray    # one per sampled point, same ensemble throughout
     max_deviation: float      # lower bound on the supremum over the cap
     exceeded: bool
@@ -278,7 +275,6 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
     moments = np.abs(products, out=products).mean(axis=0)
     devs = np.abs(moments - ROOT_TWO_OVER_PI)
     return UniformConcentrationReport(
-        n=n, s=s, m=m, sample_count=sample_count,
         deviations=devs, max_deviation=float(devs.max()),
         exceeded=bool(devs.max() > t),
     )
@@ -286,8 +282,6 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
 
 @dataclass
 class BernoulliCounterexampleReport:
-    n: int
-    m: int
     seeds: list[int]
     identical_per_seed: list[bool]   # sign(A x) == sign(A x') under +-1 rows
     all_identical: bool
@@ -325,6 +319,6 @@ def verify_bernoulli_counterexample(n: int = 32, m: int = 1000,
     grows = normal_grid(derive_seed(seed, num_seeds), m, 2)
     differs = not np.array_equal(sign_quantize(grows @ x), sign_quantize(grows @ xp))
     return BernoulliCounterexampleReport(
-        n=n, m=m, seeds=seeds, identical_per_seed=identical,
+        seeds=seeds, identical_per_seed=identical,
         all_identical=all(identical), gaussian_differs=differs,
     )

@@ -83,17 +83,20 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     of each per coordinate of x (see the module docstring for W and g).
 
     Raises:
-        ValueError: on length mismatch or when every sign is zero
-            ("degenerate sign pattern": the primal's normalization row
-            would be 0 >= 1).
+        ValueError: on length mismatch, on an entry other than -1, 0 or 1
+            (NaN and inf included: y holds signs, not measurements), or
+            when every sign is zero ("degenerate sign pattern": the
+            primal's normalization row would be 0 >= 1).
     """
     A = as_rows(ensemble)
     m, n = A.shape
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != m:
         raise ValueError("sign pattern length does not match ensemble rows")
+    if not ((y == 0.0) | (np.abs(y) == 1.0)).all():
+        raise ValueError("sign pattern entries must be -1, 0, or 1")
     nz = y != 0.0
-    if m == 0 or not nz.any():
+    if not nz.any():   # m = 0 included
         raise ValueError("degenerate sign pattern")
 
     d = m + 1 + int(np.count_nonzero(~nz))
@@ -120,10 +123,8 @@ def extract_certificate(ensemble: MeasurementEnsemble, x_hat) -> VertexCertifica
     row_norms = np.linalg.norm(A, axis=1)
     support = np.flatnonzero(np.abs(x_hat) > SUPPORT_TOL)
     active = np.flatnonzero(np.abs(prods) <= ACTIVE_ROW_TOL * row_norms * x_norm)
-    if active.size and support.size:
-        kernel_residual = float(np.linalg.norm(A[np.ix_(active, support)] @ x_hat[support]))
-    else:
-        kernel_residual = 0.0
+    # 0.0 when either index set is empty
+    kernel_residual = float(np.linalg.norm(A[np.ix_(active, support)] @ x_hat[support]))
     normalization_residual = float(abs(np.abs(prods).sum() / m - 1.0)) if m else np.nan
     return VertexCertificate(
         support=support,
@@ -160,7 +161,8 @@ def recover(ensemble: MeasurementEnsemble, y,
     vertex comes back.
 
     Raises:
-        ValueError: degenerate sign pattern (all signs zero).
+        ValueError: y is not a sign pattern of matching length, or every
+            sign is zero (see build_recovery_lp).
         RecoveryError: LP not optimal (status "unbounded" means no x is
             consistent with y), or normalization row not tight at the
             returned vertex.

@@ -31,6 +31,11 @@ def test_hard_threshold_examples():
     assert np.array_equal(out, [0.8, 0.0, 0.0, 0.0])
     assert np.linalg.norm(x - out) == pytest.approx(0.6)
     assert np.array_equal(hard_threshold(x, 4), x)
+    # t >= n keeps every entry, -0.0 included, in a new array
+    v = np.array([-0.0, 0.3, -0.2])
+    for t in (3, 5):
+        kept = hard_threshold(v, t)
+        assert kept.tobytes() == v.tobytes() and not np.shares_memory(kept, v)
     # magnitude ties resolve toward the lowest index
     tied = hard_threshold(np.array([0.5, -0.5, 0.5]), 1)
     assert np.array_equal(tied, [0.5, 0.0, 0.0])

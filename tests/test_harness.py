@@ -118,7 +118,8 @@ def test_manifest(tmp_path, monkeypatch):
     assert man["config"]["n"] == 16
     assert man["config"]["m_list"] == [20, 30]
     assert man["config"]["seed"] == 3
-    assert "generated_at" in man and "version" in man
+    assert man["config"]["delta"] is None     # no sweep reads a delta
+    assert "generated_at" in man and man["version"] == onebit.__version__
     env = man["environment"]
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__
@@ -259,7 +260,7 @@ def _full_width_bernoulli_counterexample(n, m, num_seeds, seed):
     differs = not np.array_equal(sign_quantize(gens.rows @ x),
                                  sign_quantize(gens.rows @ xp))
     return harness.BernoulliCounterexampleReport(
-        n=n, m=m, seeds=seeds, identical_per_seed=identical,
+        seeds=seeds, identical_per_seed=identical,
         all_identical=all(identical), gaussian_differs=differs,
     )
 
@@ -338,7 +339,8 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
     np.savetxt(prefix + "_signs.txt", y, fmt="%d")
     assert main(["recover", "--matrix", prefix + "_matrix.txt",
                  "--signs", prefix + "_signs.txt"]) == 0
-    printed = float(re.search(r"max_violation=(\S+)", capsys.readouterr().out).group(1))
+    text = capsys.readouterr().out
+    printed = float(re.search(r"max_violation=(\S+)", text).group(1))
     x_hat = recover(A, y).x_hat
     prods = A @ x_hat
     worst = abs(sum(y[i] * prods[i] for i in range(24)) / 24 - 1.0)
@@ -346,12 +348,23 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
         worst = max(worst, abs(prods[i]) if y[i] == 0 else -y[i] * prods[i])
     assert printed <= 1e-9
     assert abs(printed - worst) <= 1e-3 * worst + 1e-15
+    # recover owns the sign contract, so the same signs written as decimals
+    # read the same
+    np.savetxt(prefix + "_signs.txt", y, fmt="%.1f")
+    assert main(["recover", "--matrix", prefix + "_matrix.txt",
+                 "--signs", prefix + "_signs.txt"]) == 0
+    assert capsys.readouterr().out == text
 
 
-def test_cli_recover_synthetic(capsys):
+def test_cli_recover_synthetic(tmp_path, capsys):
+    # --out creates the directory it writes in
+    out = tmp_path / "runs" / "new" / "x.txt"
     assert main(["recover", "--n", "12", "--s", "2", "--m", "30",
-                 "--seed", "8"]) == 0
-    assert "certificate:" in capsys.readouterr().out
+                 "--seed", "8", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "certificate:" in captured.out and captured.err == ""
+    assert captured.out.endswith(f"wrote {out}\n")
+    assert np.linalg.norm(np.loadtxt(out)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cli_recover_bad_inputs(tmp_path, capsys):
@@ -366,6 +379,15 @@ def test_cli_recover_bad_inputs(tmp_path, capsys):
     assert "must be -1, 0, or 1" in err
     # matrix without signs is a usage-level error reported as failure
     assert main(["recover", "--matrix", str(mat)]) == 1
+    capsys.readouterr()
+    # a signal whose length is not the matrix's column count fails before solving
+    good = tmp_path / "good.txt"
+    good.write_text("1\n1\n1\n")
+    short = tmp_path / "short.txt"
+    np.savetxt(short, np.ones((1, 5)))
+    assert main(["recover", "--matrix", str(mat), "--signs", str(good),
+                 "--signal", str(short)]) == 1
+    assert capsys.readouterr() == ("", "error: signal length does not match the matrix columns\n")
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -410,6 +432,7 @@ def test_cli_tessellate(tmp_path, capsys):
     man = json.loads((tmp_path / "tess.manifest.json").read_text(encoding="utf-8"))
     assert man["config"]["task"] == "tessellate"
     assert man["config"]["m_list"] == [10, 20]
+    assert man["config"]["delta"] == 0.5
 
 
 def test_cli_tessellate_reads_arrays_only(capsys, monkeypatch):
@@ -545,7 +568,7 @@ def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
     def fake(n, m, trials, t, seed, gap=0.0):
         seen.append(t)
         return harness.ConcentrationReport(
-            n=n, m=m, trials=trials, mean_abs_moment=ROOT_TWO_OVER_PI + gap,
+            mean_abs_moment=ROOT_TWO_OVER_PI + gap,
             deviations=np.zeros(trials), exceedance_fraction=0.0, fit_thresholds=np.zeros(0),
             fit_fractions=np.zeros(0), decay_rate=float("nan"))
 
@@ -626,6 +649,23 @@ def test_console_script_version(tmp_path):
                          text=True, env=env, cwd=tmp_path)
     assert out.returncode == 0
     assert "onebit" in out.stdout
+
+
+def test_package_version_has_one_source():
+    # pyproject.toml reads the version from onebit.__version__, statically:
+    # resolving it imports neither onebit nor numpy
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert "version" not in project and project["dynamic"] == ["version"]
+    code = ("import sys\n"
+            "from setuptools.config.pyprojecttoml import read_configuration\n"
+            f"conf = read_configuration({str(root / 'pyproject.toml')!r})\n"
+            "print(conf['project']['version'], 'onebit' in sys.modules, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == f"{onebit.__version__} False False\n"
 
 
 def test_manifest_path_derivation(tmp_path):

@@ -165,6 +165,37 @@ def test_degenerate_sign_pattern():
     _, ens, _ = make_instance(4, 2, 6, seed=1)
     with pytest.raises(ValueError, match="degenerate sign pattern"):
         build_recovery_lp(ens, np.zeros(6, dtype=np.int8))
+    # no rows at all is the same case
+    with pytest.raises(ValueError, match="degenerate sign pattern"):
+        build_recovery_lp(np.zeros((0, 4)), np.zeros(0))
+
+
+def test_non_sign_pattern_rejected():
+    # the decoder sees signs only: given the raw products it would solve a
+    # magnitude-weighted LP and report a far smaller error
+    x, ens = gen_instance(32, 3, 60, 7, "gaussian", "unit_gaussian")
+    y = sign_quantize(ens.rows @ x).astype(np.float64)
+    cases = [ens.rows @ x, 2.0 * y]
+    for entry in (0.5, np.nan, np.inf, -np.inf):
+        bad = y.copy()
+        bad[1] = entry
+        cases.append(bad)
+    for bad in cases:
+        for call in (build_recovery_lp, recover):
+            with pytest.raises(ValueError, match="sign pattern entries must be -1, 0, or 1"):
+                call(ens, bad)
+
+
+def test_sign_pattern_dtypes_solve_alike():
+    # an int8 pattern and the same pattern as floats give the same LP and x_hat
+    x, ens = gen_instance(32, 3, 60, 7, "gaussian", "unit_gaussian")
+    y = sign_quantize(ens.rows @ x)
+    y[[4, 9]] = 0
+    yf = y.astype(np.float64)
+    a, b = build_recovery_lp(ens, y), build_recovery_lp(ens, yf)
+    assert a.ineq_lhs.tobytes() == b.ineq_lhs.tobytes()
+    assert a.objective.tobytes() == b.objective.tobytes()
+    assert recover(ens, y).x_hat.tobytes() == recover(ens, yf).x_hat.tobytes()
 
 
 def test_length_mismatch():
@@ -245,6 +276,13 @@ def test_certificate_structure():
             assert len(cert.support) == len(cert.active_rows) + 1
             assert cert.kernel_residual <= 1e-6 * np.linalg.norm(x_hat)
     assert ok >= 8
+    # an empty support or an empty active set leaves nothing to annihilate
+    _, ens, _ = make_instance(8, 2, 20, seed=3)
+    assert extract_certificate(ens, np.zeros(8)).kernel_residual == 0.0
+    x_one = np.zeros(8)
+    x_one[0] = 1.0
+    cert = extract_certificate(ens, x_one)
+    assert cert.active_rows.size == 0 and cert.kernel_residual == 0.0
 
 
 def test_zero_sign_entries_become_equalities():
