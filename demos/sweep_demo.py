@@ -4,24 +4,20 @@
 More sign measurements pin the direction down better: the median error
 over seeded trials falls as m grows.  Each (m, trial) pair derives its own
 seed from the master seed, so any subset of the plan reproduces identical
-rows, in any order.  Rows land in a CSV with a JSON manifest beside it.
+rows, in any order.  run_sweep returns the rows and writes no file;
+`onebit sweep --out` writes them as CSV with a JSON manifest beside it.
 """
 
 import numpy as np
 
-from onebit import ExperimentConfig, run_sweep
+from onebit import run_sweep
 
-config = ExperimentConfig(
-    task="sweep", n=64, s=3,
-    m_list=[40, 80, 160, 320],
-    trials=15, seed=2024,
-    output_path="demo_sweep.csv",
-)
-rows = run_sweep(config)
+n, s, m_list, trials = 64, 3, [40, 80, 160, 320], 15
+rows = run_sweep(n=n, s=s, m_list=m_list, trials=trials, seed=2024)
 
-print(f"n={config.n} s={config.s}, {config.trials} trials per m\n")
+print(f"n={n} s={s}, {trials} trials per m\n")
 print(f"{'m':>5}  {'median error':>12}  {'q90 error':>10}  {'cardinality_ok':>14}  {'ms/solve':>9}")
-for m in config.m_list:
+for m in m_list:
     sub = [r for r in rows if r.m == m]
     errs = np.array([r.error for r in sub])
     ok = sum(r.cert_cardinality_ok for r in sub)
@@ -29,6 +25,7 @@ for m in config.m_list:
     print(f"{m:>5}  {np.median(errs):>12.4f}  {np.quantile(errs, 0.9):>10.4f}  "
           f"{ok:>11}/{len(sub)}  {ms:>9.1f}")
 
-print("\nwrote demo_sweep.csv and demo_sweep.manifest.json")
-print("rerunning the same config reproduces the same numbers; so does any")
+print("\nrerunning the same config reproduces the same numbers; so does any")
 print("subset of the (m, trial) plan, because each trial is seeded on its own")
+print(f"to write them: onebit sweep --n {n} --s {s} --m {','.join(map(str, m_list))} "
+      f"--trials {trials} --seed 2024 --out demo_sweep.csv")

@@ -48,7 +48,6 @@ from .geometry import (
     tessellation_rows,
 )
 from .harness import (
-    ExperimentConfig,
     SweepRow,
     run_sweep,
     verify_bernoulli_counterexample,
@@ -57,7 +56,6 @@ from .harness import (
 )
 
 __all__ = [
-    "ExperimentConfig",
     "LinearProgram",
     "LpSolution",
     "MeasurementEnsemble",

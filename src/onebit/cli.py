@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .geometry import SignalSetSpec, single_hyperplane_separation_prob, tessellate_and_report
 from .harness import (
-    ExperimentConfig,
     ROOT_TWO_OVER_PI,
+    SWEEP_FIELDS,
     gen_instance,
     make_parent_dir,
     run_sweep,
@@ -130,6 +131,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _write_out(records: list[dict], columns: list[str], args) -> None:
+    """Write records as CSV at args.out, with the parsed command line as its manifest."""
+    write_sweep_csv(records, args.out, columns)
+    write_manifest({k: v for k, v in vars(args).items() if not callable(v)}, args.out)
+
+
 def cmd_gen(args) -> int:
     x, ens = gen_instance(args.n, args.s, args.m, args.seed, args.dist, args.mag)
     y = sign_quantize(ens.rows @ x)
@@ -146,6 +153,8 @@ def cmd_gen(args) -> int:
 
 def cmd_recover(args) -> int:
     x_true = None
+    if (args.signs or args.signal) and not args.matrix:
+        raise ValueError("--signs and --signal require --matrix")
     if args.matrix:
         if not args.signs:
             raise ValueError("--matrix requires --signs")
@@ -181,11 +190,8 @@ def cmd_recover(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = ExperimentConfig(
-        task="sweep", n=args.n, s=args.s, m_list=args.m, trials=args.trials,
-        seed=args.seed, distribution=args.dist, magnitude_model=args.mag,
-        output_path=args.out)
-    rows = run_sweep(config)
+    rows = run_sweep(args.n, args.s, args.m, args.trials, args.seed, args.dist, args.mag)
+    _write_out([asdict(row) for row in rows], SWEEP_FIELDS, args)
     for m in args.m:
         errs = [r.error for r in rows if r.m == m and np.isfinite(r.error)]
         ok = sum(1 for r in rows if r.m == m and r.cert_cardinality_ok)
@@ -224,11 +230,7 @@ def cmd_tessellate(args) -> int:
               f"pairs>{args.delta}={summary['pairs_beyond_delta']} "
               f"min_sep=({summary['min_count_fwd']},{summary['min_count_rev']})")
     if args.out:
-        write_sweep_csv(lines, args.out, list(lines[0]))
-        config = ExperimentConfig(task="tessellate", n=args.n, s=args.s, m_list=args.m,
-                                  trials=args.trials, seed=args.seed, delta=args.delta,
-                                  output_path=args.out)
-        write_manifest(config, args.out)
+        _write_out(lines, list(lines[0]), args)
         print(f"wrote {args.out}")
     return 0
 

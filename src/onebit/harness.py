@@ -1,4 +1,8 @@
-"""Experiment harness: recovery sweeps, concentration checks, CSV and manifest output.
+"""Experiment harness: recovery sweeps, concentration checks, CSV and manifest writers.
+
+The sweeps and checks return their results and write no file; the command
+line writes each data file and its manifest through write_sweep_csv and
+write_manifest.
 
 Per-trial seeds are derived from the master seed and the (m, trial) pair with
 the SplitMix64 mixer, so every row of a sweep is reproducible in isolation and
@@ -11,7 +15,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,20 +35,6 @@ from .measurement import (
 from .recovery import RecoveryError, recover, recovery_error
 
 ROOT_TWO_OVER_PI = float(np.sqrt(2.0 / np.pi))
-
-
-@dataclass
-class ExperimentConfig:
-    task: str
-    n: int
-    s: int
-    m_list: list[int]
-    trials: int
-    seed: int
-    distribution: str = "gaussian"
-    magnitude_model: str = "unit_gaussian"
-    delta: float | None = None     # tessellate's delta; no sweep reads one
-    output_path: str | None = None
 
 
 @dataclass
@@ -85,25 +75,26 @@ def gen_instance(n: int, s: int, m: int, seed: int, distribution: str,
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
-def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
-    """Run the recovery sweep over config.m_list x config.trials.
+def run_sweep(n: int, s: int, m_list: list[int], trials: int, seed: int,
+              distribution: str = "gaussian",
+              magnitude_model: str = "unit_gaussian") -> list[SweepRow]:
+    """Run the recovery sweep over m_list x trials and return its rows.
 
     A trial whose recovery fails (RecoveryError, or ValueError, which
     includes numpy's LinAlgError) records a row with nan results and
     continues; the sweep itself only fails if every trial failed.  Any other
     exception is a programming error and propagates.  Rows come back sorted
-    by (m, trial).  When config.output_path is set, the rows are written as
-    CSV with a JSON manifest next to it.
+    by (m, trial).  No file is written: `onebit sweep --out` writes the rows
+    as CSV with a manifest next to it.
     """
-    if config.trials < 1:
+    if trials < 1:
         raise ValueError("need at least one trial")
     rows: list[SweepRow] = []
     failures = 0
-    for m in config.m_list:
-        for trial in range(config.trials):
-            tseed = derive_seed(config.seed, m, trial)
-            x, ens = gen_instance(config.n, config.s, m, tseed, config.distribution,
-                                  config.magnitude_model)
+    for m in m_list:
+        for trial in range(trials):
+            tseed = derive_seed(seed, m, trial)
+            x, ens = gen_instance(n, s, m, tseed, distribution, magnitude_model)
             t0 = time.perf_counter()
             try:
                 res = recover(ens, sign_quantize(ens.rows @ x))
@@ -118,16 +109,13 @@ def run_sweep(config: ExperimentConfig) -> list[SweepRow]:
                 error = ratio_out = residual = float("nan")
                 card_ok = False
             rows.append(SweepRow(
-                n=config.n, s=config.s, m=m, trial=trial, seed=tseed, error=error,
+                n=n, s=s, m=m, trial=trial, seed=tseed, error=error,
                 l1l2_ratio_in=float(np.abs(x).sum() / np.linalg.norm(x)),
                 l1l2_ratio_out=ratio_out, cert_cardinality_ok=card_ok,
                 normalization_residual=residual, wall_time_ms=wall,
             ))
     if rows and failures == len(rows):
         raise RuntimeError("every sweep trial failed")
-    if config.output_path:
-        write_sweep_csv([asdict(row) for row in rows], config.output_path, SWEEP_FIELDS)
-        write_manifest(config, config.output_path)
     return rows
 
 
@@ -177,12 +165,15 @@ def _environment() -> dict:
     }
 
 
-def write_manifest(config: ExperimentConfig, data_path: str) -> str:
-    """Write the run manifest (config echo, version, environment, timestamp) next to the data."""
+def write_manifest(config: dict, data_path: str) -> str:
+    """Write the run manifest (config, version, environment, timestamp) next to the data.
+
+    config is what was run; the command line passes its parsed arguments.
+    """
     base, _ = os.path.splitext(data_path)
     path = base + ".manifest.json"
     payload = {
-        "config": asdict(config),
+        "config": config,
         "version": __version__,
         "environment": _environment(),
         "generated_at": datetime.now(timezone.utc).isoformat(),

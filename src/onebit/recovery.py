@@ -83,20 +83,23 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     of each per coordinate of x (see the module docstring for W and g).
 
     Raises:
-        ValueError: on length mismatch, on an entry other than -1, 0 or 1
-            (NaN and inf included: y holds signs, not measurements), or
-            when every sign is zero ("degenerate sign pattern": the
-            primal's normalization row would be 0 >= 1).
+        ValueError: on an ensemble with no rows, on length mismatch, on an
+            entry other than -1, 0 or 1 (NaN and inf included: y holds
+            signs, not measurements), or when every sign is zero
+            ("degenerate sign pattern": the primal's normalization row would
+            be 0 >= 1).
     """
     A = as_rows(ensemble)
     m, n = A.shape
+    if m < 1:
+        raise ValueError("need at least one row")
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.shape[0] != m:
         raise ValueError("sign pattern length does not match ensemble rows")
     if not ((y == 0.0) | (np.abs(y) == 1.0)).all():
         raise ValueError("sign pattern entries must be -1, 0, or 1")
     nz = y != 0.0
-    if not nz.any():   # m = 0 included
+    if not nz.any():
         raise ValueError("degenerate sign pattern")
 
     d = m + 1 + int(np.count_nonzero(~nz))
@@ -161,8 +164,8 @@ def recover(ensemble: MeasurementEnsemble, y,
     vertex comes back.
 
     Raises:
-        ValueError: y is not a sign pattern of matching length, or every
-            sign is zero (see build_recovery_lp).
+        ValueError: the ensemble has no rows, y is not a sign pattern of
+            matching length, or every sign is zero (see build_recovery_lp).
         RecoveryError: LP not optimal (status "unbounded" means no x is
             consistent with y), or normalization row not tight at the
             returned vertex.

@@ -10,6 +10,8 @@ recovery LP relaxes.  Both are small-instance references, not solvers.
 full_tableau_solve_lp is the simplex on the full tableau (surplus identity
 columns stored), which lp_core.solve_lp replaced by the condensed exchange
 tableau; solve_lp must take its pivots and return its bytes.
+random_small_lp draws the tiny general-form LPs that the solver is checked
+on against brute_force_vertex_solve.
 reference_recovery_lp is recovery.build_recovery_lp as it was before the LP
 was assembled column-major; build_recovery_lp must return its bytes.
 """
@@ -79,6 +81,27 @@ class GeneralLP:
             slack = self.ineq_lhs @ z - self.ineq_rhs
             worst = max(worst, float(np.max(-slack, initial=0.0)))
         return worst
+
+
+def random_small_lp(seed, mask="free") -> GeneralLP:
+    """Half-integer random LP with d <= 6 and p + q <= 8, feasible at z = 0.
+
+    The equality rhs is 0 and the inequality rhs is -|draw|; the rhs draws
+    stay, so the rest of the stream is the same.  mask picks the nonnegative
+    variables: "free" (none), "nonneg" (all) or "mixed" (each with
+    probability 1/2).
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 7))
+    p = int(rng.integers(0, 3))
+    q = int(rng.integers(0, 9 - p))
+    mk = lambda r: rng.integers(-4, 5, size=(r, d)) / 2.0
+    args = (rng.integers(-4, 5, size=d) / 2.0,
+            mk(p), np.zeros_like(rng.integers(-4, 5, size=p), dtype=float),
+            mk(q), -np.abs(rng.integers(-4, 5, size=q)) / 2.0)
+    nonneg = {"free": np.zeros(d, dtype=bool), "nonneg": np.ones(d, dtype=bool),
+              "mixed": rng.integers(0, 2, size=d).astype(bool)}[mask]
+    return GeneralLP(*args, nonneg=nonneg)
 
 
 def canonical(lp: GeneralLP) -> LinearProgram:

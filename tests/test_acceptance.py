@@ -24,7 +24,6 @@ from onebit.geometry import (
 )
 from onebit.harness import (
     ROOT_TWO_OVER_PI,
-    ExperimentConfig,
     run_sweep,
     verify_bernoulli_counterexample,
     verify_concentration,
@@ -36,32 +35,13 @@ from onebit.measurement import (
     uniform_grid,
 )
 from onebit.recovery import recover, recovery_error
-from oracles import GeneralLP, brute_force_vertex_solve, solve_general
+from oracles import brute_force_vertex_solve, random_small_lp, solve_general
 
 SWEEP_MS = (100, 200, 400, 800)
 
 
 def report(num, name, ok, detail):
     print(f"criterion {num} ({name}): {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-def random_small_lp(seed):
-    """Half-integer random LP with d <= 6 and p + q <= 8, feasible at z = 0.
-
-    The equality rhs is 0 and the inequality rhs is -|draw|; the rhs draws
-    stay, so the rest of the stream is the same.  Every variable is free;
-    solve_general poses the LP in solve_lp's form.
-    """
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 7))
-    p = int(rng.integers(0, 3))
-    q = int(rng.integers(0, 9 - p))
-    return GeneralLP(
-        rng.integers(-4, 5, size=d) / 2.0,
-        rng.integers(-4, 5, size=(p, d)) / 2.0,
-        np.zeros_like(rng.integers(-4, 5, size=p), dtype=float),
-        rng.integers(-4, 5, size=(q, d)) / 2.0,
-        -np.abs(rng.integers(-4, 5, size=q)) / 2.0)
 
 
 def solve_instance(n, s, m, seed):
@@ -73,10 +53,8 @@ def solve_instance(n, s, m, seed):
 
 @pytest.fixture(scope="module")
 def big_sweep():
-    config = ExperimentConfig(task="sweep", n=128, s=4, m_list=list(SWEEP_MS),
-                              trials=25, seed=42)
     t0 = time.perf_counter()
-    rows = run_sweep(config)
+    rows = run_sweep(n=128, s=4, m_list=list(SWEEP_MS), trials=25, seed=42)
     return rows, time.perf_counter() - t0
 
 

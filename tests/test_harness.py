@@ -19,7 +19,6 @@ from onebit.cli import main
 from onebit.harness import (
     ROOT_TWO_OVER_PI,
     SWEEP_FIELDS,
-    ExperimentConfig,
     gen_instance,
     run_sweep,
     verify_bernoulli_counterexample,
@@ -37,12 +36,19 @@ from onebit.measurement import (
 from onebit.recovery import RecoveryError, recover
 
 
-def small_config(tmp=None, **kw):
-    base = dict(task="sweep", n=16, s=2, m_list=[20, 30], trials=2, seed=3)
-    base.update(kw)
-    if tmp is not None:
-        base["output_path"] = str(tmp / "sweep.csv")
-    return ExperimentConfig(**base)
+SMALL = dict(n=16, s=2, m_list=[20, 30], trials=2, seed=3)
+SMALL_ARGV = ["sweep", "--n", "16", "--s", "2", "--m", "20,30", "--trials", "2", "--seed", "3"]
+
+
+def small_sweep(**kw):
+    return run_sweep(**{**SMALL, **kw})
+
+
+def small_sweep_files(tmp):
+    """Run the small sweep through `onebit sweep --out`; return the CSV path."""
+    out = tmp / "sweep.csv"
+    assert main(SMALL_ARGV + ["--out", str(out)]) == 0
+    return out
 
 
 def read_csv(path):
@@ -51,15 +57,14 @@ def read_csv(path):
 
 
 def test_run_sweep_single_row():
-    rows = run_sweep(ExperimentConfig(task="sweep", n=2, s=1, m_list=[1],
-                                      trials=1, seed=9))
+    rows = run_sweep(n=2, s=1, m_list=[1], trials=1, seed=9)
     assert len(rows) == 1
     assert 0.0 <= rows[0].error <= 2.0
     assert rows[0].m == 1 and rows[0].trial == 0
 
 
 def test_run_sweep_rows_and_order():
-    rows = run_sweep(small_config())
+    rows = small_sweep()
     assert [(r.m, r.trial) for r in rows] == [(20, 0), (20, 1), (30, 0), (30, 1)]
     for r in rows:
         assert r.n == 16 and r.s == 2
@@ -70,8 +75,8 @@ def test_run_sweep_rows_and_order():
 
 def test_run_sweep_row_independence():
     # dropping an m from the plan leaves the surviving rows untouched
-    full = run_sweep(small_config())
-    only30 = run_sweep(small_config(m_list=[30]))
+    full = small_sweep()
+    only30 = small_sweep(m_list=[30])
     kept = [r for r in full if r.m == 30]
     for a, b in zip(kept, only30):
         assert a.seed == b.seed
@@ -80,11 +85,8 @@ def test_run_sweep_row_independence():
 
 
 def test_run_sweep_csv_determinism(tmp_path):
-    cfg1 = small_config(tmp_path)
-    run_sweep(cfg1)
-    first = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
-    run_sweep(cfg1)
-    second = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
+    first = small_sweep_files(tmp_path).read_text(encoding="utf-8")
+    second = small_sweep_files(tmp_path).read_text(encoding="utf-8")
     # identical bytes in every column except the timing one
     drop = SWEEP_FIELDS.index("wall_time_ms")
     strip = lambda text: [ln.split(",")[:drop] + ln.split(",")[drop + 1:]
@@ -93,8 +95,7 @@ def test_run_sweep_csv_determinism(tmp_path):
 
 
 def test_sweep_csv_schema_and_format(tmp_path):
-    run_sweep(small_config(tmp_path))
-    header, data = read_csv(tmp_path / "sweep.csv")
+    header, data = read_csv(small_sweep_files(tmp_path))
     assert header == SWEEP_FIELDS
     assert len(data) == 4
     float_pat = re.compile(r"-?\d\.\d{11}e[+-]\d{2,}")
@@ -112,13 +113,12 @@ def test_sweep_csv_schema_and_format(tmp_path):
 def test_manifest(tmp_path, monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-    cfg = small_config(tmp_path)
-    run_sweep(cfg)
+    out = small_sweep_files(tmp_path)
     man = json.loads((tmp_path / "sweep.manifest.json").read_text(encoding="utf-8"))
-    assert man["config"]["n"] == 16
-    assert man["config"]["m_list"] == [20, 30]
-    assert man["config"]["seed"] == 3
-    assert man["config"]["delta"] is None     # no sweep reads a delta
+    # the parsed command line, defaults included; a sweep reads no delta
+    assert man["config"] == {"command": "sweep", "n": 16, "s": 2, "m": [20, 30],
+                             "trials": 2, "seed": 3, "dist": "gaussian",
+                             "mag": "unit_gaussian", "out": str(out)}
     assert "generated_at" in man and man["version"] == onebit.__version__
     env = man["environment"]
     assert env["python"] == platform.python_version()
@@ -143,7 +143,7 @@ def test_run_sweep_records_error_rows(monkeypatch):
         return real(ens, y, tol)
 
     monkeypatch.setattr(harness, "recover", flaky)
-    rows = run_sweep(small_config())
+    rows = small_sweep()
     good = [r for r in rows if r.m == 20]
     bad = [r for r in rows if r.m == 30]
     assert all(np.isfinite(r.error) for r in good)
@@ -159,7 +159,7 @@ def test_run_sweep_propagates_programming_errors(monkeypatch):
 
     monkeypatch.setattr(harness, "recover", typo)
     with pytest.raises(TypeError, match="synthetic programming error"):
-        run_sweep(small_config())
+        small_sweep()
 
 
 def test_run_sweep_all_failures_raise(monkeypatch):
@@ -168,14 +168,13 @@ def test_run_sweep_all_failures_raise(monkeypatch):
 
     monkeypatch.setattr(harness, "recover", broken)
     with pytest.raises(RuntimeError, match="every sweep trial failed"):
-        run_sweep(small_config())
+        small_sweep()
 
 
-def test_run_sweep_needs_a_trial(tmp_path):
-    # zero trials would measure nothing; refuse before writing any file
+def test_run_sweep_needs_a_trial():
+    # zero trials would measure nothing
     with pytest.raises(ValueError, match="need at least one trial"):
-        run_sweep(small_config(tmp_path, trials=0))
-    assert list(tmp_path.iterdir()) == []
+        small_sweep(trials=0)
 
 
 def test_verify_concentration_report():
@@ -380,6 +379,10 @@ def test_cli_recover_bad_inputs(tmp_path, capsys):
     # matrix without signs is a usage-level error reported as failure
     assert main(["recover", "--matrix", str(mat)]) == 1
     capsys.readouterr()
+    # and so are signs or a signal without a matrix: nothing synthetic is solved
+    for flag in ("--signs", "--signal"):
+        assert main(["recover", flag, str(mat)]) == 1
+        assert capsys.readouterr() == ("", "error: --signs and --signal require --matrix\n")
     # a signal whose length is not the matrix's column count fails before solving
     good = tmp_path / "good.txt"
     good.write_text("1\n1\n1\n")
@@ -407,6 +410,10 @@ def test_cli_sweep(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: need at least one trial\n"
     assert not empty.exists()
+    # the rows are written before the summary is printed: a failed write prints none
+    assert main(SMALL_ARGV + ["--out", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ")
 
 
 def test_cli_tessellate(tmp_path, capsys):
@@ -430,9 +437,9 @@ def test_cli_tessellate(tmp_path, capsys):
             assert re.fullmatch(r"\d+", row[name])
     assert "\r" not in out.read_text(encoding="utf-8")
     man = json.loads((tmp_path / "tess.manifest.json").read_text(encoding="utf-8"))
-    assert man["config"]["task"] == "tessellate"
-    assert man["config"]["m_list"] == [10, 20]
-    assert man["config"]["delta"] == 0.5
+    # the parsed command line; tessellate reads no --dist or --mag
+    assert man["config"] == {"command": "tessellate", "n": 12, "s": 2, "m": [10, 20],
+                             "trials": 60, "seed": 2, "delta": 0.5, "out": str(out)}
 
 
 def test_cli_tessellate_reads_arrays_only(capsys, monkeypatch):
@@ -469,11 +476,17 @@ def test_cli_tessellate_needs_a_sample(capsys):
 
 
 def test_cli_gen_and_recover_need_a_row(tmp_path, capsys):
-    # no rows: gen would write a 0 x n matrix, and recover would blame the signs
+    # no rows: gen would write a 0 x n matrix, and recover would blame the signs,
+    # whether the rows are drawn or read from an empty file
     assert main(["gen", "--m", "0", "--out", str(tmp_path / "inst")]) == 1
     assert capsys.readouterr().err == "error: need at least one row\n"
     assert list(tmp_path.iterdir()) == []
     assert main(["recover", "--m", "0"]) == 1
+    assert capsys.readouterr().err == "error: need at least one row\n"
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with pytest.warns(UserWarning, match="input contained no data"):
+        assert main(["recover", "--matrix", str(empty), "--signs", str(empty)]) == 1
     assert capsys.readouterr().err == "error: need at least one row\n"
     with pytest.raises(ValueError, match="unknown distribution"):
         gen_instance(16, 2, 10, 1, "cauchy", "unit_gaussian")
@@ -503,7 +516,7 @@ def test_gen_instance_is_the_cli_and_sweep_instance(tmp_path, dist, mag):
     assert np.array_equal(np.loadtxt(prefix + "_signs.txt", dtype=np.int64),
                           sign_quantize(ens.rows @ x))
     # each sweep trial is the instance at derive_seed(seed, m, trial)
-    rows = run_sweep(small_config(distribution=dist, magnitude_model=mag))
+    rows = small_sweep(distribution=dist, magnitude_model=mag)
     for r in rows:
         assert r.seed == derive_seed(3, r.m, r.trial)
         xt, _ = gen_instance(16, 2, r.m, r.seed, dist, mag)
@@ -669,7 +682,7 @@ def test_package_version_has_one_source():
 
 
 def test_manifest_path_derivation(tmp_path):
-    cfg = small_config()
-    path = write_manifest(cfg, str(tmp_path / "data.csv"))
+    config = {"command": "sweep", "m": [20, 30]}
+    path = write_manifest(config, str(tmp_path / "data.csv"))
     assert path.endswith("data.manifest.json")
-    assert json.loads(Path(path).read_text(encoding="utf-8"))["config"]["task"] == "sweep"
+    assert json.loads(Path(path).read_text(encoding="utf-8"))["config"] == config

@@ -30,32 +30,12 @@ from oracles import (
     brute_force_vertex_solve,
     canonical,
     full_tableau_solve_lp,
+    random_small_lp,
     solve_general,
 )
 
 
 lp = GeneralLP
-
-
-def random_small_lp(seed, mask="free"):
-    """Half-integer random LP with d <= 6 and p + q <= 8, feasible at z = 0.
-
-    The equality rhs is 0 and the inequality rhs is -|draw|; the rhs draws
-    stay, so the rest of the stream is the same.  mask picks the nonnegative
-    variables: "free" (none), "nonneg" (all) or "mixed" (each with
-    probability 1/2).
-    """
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 7))
-    p = int(rng.integers(0, 3))
-    q = int(rng.integers(0, 9 - p))
-    mk = lambda r: rng.integers(-4, 5, size=(r, d)) / 2.0
-    args = (rng.integers(-4, 5, size=d) / 2.0,
-            mk(p), np.zeros_like(rng.integers(-4, 5, size=p), dtype=float),
-            mk(q), -np.abs(rng.integers(-4, 5, size=q)) / 2.0)
-    nonneg = {"free": np.zeros(d, dtype=bool), "nonneg": np.ones(d, dtype=bool),
-              "mixed": rng.integers(0, 2, size=d).astype(bool)}[mask]
-    return lp(*args, nonneg=nonneg)
 
 
 def test_single_bound():
