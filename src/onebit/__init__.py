@@ -37,8 +37,6 @@ from .recovery import (
 from .geometry import (
     SignalSetSpec,
     TessellationReport,
-    block_decompose,
-    hard_threshold,
     sample_sphere_cap,
     separation_count,
     sign_pattern_cells,
@@ -67,7 +65,6 @@ __all__ = [
     "ToleranceConfig",
     "VertexCertificate",
     "__version__",
-    "block_decompose",
     "build_recovery_lp",
     "constraint_violation",
     "derive_seed",
@@ -76,7 +73,6 @@ __all__ = [
     "gen_bernoulli_ensemble",
     "gen_gaussian_ensemble",
     "gen_sparse_signal",
-    "hard_threshold",
     "mix64",
     "recover",
     "recovery_error",

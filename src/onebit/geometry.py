@@ -31,61 +31,10 @@ class SignalSetSpec:
     def __post_init__(self) -> None:
         if self.kind != "effectively_sparse":
             raise ValueError(f"unknown signal set kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError("ambient dimension n must be at least 1")
         if not 1 <= self.s <= self.n:
             raise ValueError("sparsity must satisfy 1 <= s <= n")
-
-    def contains(self, x) -> bool:
-        """Membership in K(n, s), with 1e-9 slack on both norm bounds."""
-        v = np.asarray(x, dtype=np.float64)
-        if v.shape != (self.n,):
-            return False
-        if np.linalg.norm(v) > 1.0 + 1e-9:
-            return False
-        return float(np.abs(v).sum()) <= np.sqrt(self.s) + 1e-9
-
-
-def hard_threshold(x, t: int) -> np.ndarray:
-    """Keep the t largest-magnitude entries of x, zeroing the rest.
-
-    Ties in magnitude are resolved toward the lowest index, so the result
-    is deterministic.  For any x with ||x||_1 <= sqrt(s) the tail obeys
-    ||x - hard_threshold(x, t)||_2 <= sqrt(s / t).
-    """
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a vector")
-    if t < 1:
-        raise ValueError("threshold size t must be at least 1")
-    order = np.argsort(-np.abs(v), kind="stable")
-    out = np.zeros_like(v)
-    keep = order[:t]
-    out[keep] = v[keep]
-    return out
-
-
-def block_decompose(x, s: int) -> list[np.ndarray]:
-    """Split x in K(n, s) into disjoint blocks of at most s coordinates each.
-
-    Blocks are taken in decreasing magnitude order (ties toward the lowest
-    index): the first block holds the s largest entries, the next the
-    following s, and so on over the support.  The blocks sum to x exactly,
-    and for members of K(n, s) the block l2 norms sum to at most 2.
-
-    Raises
-    ------
-    ValueError
-        If s is out of range or x lies outside K(n, s) ("not in K").
-    """
-    v = np.asarray(x, dtype=np.float64)
-    n = v.shape[0]
-    spec = SignalSetSpec(n, s)   # rejects s outside [1, n]
-    if not spec.contains(v):
-        raise ValueError("not in K")
-    support = np.flatnonzero(v)
-    order = support[np.argsort(-np.abs(v[support]), kind="stable")]
-    blocks = np.zeros((max(1, -(-order.size // s)), n))
-    blocks[np.arange(order.size) // s, order] = v[order]
-    return list(blocks)
 
 
 def sample_sphere_cap(spec: SignalSetSpec, count: int, seed: int) -> np.ndarray:

@@ -279,9 +279,8 @@ class BernoulliCounterexampleReport:
     gaussian_differs: bool           # same pair distinguished by Gaussian rows
 
 
-def verify_bernoulli_counterexample(n: int = 32, m: int = 1000,
-                                    num_seeds: int = 20,
-                                    seed: int = 0) -> BernoulliCounterexampleReport:
+def verify_bernoulli_counterexample(n: int, m: int, num_seeds: int,
+                                    seed: int) -> BernoulliCounterexampleReport:
     """Demonstrate that +-1 measurement ensembles cannot work.
 
     For x = e1 and x' = e1 + e2/2, every +-1 row a satisfies

@@ -14,6 +14,10 @@ random_small_lp draws the tiny general-form LPs that the solver is checked
 on against brute_force_vertex_solve.
 reference_recovery_lp is recovery.build_recovery_lp as it was before the LP
 was assembled column-major; build_recovery_lp must return its bytes.
+contains, hard_threshold and block_decompose are the membership test of
+K(n, s) and the two steps of the paper's proof (sparse vectors are a net of
+K(n, s); a member of K(n, s) splits into s-sparse blocks), which criterion 09
+and the lemma tests check; no command runs them.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.linalg.blas import dger
 
+from onebit.geometry import SignalSetSpec
 from onebit.lp_core import (
     OPTIMALITY_TOL,
     PIVOT_TOL,
@@ -475,3 +480,57 @@ def reference_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     c = np.zeros(d)
     c[m] = -1.0
     return LinearProgram(c, rows, np.full(2 * n, -1.0))
+
+
+def contains(spec: SignalSetSpec, x) -> bool:
+    """Membership in K(spec.n, spec.s), with 1e-9 slack on both norm bounds."""
+    v = np.asarray(x, dtype=np.float64)
+    if v.shape != (spec.n,):
+        return False
+    if np.linalg.norm(v) > 1.0 + 1e-9:
+        return False
+    return float(np.abs(v).sum()) <= np.sqrt(spec.s) + 1e-9
+
+
+def hard_threshold(x, t: int) -> np.ndarray:
+    """Keep the t largest-magnitude entries of x, zeroing the rest.
+
+    Ties in magnitude are resolved toward the lowest index, so the result
+    is deterministic.  For any x with ||x||_1 <= sqrt(s) the tail obeys
+    ||x - hard_threshold(x, t)||_2 <= sqrt(s / t).
+    """
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError("expected a vector")
+    if t < 1:
+        raise ValueError("threshold size t must be at least 1")
+    order = np.argsort(-np.abs(v), kind="stable")
+    out = np.zeros_like(v)
+    keep = order[:t]
+    out[keep] = v[keep]
+    return out
+
+
+def block_decompose(x, s: int) -> list[np.ndarray]:
+    """Split x in K(n, s) into disjoint blocks of at most s coordinates each.
+
+    Blocks are taken in decreasing magnitude order (ties toward the lowest
+    index): the first block holds the s largest entries, the next the
+    following s, and so on over the support.  The blocks sum to x exactly,
+    and for members of K(n, s) the block l2 norms sum to at most 2.
+
+    Raises
+    ------
+    ValueError
+        If s is out of range or x lies outside K(n, s) ("not in K").
+    """
+    v = np.asarray(x, dtype=np.float64)
+    n = v.shape[0]
+    spec = SignalSetSpec(n, s)   # rejects s outside [1, n]
+    if not contains(spec, v):
+        raise ValueError("not in K")
+    support = np.flatnonzero(v)
+    order = support[np.argsort(-np.abs(v[support]), kind="stable")]
+    blocks = np.zeros((max(1, -(-order.size // s)), n))
+    blocks[np.arange(order.size) // s, order] = v[order]
+    return list(blocks)

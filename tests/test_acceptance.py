@@ -12,8 +12,6 @@ import pytest
 
 from onebit.geometry import (
     SignalSetSpec,
-    block_decompose,
-    hard_threshold,
     sample_sphere_cap,
     separation_count,
     sign_pattern_cells,
@@ -35,7 +33,13 @@ from onebit.measurement import (
     uniform_grid,
 )
 from onebit.recovery import recover, recovery_error
-from oracles import brute_force_vertex_solve, random_small_lp, solve_general
+from oracles import (
+    block_decompose,
+    brute_force_vertex_solve,
+    hard_threshold,
+    random_small_lp,
+    solve_general,
+)
 
 SWEEP_MS = (100, 200, 400, 800)
 

@@ -8,8 +8,6 @@ import pytest
 from onebit.geometry import (
     PairSeparation,
     SignalSetSpec,
-    block_decompose,
-    hard_threshold,
     sample_sphere_cap,
     separation_count,
     sign_pattern_cells,
@@ -19,6 +17,7 @@ from onebit.geometry import (
     tessellation_rows,
 )
 from onebit.measurement import derive_seed, gen_gaussian_ensemble, normal_grid, uniform_grid
+from oracles import block_decompose, contains, hard_threshold
 
 
 def cap_spec(n, s):
@@ -149,7 +148,7 @@ def _loop_block_decompose(x, s):
     n = v.shape[0]
     if not 1 <= s <= n:
         raise ValueError("sparsity must satisfy 1 <= s <= n")
-    if not SignalSetSpec(n, s, "effectively_sparse").contains(v):
+    if not contains(SignalSetSpec(n, s, "effectively_sparse"), v):
         raise ValueError("not in K")
     support = np.flatnonzero(v)
     order = support[np.argsort(-np.abs(v[support]), kind="stable")]
@@ -202,6 +201,9 @@ def test_block_decompose_matches_loop_reference():
 
 
 def test_signal_set_spec_validation():
+    for n in (0, -3):   # a bad n is blamed on n, not on s
+        with pytest.raises(ValueError, match="ambient dimension n must be at least 1"):
+            SignalSetSpec(n, 1, "effectively_sparse")
     with pytest.raises(ValueError):
         SignalSetSpec(8, 0.5, "effectively_sparse")   # s < 1
     with pytest.raises(ValueError):
@@ -210,8 +212,8 @@ def test_signal_set_spec_validation():
         SignalSetSpec(8, 2, "banded")
     with pytest.raises(ValueError, match="unknown signal set kind"):
         SignalSetSpec(8, 2, "exactly_sparse")   # K(n, s) is the one set
-    assert cap_spec(8, 2).contains(np.full(8, 0.125))
-    assert not cap_spec(8, 2).contains(np.full(7, 0.125))   # wrong shape
+    assert contains(cap_spec(8, 2), np.full(8, 0.125))
+    assert not contains(cap_spec(8, 2), np.full(7, 0.125))   # wrong shape
 
 
 def test_separation_count_basics():

@@ -1,5 +1,6 @@
 """Tests for sweep orchestration, statistical checks, CSV output, and CLI."""
 
+import inspect
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import platform
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,11 @@ def test_verify_bernoulli_counterexample_report():
         verify_bernoulli_counterexample(n=8, m=0, num_seeds=10, seed=5)
     with pytest.raises(ValueError, match="need n >= 2"):
         verify_bernoulli_counterexample(n=1, m=500, num_seeds=10, seed=5)
+    # no defaults to disagree with `onebit verify`'s: every verify_* argument is required
+    for check in (verify_concentration, verify_uniform_concentration,
+                  verify_bernoulli_counterexample):
+        params = inspect.signature(check).parameters.values()
+        assert all(p.default is inspect.Parameter.empty for p in params), check.__name__
 
 
 def _full_width_bernoulli_counterexample(n, m, num_seeds, seed):
@@ -475,6 +482,14 @@ def test_cli_tessellate_needs_a_sample(capsys):
     assert capsys.readouterr() == ("", "error: need at least one sample\n")
 
 
+def test_cli_bad_n_is_blamed_on_n(capsys):
+    # SignalSetSpec checks n before s, so the message names the bad argument
+    for argv in (["tessellate", "--n", "0"],
+                 ["verify", "--check", "uniform-concentration", "--n", "0"]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: ambient dimension n must be at least 1\n")
+
+
 def test_cli_gen_and_recover_need_a_row(tmp_path, capsys):
     # no rows: gen would write a 0 x n matrix, and recover would blame the signs,
     # whether the rows are drawn or read from an empty file
@@ -679,6 +694,13 @@ def test_package_version_has_one_source():
     out = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
                          capture_output=True, text=True, check=True).stdout
     assert out == f"{onebit.__version__} False False\n"
+
+
+def test_package_exports_are_its_public_names():
+    exec("from onebit import *", {})   # raises AttributeError on a stale __all__ entry
+    public = {name for name, value in vars(onebit).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(onebit.__all__) == sorted(public | {"__version__"})
 
 
 def test_manifest_path_derivation(tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import onebit
+import onebit.geometry
 import onebit.lp_core
 import onebit.recovery
 import oracles
@@ -327,10 +328,13 @@ def test_settings_and_public_surface():
     assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["iteration_factor"]
     assert (OPTIMALITY_TOL, PIVOT_TOL, onebit.lp_core.STALL_LIMIT) == (1e-9, 1e-10, 1000)
     assert not hasattr(onebit.lp_core, "FEASIBILITY_TOL")
-    # the reference oracles are test code, not library API
-    for module in (onebit, onebit.lp_core, onebit.recovery):
-        for name in ("brute_force_vertex_solve", "nonconvex_oracle"):
+    # the reference oracles and the proof-lemma helpers are test code, not
+    # library API
+    for module in (onebit, onebit.lp_core, onebit.recovery, onebit.geometry):
+        for name in ("brute_force_vertex_solve", "nonconvex_oracle",
+                     "hard_threshold", "block_decompose"):
             assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(onebit.SignalSetSpec, "contains")
 
 
 def test_validation_errors():

@@ -10,7 +10,6 @@ from onebit.lp_core import LpSolution, ToleranceConfig, max_violation, solve_lp
 from onebit.measurement import (
     MeasurementEnsemble,
     derive_seed,
-    gen_bernoulli_ensemble,
     gen_gaussian_ensemble,
     gen_sparse_signal,
     sign_quantize,
@@ -35,10 +34,7 @@ def make_instance(n, s, m, seed):
 
 def sweep_trial(seed, m, dist, mag, n=128, s=4, trial=0):
     """The instance `onebit sweep --seed seed --m m` solves as trial `trial`."""
-    tseed = derive_seed(seed, m, trial)
-    x = gen_sparse_signal(n, s, derive_seed(tseed, 1), mag)
-    gen = gen_gaussian_ensemble if dist == "gaussian" else gen_bernoulli_ensemble
-    ens = gen(m, n, derive_seed(tseed, 2))
+    x, ens = gen_instance(n, s, m, derive_seed(seed, m, trial), dist, mag)
     return x, ens, sign_quantize(ens.rows @ x)
 
 
