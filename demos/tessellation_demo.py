@@ -35,8 +35,8 @@ for m in (0, 25, 50, 100, 200, 400):
 # refinement is exact, not statistical: adding rows only ever splits cells
 X = tessellation_points(spec, samples, seed)
 A = tessellation_rows(spec, 400, seed)
-coarse = sign_pattern_cells(X, A[:100])
-fine = sign_pattern_cells(X, A[:400])
+coarse = sign_pattern_cells(X @ A[:100].T)
+fine = sign_pattern_cells(X @ A[:400].T)
 splits = sum(np.unique(coarse[fine == cid]).size == 1
              for cid in range(fine.max() + 1))
 print(f"\nevery one of the {fine.max() + 1} cells at m=400 sits inside a "

@@ -149,13 +149,15 @@ class TessellationReport:
                         self.count_rev.tolist()))
 
 
-def sign_pattern_cells(points: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Label each point by its sign-pattern cell, ids in first-seen order."""
-    G = points @ rows.T
-    S = np.sign(G).astype(np.int8)
+def sign_pattern_cells(products: np.ndarray) -> np.ndarray:
+    """Label each row of products = points @ rows.T by its sign-pattern cell.
+
+    Points with the same sign pattern share a cell; ids are in first-seen order.
+    """
+    S = np.sign(products).astype(np.int8)
     labels: dict[bytes, int] = {}
-    ids = np.empty(points.shape[0], dtype=np.int64)
-    for idx in range(points.shape[0]):
+    ids = np.empty(S.shape[0], dtype=np.int64)
+    for idx in range(S.shape[0]):
         key = S[idx].tobytes()
         ids[idx] = labels.setdefault(key, len(labels))
     return ids
@@ -202,8 +204,8 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
     X = tessellation_points(spec, sample_count, seed)
-    A = tessellation_rows(spec, m, seed)
-    cells = sign_pattern_cells(X, A)
+    G = X @ tessellation_rows(spec, m, seed).T
+    cells = sign_pattern_cells(G)
     num_cells = int(cells.max()) + 1 if cells.size else 0
 
     gram = X @ X.T
@@ -212,7 +214,6 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     max_diam = float(dist[cells[:, None] == cells].max(initial=0.0))
 
     margin = delta / 30.0
-    G = X @ A.T
     above = (G > margin).astype(np.float32)
     below = (G < -margin).astype(np.float32)
     # counts[p, q] = #separators for (p, q); float32 sums of 0/1 terms are

@@ -1,4 +1,4 @@
-"""Experiment harness: recovery sweeps, concentration checks, CSV and manifest writers.
+"""Experiment harness: recovery sweeps, concentration measurements, CSV and manifest writers.
 
 The sweeps and checks return their results and write no file; the command
 line writes each data file and its manifest through write_sweep_csv and
@@ -188,29 +188,24 @@ def write_manifest(config: dict, data_path: str) -> str:
 class ConcentrationReport:
     mean_abs_moment: float        # mean over trials of (1/m) sum |<a_i, x>|
     deviations: np.ndarray        # per-trial deviation from sqrt(2/pi)
-    exceedance_fraction: float    # fraction of trials with deviation > t
-    fit_thresholds: np.ndarray
-    fit_fractions: np.ndarray
     decay_rate: float             # c in exceedance ~ C exp(-c m t^2), nan if unfit
 
 
-def verify_concentration(n: int, m: int, trials: int, t: float,
-                         seed: int) -> ConcentrationReport:
-    """Check concentration of the first absolute moment on random unit vectors.
+def verify_concentration(n: int, m: int, trials: int, seed: int) -> ConcentrationReport:
+    """Measure concentration of the first absolute moment on random unit vectors.
 
     Each trial draws a fresh unit vector and a fresh m-row Gaussian ensemble
     and computes (1/m) sum_i |<a_i, x>|, which concentrates around
     sqrt(2/pi) ~ 0.7979 at rate exp(-c m t^2).  The decay rate is fitted by
     regressing log exceedance on m t'^2 over a small threshold grid; it is
     nan unless at least two of the grid's exceedance fractions are positive
-    and distinct.
+    and distinct.  No threshold is applied here: `onebit verify` judges the
+    deviations.
     """
     if m < 1:
         raise ValueError("need at least one row")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if not 0 < t < np.inf:
-        raise ValueError("threshold t must be positive and finite")
     devs = np.empty(trials)
     moments = np.empty(trials)
     for k in range(trials):
@@ -229,26 +224,13 @@ def verify_concentration(n: int, m: int, trials: int, t: float,
         decay = float(-slope)
     else:
         decay = float("nan")
-    return ConcentrationReport(
-        mean_abs_moment=float(moments.mean()),
-        deviations=devs,
-        exceedance_fraction=float((devs > t).mean()),
-        fit_thresholds=grid,
-        fit_fractions=fracs,
-        decay_rate=decay,
-    )
-
-
-@dataclass
-class UniformConcentrationReport:
-    deviations: np.ndarray    # one per sampled point, same ensemble throughout
-    max_deviation: float      # lower bound on the supremum over the cap
-    exceeded: bool
+    return ConcentrationReport(mean_abs_moment=float(moments.mean()), deviations=devs,
+                               decay_rate=decay)
 
 
 def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
-                                 t: float, seed: int) -> UniformConcentrationReport:
-    """Check the moment deviation uniformly over sampled points of the cap.
+                                 seed: int) -> float:
+    """The largest moment deviation over sampled points of the cap.
 
     One ensemble, many points of K(n, s) on the sphere: the maximum sampled
     deviation lower-bounds the supremum that the uniform concentration bound
@@ -258,17 +240,11 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
         raise ValueError("need at least one row")
     if sample_count < 1:
         raise ValueError("need at least one sample")
-    if not 0 < t < np.inf:
-        raise ValueError("threshold t must be positive and finite")
     X = sample_sphere_cap(SignalSetSpec(n, s), sample_count, derive_seed(seed, 1))
     ens = gen_gaussian_ensemble(m, n, derive_seed(seed, 2))
     products = ens.rows @ X.T
     moments = np.abs(products, out=products).mean(axis=0)
-    devs = np.abs(moments - ROOT_TWO_OVER_PI)
-    return UniformConcentrationReport(
-        deviations=devs, max_deviation=float(devs.max()),
-        exceeded=bool(devs.max() > t),
-    )
+    return float(np.abs(moments - ROOT_TWO_OVER_PI).max())
 
 
 @dataclass

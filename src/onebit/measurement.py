@@ -238,6 +238,8 @@ def gen_sparse_signal(n: int, s: int, seed: int,
     Returns:
         Dense float64 vector with exactly s nonzero entries.
     """
+    if n < 1:
+        raise ValueError("ambient dimension n must be at least 1")
     if not 1 <= s <= n:
         raise ValueError("sparsity s must satisfy 1 <= s <= n")
     if magnitude_model not in ("unit_gaussian", "constant"):

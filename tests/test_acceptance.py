@@ -165,15 +165,16 @@ def test_criterion_05_effective_sparsity_preservation(big_sweep):
 
 def test_criterion_06_concentration():
     t0 = time.perf_counter()
-    rep = verify_concentration(64, 20000, trials=100, t=0.02, seed=7)
+    rep = verify_concentration(64, 20000, trials=100, seed=7)
     elapsed = time.perf_counter() - t0
+    exceedance = float((rep.deviations > 0.02).mean())
     mean_gap = abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI)
-    ok = rep.exceedance_fraction <= 0.01 and mean_gap <= 0.005 and elapsed < 30.0
+    ok = exceedance <= 0.01 and mean_gap <= 0.005 and elapsed < 30.0
     report(6, "concentration of the first absolute moment", ok,
-           f"exceedance {rep.exceedance_fraction:.3f}, mean "
+           f"exceedance {exceedance:.3f}, mean "
            f"{rep.mean_abs_moment:.5f} (target {ROOT_TWO_OVER_PI:.5f}), "
            f"{elapsed:.1f}s")
-    assert rep.exceedance_fraction <= 0.01
+    assert exceedance <= 0.01
     assert mean_gap <= 0.005
     assert elapsed < 30.0
 
@@ -210,7 +211,7 @@ def test_criterion_08_tessellation_refinement():
     reports = [tessellate_and_report(spec, m, 0.5, 500, seed) for m in ms]
     X = tessellation_points(spec, 500, seed)
     A = tessellation_rows(spec, 400, seed)
-    labels = [sign_pattern_cells(X, A[:m]) for m in ms]
+    labels = [sign_pattern_cells(X @ A[:m].T) for m in ms]
 
     refines = True
     for coarse, fine in zip(labels, labels[1:]):

@@ -289,8 +289,8 @@ def test_sign_pattern_cells_refinement():
     spec = cap_spec(12, 2)
     X = tessellation_points(spec, 150, seed=3)
     A = tessellation_rows(spec, 40, seed=3)
-    coarse = sign_pattern_cells(X, A[:10])
-    fine = sign_pattern_cells(X, A[:40])
+    coarse = sign_pattern_cells(X @ A[:10].T)
+    fine = sign_pattern_cells(X @ A[:40].T)
     # same fine cell implies same coarse cell (each cell splits or persists)
     for cid in range(fine.max() + 1):
         members = np.flatnonzero(fine == cid)

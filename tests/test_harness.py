@@ -18,6 +18,7 @@ import scipy
 import onebit
 import onebit.harness as harness
 from onebit.cli import main
+from onebit.geometry import SignalSetSpec, sample_sphere_cap
 from onebit.harness import (
     ROOT_TWO_OVER_PI,
     SWEEP_FIELDS,
@@ -180,53 +181,46 @@ def test_run_sweep_needs_a_trial():
 
 
 def test_verify_concentration_report():
-    rep = verify_concentration(16, 2000, trials=30, t=0.05, seed=7)
+    rep = verify_concentration(16, 2000, trials=30, seed=7)
     assert rep.deviations.shape == (30,)
-    assert 0.0 <= rep.exceedance_fraction <= 1.0
-    assert rep.exceedance_fraction == np.mean(rep.deviations > 0.05)
     assert abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= 0.05
     # nested events: exceedance can only grow as the threshold shrinks
     assert np.mean(rep.deviations > 0.01) >= np.mean(rep.deviations > 0.02)
-    assert (np.diff(rep.fit_fractions) <= 0).all()
-    again = verify_concentration(16, 2000, trials=30, t=0.05, seed=7)
+    again = verify_concentration(16, 2000, trials=30, seed=7)
     assert np.array_equal(rep.deviations, again.deviations)
     with pytest.raises(ValueError, match="at least one trial"):
-        verify_concentration(16, 2000, trials=0, t=0.05, seed=7)
+        verify_concentration(16, 2000, trials=0, seed=7)
     # no rows would make every moment the nan mean of an empty slice
     with pytest.raises(ValueError, match="need at least one row"):
-        verify_concentration(16, 0, trials=30, t=0.05, seed=7)
+        verify_concentration(16, 0, trials=30, seed=7)
 
 
 def test_verify_uniform_concentration_bound():
-    rep = verify_uniform_concentration(64, 4, 5000, sample_count=500,
-                                       t=0.1, seed=2)
-    assert rep.deviations.shape == (500,)
-    assert rep.max_deviation == rep.deviations.max()
-    assert rep.max_deviation <= 0.1
-    assert not rep.exceeded
+    max_dev = verify_uniform_concentration(64, 4, 5000, sample_count=500, seed=2)
+    assert 0.0 <= max_dev <= 0.1
 
 
 def test_verify_uniform_concentration_m_doubling():
     # doubling the rows tightens the sampled supremum for most seeds
     lo, hi = [], []
     for seed in range(20):
-        lo.append(verify_uniform_concentration(64, 4, 5000, 300, 0.1,
-                                               seed).max_deviation)
-        hi.append(verify_uniform_concentration(64, 4, 10000, 300, 0.1,
-                                               seed).max_deviation)
+        lo.append(verify_uniform_concentration(64, 4, 5000, 300, seed))
+        hi.append(verify_uniform_concentration(64, 4, 10000, 300, seed))
     assert np.median(hi) < np.median(lo)
 
 
 def test_verify_uniform_concentration_single_sample():
-    rep = verify_uniform_concentration(16, 2, 1000, sample_count=1,
-                                       t=0.05, seed=11)
-    assert rep.deviations.shape == (1,)
-    assert rep.max_deviation == rep.deviations[0]
+    # one sample: the largest deviation is that point's own
+    max_dev = verify_uniform_concentration(16, 2, 1000, sample_count=1, seed=11)
+    x = sample_sphere_cap(SignalSetSpec(16, 2), 1, derive_seed(11, 1))[0]
+    rows = gen_gaussian_ensemble(1000, 16, derive_seed(11, 2)).rows
+    assert max_dev == pytest.approx(abs(np.abs(rows @ x).mean() - ROOT_TWO_OVER_PI),
+                                    rel=0, abs=1e-12)
     with pytest.raises(ValueError):
-        verify_uniform_concentration(16, 2, 1000, sample_count=0, t=0.05, seed=1)
-    # no rows would give a nan max_deviation, which no threshold exceeds
+        verify_uniform_concentration(16, 2, 1000, sample_count=0, seed=1)
+    # no rows would give a nan max_dev, which no threshold exceeds
     with pytest.raises(ValueError, match="need at least one row"):
-        verify_uniform_concentration(16, 2, 0, sample_count=1, t=0.05, seed=1)
+        verify_uniform_concentration(16, 2, 0, sample_count=1, seed=1)
 
 
 def test_verify_bernoulli_counterexample_report():
@@ -245,8 +239,14 @@ def test_verify_bernoulli_counterexample_report():
     # no defaults to disagree with `onebit verify`'s: every verify_* argument is required
     for check in (verify_concentration, verify_uniform_concentration,
                   verify_bernoulli_counterexample):
-        params = inspect.signature(check).parameters.values()
-        assert all(p.default is inspect.Parameter.empty for p in params), check.__name__
+        params = inspect.signature(check).parameters
+        assert all(p.default is inspect.Parameter.empty
+                   for p in params.values()), check.__name__
+        # the library measures; `onebit verify` owns every threshold and verdict
+        assert "t" not in params, check.__name__
+    assert list(harness.ConcentrationReport.__dataclass_fields__) == [
+        "mean_abs_moment", "deviations", "decay_rate"]
+    assert not hasattr(harness, "UniformConcentrationReport")
 
 
 def _full_width_bernoulli_counterexample(n, m, num_seeds, seed):
@@ -482,10 +482,14 @@ def test_cli_tessellate_needs_a_sample(capsys):
     assert capsys.readouterr() == ("", "error: need at least one sample\n")
 
 
-def test_cli_bad_n_is_blamed_on_n(capsys):
-    # SignalSetSpec checks n before s, so the message names the bad argument
+def test_cli_bad_n_is_blamed_on_n(tmp_path, capsys):
+    # SignalSetSpec and gen_sparse_signal check n before s, so the message
+    # names the bad argument
     for argv in (["tessellate", "--n", "0"],
-                 ["verify", "--check", "uniform-concentration", "--n", "0"]):
+                 ["verify", "--check", "uniform-concentration", "--n", "0"],
+                 ["sweep", "--n", "0", "--out", str(tmp_path / "x.csv")],
+                 ["gen", "--n", "0", "--out", str(tmp_path / "g")],
+                 ["recover", "--n", "0"]):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: ambient dimension n must be at least 1\n")
 
@@ -511,8 +515,8 @@ def test_cli_verify_concentration_decay_needs_two_fractions(capsys):
     # one trial makes every fraction of the decay fit 1: no slope to read
     assert main(["verify", "--check", "concentration", "--trials", "1"]) == 0
     assert " decay_rate=nan\n" in capsys.readouterr().out
-    rep = verify_concentration(16, 2000, trials=1, t=0.05, seed=7)
-    assert (rep.fit_fractions == 1.0).all() and math.isnan(rep.decay_rate)
+    rep = verify_concentration(16, 2000, trials=1, seed=7)
+    assert rep.deviations.shape == (1,) and math.isnan(rep.decay_rate)
 
 
 @pytest.mark.parametrize("dist,mag", [("gaussian", "unit_gaussian"), ("bernoulli", "constant")])
@@ -593,12 +597,10 @@ def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
 
     seen = []
 
-    def fake(n, m, trials, t, seed, gap=0.0):
-        seen.append(t)
-        return harness.ConcentrationReport(
-            mean_abs_moment=ROOT_TWO_OVER_PI + gap,
-            deviations=np.zeros(trials), exceedance_fraction=0.0, fit_thresholds=np.zeros(0),
-            fit_fractions=np.zeros(0), decay_rate=float("nan"))
+    def fake(n, m, trials, seed, gap=0.0):
+        return harness.ConcentrationReport(mean_abs_moment=ROOT_TWO_OVER_PI + gap,
+                                           deviations=np.zeros(trials),
+                                           decay_rate=float("nan"))
 
     # at m = 20000 and 100 trials: threshold 0.02 and mean tolerance 0.005,
     # exactly as before; the tolerance scales as 1/sqrt(m * trials)
@@ -609,12 +611,35 @@ def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
         monkeypatch.setattr(onebit.cli, "verify_concentration",
                             lambda *a, gap=gap: fake(*a, gap=gap))
         assert main(["verify", "--check", "concentration"] + argv) == code, (argv, gap)
-        capsys.readouterr()
+        out = capsys.readouterr().out
+        seen.append(float(re.search(r"exceedance@(\S+)=", out).group(1)))
     assert seen[:2] == [0.02, 0.02] and seen[2] == 0.02 * math.sqrt(20)
     # a given --delta is used as is
-    seen.clear()
     assert main(["verify", "--check", "concentration", "--m", "1000", "--delta", "0.05"]) == 0
-    assert seen == [0.05] and "exceedance@0.05=" in capsys.readouterr().out
+    assert "exceedance@0.05=" in capsys.readouterr().out
+
+
+def test_cli_verify_concentration_verdicts(capsys, monkeypatch):
+    # the pass rules compare as they did in the library: a largest deviation
+    # of exactly t passes and the next float above fails; an exceedance of
+    # 5 in 100 passes and 6 fails, a deviation equal to t not counting
+    t = 0.05
+    above = math.nextafter(t, math.inf)
+    for max_dev, code in ((t, 0), (above, 1)):
+        monkeypatch.setattr(onebit.cli, "verify_uniform_concentration", lambda *a: max_dev)
+        assert main(["verify", "--check", "uniform-concentration",
+                     "--delta", str(t)]) == code, max_dev
+        assert capsys.readouterr().out.endswith("FAIL\n" if code else "PASS\n")
+    for count, code in ((5, 0), (6, 1)):
+        rep = harness.ConcentrationReport(
+            mean_abs_moment=ROOT_TWO_OVER_PI,
+            deviations=np.where(np.arange(100) < count, above, t), decay_rate=float("nan"))
+        monkeypatch.setattr(onebit.cli, "verify_concentration", lambda *a: rep)
+        assert main(["verify", "--check", "concentration", "--trials", "100",
+                     "--delta", str(t)]) == code, count
+        out = capsys.readouterr().out
+        assert f"exceedance@{t}={count / 100:.4f} " in out, out
+        assert out.endswith("FAIL\n" if code else "PASS\n")
 
 
 def test_cli_verify_uniform_concentration_default_scales_with_m(capsys, monkeypatch):
@@ -660,6 +685,11 @@ def test_cli_delta_must_be_positive_and_finite(capsys, delta):
         assert main(argv + ["--delta", delta]) == 1, argv
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and "positive and finite" in err, argv
+    # `onebit verify` checks a given --delta before it runs the check, so a
+    # bad --delta is named before any other bad argument
+    for check in ("concentration", "uniform-concentration"):
+        assert main(["verify", "--check", check, "--m", "0", "--delta", delta]) == 1, check
+        assert capsys.readouterr() == ("", "error: threshold t must be positive and finite\n")
 
 
 def test_console_script_version(tmp_path):
