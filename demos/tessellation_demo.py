@@ -14,7 +14,6 @@ from onebit import (
     SignalSetSpec,
     sign_pattern_cells,
     tessellate_and_report,
-    tessellation_points,
     tessellation_rows,
 )
 
@@ -32,8 +31,9 @@ for m in (0, 25, 50, 100, 200, 400):
     print(f"{m:>4}  {rep.nonempty_cells:>6}  {rep.max_cell_diameter_lb:>21.4f}  "
           f"{rep.pair_i.size:>9}  {min_sep:>14}")
 
-# refinement is exact, not statistical: adding rows only ever splits cells
-X = tessellation_points(spec, samples, seed)
+# refinement is exact, not statistical: adding rows only ever splits cells;
+# every report above worked over the same sample, so read it off the last one
+X = rep.sampled_points
 A = tessellation_rows(spec, 400, seed)
 coarse = sign_pattern_cells(X @ A[:100].T)
 fine = sign_pattern_cells(X @ A[:400].T)

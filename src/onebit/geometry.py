@@ -28,6 +28,10 @@ class SignalSetSpec:
     s: float
     kind: str = "effectively_sparse"
 
+    # not a field, so ==, repr, asdict and replace never see it: the last
+    # report's m-independent geometry, as (key, arrays); see tessellate_and_report
+    _cap_memo = None
+
     def __post_init__(self) -> None:
         if self.kind != "effectively_sparse":
             raise ValueError(f"unknown signal set kind {self.kind!r}")
@@ -126,6 +130,8 @@ class TessellationReport:
 
     The pairs are the sampled pairs at distance greater than delta, in
     row-major order, with the separating-row counts in both orientations.
+    sampled_points, pair_i, pair_j and pair_distance are read-only: the
+    reports made on one SignalSetSpec share them.
     """
 
     sampled_points: np.ndarray          # (count, n)
@@ -184,6 +190,24 @@ def tessellation_rows(spec: SignalSetSpec, m: int, seed: int) -> np.ndarray:
     return gen_gaussian_ensemble(m, spec.n, derive_seed(seed, 102)).rows
 
 
+def _cap_geometry(spec: SignalSetSpec, sample_count: int, seed: int,
+                  delta: float) -> tuple[np.ndarray, ...]:
+    """The part of a report that does not depend on m, each array read-only.
+
+    Returns the sample X, its distance matrix, and the pairs beyond delta as
+    (pair_i, pair_j, pair_distance) in row-major order.
+    """
+    X = tessellation_points(spec, sample_count, seed)
+    gram = X @ X.T
+    norms = np.diag(gram)
+    dist = np.sqrt(np.maximum(np.add.outer(norms, norms) - 2.0 * gram, 0.0))
+    pi, pj = np.nonzero(np.triu(dist > delta, k=1))
+    arrays = (X, dist, pi, pj, dist[pi, pj])
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
                           sample_count: int, seed: int) -> TessellationReport:
     """Measure how m Gaussian hyperplanes tessellate the sampled cap.
@@ -197,20 +221,23 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
 
     Points come from tessellation_points and rows from tessellation_rows,
     so reports at increasing m share the sample set and use nested row
-    prefixes of one underlying ensemble.
+    prefixes of one underlying ensemble.  The sample, its distances and
+    its pairs beyond delta do not depend on m: spec keeps the last ones it
+    was given, and a report with the same (n, s, sample_count, seed, delta)
+    shares them, read-only, instead of computing them again.
     """
     if m < 0:
         raise ValueError("row count m must be nonnegative")
     if not 0 < delta < np.inf:
         raise ValueError("delta must be positive and finite")
-    X = tessellation_points(spec, sample_count, seed)
+    key = (spec.n, spec.s, sample_count, seed, delta)
+    if spec._cap_memo is None or spec._cap_memo[0] != key:
+        spec._cap_memo = (key, _cap_geometry(spec, sample_count, seed, delta))
+    X, dist, pi, pj, pair_distance = spec._cap_memo[1]
+
     G = X @ tessellation_rows(spec, m, seed).T
     cells = sign_pattern_cells(G)
     num_cells = int(cells.max()) + 1 if cells.size else 0
-
-    gram = X @ X.T
-    norms = np.diag(gram)
-    dist = np.sqrt(np.maximum(np.add.outer(norms, norms) - 2.0 * gram, 0.0))
     max_diam = float(dist[cells[:, None] == cells].max(initial=0.0))
 
     margin = delta / 30.0
@@ -219,6 +246,5 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     # counts[p, q] = #separators for (p, q); float32 sums of 0/1 terms are
     # exact integers while m < 2**24
     counts = np.rint(above @ below.T).astype(np.int64)
-    pi, pj = np.nonzero(np.triu(dist > delta, k=1))
-    return TessellationReport(X, num_cells, max_diam, pi, pj, dist[pi, pj],
+    return TessellationReport(X, num_cells, max_diam, pi, pj, pair_distance,
                               counts[pi, pj], counts[pj, pi])

@@ -381,3 +381,56 @@ def test_pair_records_match_loop_reference(count):
             assert type(p.i) is int and type(p.j) is int
             assert type(p.count_fwd) is int and type(p.count_rev) is int
             assert type(p.distance) is float
+
+
+def _assert_same_report(got, want):
+    for name in ("sampled_points", "pair_i", "pair_j", "pair_distance", "count_fwd",
+                 "count_rev"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.nonempty_cells == want.nonempty_cells
+    assert np.float64(got.max_cell_diameter_lb).tobytes() == \
+        np.float64(want.max_cell_diameter_lb).tobytes()
+
+
+def test_reports_on_one_spec_match_fresh_specs():
+    # reports on one spec share its m-independent geometry; each must equal
+    # a report made on a fresh spec, which computes everything anew
+    spec = cap_spec(16, 3)
+    for m in (0, 5, 20, 80):
+        _assert_same_report(tessellate_and_report(spec, m, 0.3, 120, 4),
+                            tessellate_and_report(cap_spec(16, 3), m, 0.3, 120, 4))
+    # change one input at a time on the same spec: a stale key would hand
+    # back the last geometry
+    for delta, count, seed in ((0.6, 120, 4), (0.6, 120, 5), (0.6, 80, 5), (0.6, 0, 5),
+                               (0.6, 1, 5), (0.6, 2, 5)):
+        for m in (0, 20):
+            _assert_same_report(tessellate_and_report(spec, m, delta, count, seed),
+                                tessellate_and_report(cap_spec(16, 3), m, delta, count, seed))
+    # the spec itself is part of the key: edit n, then s
+    for n, s in ((16, 3), (12, 3), (12, 2)):
+        spec.n, spec.s = n, s
+        _assert_same_report(tessellate_and_report(spec, 20, 0.6, 80, 5),
+                            tessellate_and_report(cap_spec(n, s), 20, 0.6, 80, 5))
+
+
+def test_report_shares_its_geometry_read_only():
+    spec = cap_spec(16, 2)
+    first = tessellate_and_report(spec, 10, 0.5, 40, 3)
+    later = tessellate_and_report(spec, 30, 0.5, 40, 3)
+    for name in ("sampled_points", "pair_i", "pair_j", "pair_distance"):
+        assert getattr(later, name) is getattr(first, name), name
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(later, name)[...] = 0
+    # the counts are the report's own
+    assert later.count_fwd is not first.count_fwd and later.count_fwd.flags.writeable
+
+
+def test_report_leaves_the_spec_fields_alone():
+    spec = cap_spec(16, 2)
+    before = (dataclasses.asdict(spec), repr(spec))
+    tessellate_and_report(spec, 10, 0.5, 40, 3)
+    assert (dataclasses.asdict(spec), repr(spec)) == before
+    assert spec == SignalSetSpec(16, 2)
+    assert dataclasses.replace(spec)._cap_memo is None
