@@ -1,7 +1,7 @@
 """Command line front end.
 
-Subcommands: gen (write a synthetic instance to files), recover (solve one
-instance, from files or synthetic), sweep (recovery error sweep to CSV),
+Subcommands: gen (write a synthetic instance to files), recover (solve the
+instance in those files), sweep (recovery error sweep to CSV),
 tessellate (hyperplane tessellation report), verify (named statistical and
 deterministic checks).  Exit codes: 0 success, 1 experiment failure, 2 usage.
 """
@@ -92,11 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output path prefix")
     gen.set_defaults(func=cmd_gen)
 
-    rec = sub.add_parser("recover", help="recover a direction from sign measurements")
-    _add_common(rec, n=32, s=3, m=60)
-    _add_model(rec)
-    rec.add_argument("--matrix", help="measurement matrix file (rows of decimals)")
-    rec.add_argument("--signs", help="sign pattern file (one of -1, 0, 1 per line)")
+    # no abbreviations: --m would otherwise read as --matrix, and gen's
+    # instance flags are refused here, not rebound to a file option
+    rec = sub.add_parser("recover", help="recover a direction from sign measurements",
+                         allow_abbrev=False)
+    rec.add_argument("--matrix", required=True,
+                     help="measurement matrix file (rows of decimals)")
+    rec.add_argument("--signs", required=True,
+                     help="sign pattern file (one of -1, 0, 1 per line)")
     rec.add_argument("--signal", help="optional true signal file for error reporting")
     rec.add_argument("--out", help="write the recovered direction here")
     rec.set_defaults(func=cmd_recover)
@@ -152,23 +155,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    rows = np.loadtxt(args.matrix, dtype=np.float64, ndmin=2)
+    # recover rejects entries other than -1, 0 and 1
+    y = np.loadtxt(args.signs, dtype=np.float64, ndmin=1)
     x_true = None
-    if (args.signs or args.signal) and not args.matrix:
-        raise ValueError("--signs and --signal require --matrix")
-    if args.matrix:
-        if not args.signs:
-            raise ValueError("--matrix requires --signs")
-        rows = np.loadtxt(args.matrix, dtype=np.float64, ndmin=2)
-        # recover rejects entries other than -1, 0 and 1
-        y = np.loadtxt(args.signs, dtype=np.float64, ndmin=1)
-        if args.signal:
-            x_true = np.loadtxt(args.signal, dtype=np.float64).ravel()
-            if x_true.shape[0] != rows.shape[1]:
-                raise ValueError("signal length does not match the matrix columns")
-    else:
-        x_true, ens = gen_instance(args.n, args.s, args.m, args.seed, args.dist, args.mag)
-        rows = ens.rows
-        y = sign_quantize(rows @ x_true)
+    if args.signal:
+        x_true = np.loadtxt(args.signal, dtype=np.float64).ravel()
+        if x_true.shape[0] != rows.shape[1]:
+            raise ValueError("signal length does not match the matrix columns")
     res = recover(rows, y)
     cert = res.certificate
     sol = res.lp_solution

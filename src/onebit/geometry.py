@@ -194,15 +194,17 @@ def _cap_geometry(spec: SignalSetSpec, sample_count: int, seed: int,
                   delta: float) -> tuple[np.ndarray, ...]:
     """The part of a report that does not depend on m, each array read-only.
 
-    Returns the sample X, its distance matrix, and the pairs beyond delta as
-    (pair_i, pair_j, pair_distance) in row-major order.
+    Returns the sample X, its distance matrix, the boolean mask far of the
+    pairs i < j beyond delta, and those pairs as (pair_i, pair_j,
+    pair_distance) in row-major order.
     """
     X = tessellation_points(spec, sample_count, seed)
     gram = X @ X.T
     norms = np.diag(gram)
     dist = np.sqrt(np.maximum(np.add.outer(norms, norms) - 2.0 * gram, 0.0))
-    pi, pj = np.nonzero(np.triu(dist > delta, k=1))
-    arrays = (X, dist, pi, pj, dist[pi, pj])
+    far = np.triu(dist > delta, k=1)
+    pi, pj = np.nonzero(far)
+    arrays = (X, dist, far, pi, pj, dist[far])
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -233,7 +235,7 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     key = (spec.n, spec.s, sample_count, seed, delta)
     if spec._cap_memo is None or spec._cap_memo[0] != key:
         spec._cap_memo = (key, _cap_geometry(spec, sample_count, seed, delta))
-    X, dist, pi, pj, pair_distance = spec._cap_memo[1]
+    X, dist, far, pi, pj, pair_distance = spec._cap_memo[1]
 
     G = X @ tessellation_rows(spec, m, seed).T
     cells = sign_pattern_cells(G)
@@ -244,7 +246,8 @@ def tessellate_and_report(spec: SignalSetSpec, m: int, delta: float,
     above = (G > margin).astype(np.float32)
     below = (G < -margin).astype(np.float32)
     # counts[p, q] = #separators for (p, q); float32 sums of 0/1 terms are
-    # exact integers while m < 2**24
-    counts = np.rint(above @ below.T).astype(np.int64)
+    # exact integers while m < 2**24, so only the gathered pairs are cast
+    counts = above @ below.T
     return TessellationReport(X, num_cells, max_diam, pi, pj, pair_distance,
-                              counts[pi, pj], counts[pj, pi])
+                              counts[far].astype(np.int64),
+                              counts.T[far].astype(np.int64))

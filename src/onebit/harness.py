@@ -62,8 +62,8 @@ def gen_instance(n: int, s: int, m: int, seed: int, distribution: str,
     """The instance (x, ensemble) at this seed: one sparse signal and m rows.
 
     x is drawn from derive_seed(seed, 1) and the ensemble from
-    derive_seed(seed, 2).  `onebit gen` and `onebit recover` use the master
-    seed; a sweep trial uses derive_seed(seed, m, trial).
+    derive_seed(seed, 2).  `onebit gen` uses the master seed; a sweep trial
+    uses derive_seed(seed, m, trial).
     """
     if m < 1:
         raise ValueError("need at least one row")

@@ -1,13 +1,9 @@
 """Smoke test: every script in demos/ runs to completion."""
 
-import os
-import subprocess
-import sys
+import runpy
 from pathlib import Path
 
 import pytest
-
-import onebit
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
@@ -17,11 +13,9 @@ def test_demos_found():
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs(demo, tmp_path):
-    # a fresh interpreter in a temp cwd, so files a demo writes land there
-    env = dict(os.environ)
-    pkg_parent = str(Path(onebit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                         env=env, cwd=tmp_path, timeout=300)
-    assert out.returncode == 0, out.stderr
+def test_demo_runs(demo, tmp_path, monkeypatch, capsys):
+    # in-process, under the suite's warning filters, in a temp cwd so files a
+    # demo writes land there
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(demo), run_name="__main__")
+    capsys.readouterr()

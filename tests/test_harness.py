@@ -363,10 +363,14 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
 
 
 def test_cli_recover_synthetic(tmp_path, capsys):
-    # --out creates the directory it writes in
+    # the instance onebit gen draws; --out creates the directory it writes in
+    prefix = str(tmp_path / "inst")
+    assert main(["gen", "--n", "12", "--s", "2", "--m", "30",
+                 "--seed", "8", "--out", prefix]) == 0
+    capsys.readouterr()
     out = tmp_path / "runs" / "new" / "x.txt"
-    assert main(["recover", "--n", "12", "--s", "2", "--m", "30",
-                 "--seed", "8", "--out", str(out)]) == 0
+    assert main(["recover", "--matrix", prefix + "_matrix.txt",
+                 "--signs", prefix + "_signs.txt", "--out", str(out)]) == 0
     captured = capsys.readouterr()
     assert "certificate:" in captured.out and captured.err == ""
     assert captured.out.endswith(f"wrote {out}\n")
@@ -383,13 +387,10 @@ def test_cli_recover_bad_inputs(tmp_path, capsys):
     assert main(["recover", "--matrix", str(mat), "--signs", str(bad)]) == 1
     err = capsys.readouterr().err
     assert "must be -1, 0, or 1" in err
-    # matrix without signs is a usage-level error reported as failure
-    assert main(["recover", "--matrix", str(mat)]) == 1
-    capsys.readouterr()
-    # and so are signs or a signal without a matrix: nothing synthetic is solved
-    for flag in ("--signs", "--signal"):
-        assert main(["recover", flag, str(mat)]) == 1
-        assert capsys.readouterr() == ("", "error: --signs and --signal require --matrix\n")
+    # recover reads only files: a missing --matrix or --signs is a usage error
+    for argv in (["--matrix", str(mat)], ["--signs", str(bad)], ["--signal", str(mat)]):
+        assert main(["recover", *argv]) == 2
+        assert "the following arguments are required" in capsys.readouterr().err
     # a signal whose length is not the matrix's column count fails before solving
     good = tmp_path / "good.txt"
     good.write_text("1\n1\n1\n")
@@ -398,6 +399,21 @@ def test_cli_recover_bad_inputs(tmp_path, capsys):
     assert main(["recover", "--matrix", str(mat), "--signs", str(good),
                  "--signal", str(short)]) == 1
     assert capsys.readouterr() == ("", "error: signal length does not match the matrix columns\n")
+
+
+def test_cli_recover_refuses_synthetic_instance_flags(tmp_path, capsys):
+    # onebit gen draws instances; recover solves the files and takes none of
+    # gen's flags, not even as an abbreviation of --matrix or --signs
+    prefix = str(tmp_path / "inst")
+    assert main(["gen", "--n", "16", "--s", "2", "--m", "40", "--out", prefix]) == 0
+    files = ["--matrix", prefix + "_matrix.txt", "--signs", prefix + "_signs.txt"]
+    assert main(["recover", *files]) == 0
+    capsys.readouterr()
+    for flag in (["--n", "9"], ["--s", "2"], ["--m", "5"], ["--seed", "3"],
+                 ["--dist", "bernoulli"], ["--mag", "constant"]):
+        assert main(["recover", *files, *flag]) == 2, flag
+        out, err = capsys.readouterr()
+        assert out == "" and flag[0] in err, (flag, err)
 
 
 def test_cli_sweep(tmp_path, capsys):
@@ -488,20 +504,17 @@ def test_cli_bad_n_is_blamed_on_n(tmp_path, capsys):
     for argv in (["tessellate", "--n", "0"],
                  ["verify", "--check", "uniform-concentration", "--n", "0"],
                  ["sweep", "--n", "0", "--out", str(tmp_path / "x.csv")],
-                 ["gen", "--n", "0", "--out", str(tmp_path / "g")],
-                 ["recover", "--n", "0"]):
+                 ["gen", "--n", "0", "--out", str(tmp_path / "g")]):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: ambient dimension n must be at least 1\n")
 
 
 def test_cli_gen_and_recover_need_a_row(tmp_path, capsys):
-    # no rows: gen would write a 0 x n matrix, and recover would blame the signs,
-    # whether the rows are drawn or read from an empty file
+    # no rows: gen would write a 0 x n matrix, and recover, reading an empty
+    # file, would blame the signs
     assert main(["gen", "--m", "0", "--out", str(tmp_path / "inst")]) == 1
     assert capsys.readouterr().err == "error: need at least one row\n"
     assert list(tmp_path.iterdir()) == []
-    assert main(["recover", "--m", "0"]) == 1
-    assert capsys.readouterr().err == "error: need at least one row\n"
     empty = tmp_path / "empty.txt"
     empty.write_text("")
     with pytest.warns(UserWarning, match="input contained no data"):
