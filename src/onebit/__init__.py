@@ -29,7 +29,6 @@ from .recovery import (
     RecoveryResult,
     VertexCertificate,
     build_recovery_lp,
-    constraint_violation,
     extract_certificate,
     recover,
     recovery_error,
@@ -66,7 +65,6 @@ __all__ = [
     "VertexCertificate",
     "__version__",
     "build_recovery_lp",
-    "constraint_violation",
     "derive_seed",
     "effective_sparsity",
     "extract_certificate",

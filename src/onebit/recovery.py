@@ -19,7 +19,9 @@ z = 0 is feasible and the all-surplus basis is the start that solve_lp
 requires.  x_hat is read back by complementary slackness as the multipliers
 of the upper rows minus those of the lower rows.  The normalization is
 posed as >= 1 and must be tight at the optimum (scaling the solution down
-would otherwise lower the objective); tightness is asserted after the solve.
+would otherwise lower the objective).  After the solve, x_hat is checked
+against every primal constraint, the normalization row included, through
+the certificate's max_violation; recover refuses a vertex that fails it.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .lp_core import LinearProgram, LpSolution, ToleranceConfig, solve_lp
 from .measurement import MeasurementEnsemble, as_rows
 
-NORMALIZATION_TOL = 1e-6
+NORMALIZATION_TOL = 1e-6       # largest max_violation that recover accepts
 SUPPORT_TOL = 1e-7
 ACTIVE_ROW_TOL = 1e-7
 
@@ -55,6 +57,11 @@ class VertexCertificate:
 
     Rows are counted as given: a duplicated active row is listed twice in
     active_rows, so cardinality_ok reads False at such a vertex.
+
+    max_violation is the largest of: -y_i <a_i, x_hat> over rows with
+    y_i != 0, |<a_i, x_hat>| over rows with y_i = 0, and
+    |(1/m) sum_i y_i <a_i, x_hat> - 1|.  It is never -0.0, and it is nan when
+    x_hat holds a nan.
     """
 
     support: np.ndarray            # indices with |x_hat_i| > SUPPORT_TOL
@@ -62,6 +69,7 @@ class VertexCertificate:
     cardinality_ok: bool           # |support| == |active_rows| + 1
     kernel_residual: float         # ||A_active[:, support] @ x_hat[support]||_2
     normalization_residual: float  # |(1/m) sum |<a_i, x_hat>| - 1|
+    max_violation: float           # worst violation of the primal constraints
 
 
 @dataclass
@@ -116,10 +124,11 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     return LinearProgram(c, rows, np.full(2 * n, -1.0))
 
 
-def extract_certificate(ensemble: MeasurementEnsemble, x_hat) -> VertexCertificate:
-    """Compute the vertex certificate for a candidate minimizer."""
+def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat) -> VertexCertificate:
+    """Compute the vertex certificate of a candidate minimizer for signs y."""
     A = as_rows(ensemble)
     m = A.shape[0]
+    y = np.asarray(y, dtype=np.float64).ravel()
     x_hat = np.asarray(x_hat, dtype=np.float64)
     x_norm = float(np.linalg.norm(x_hat))
     prods = A @ x_hat
@@ -129,28 +138,18 @@ def extract_certificate(ensemble: MeasurementEnsemble, x_hat) -> VertexCertifica
     # 0.0 when either index set is empty
     kernel_residual = float(np.linalg.norm(A[np.ix_(active, support)] @ x_hat[support]))
     normalization_residual = float(abs(np.abs(prods).sum() / m - 1.0)) if m else np.nan
+    tightness = float(y @ prods) / m if m else np.nan
+    # np.max keeps a nan that Python's max would drop; + 0.0 turns -0.0 into 0.0
+    max_violation = float(np.max(np.where(y != 0.0, -y * prods, np.abs(prods)),
+                                 initial=abs(tightness - 1.0))) + 0.0
     return VertexCertificate(
         support=support,
         active_rows=active,
         cardinality_ok=support.size == active.size + 1,
         kernel_residual=kernel_residual,
         normalization_residual=normalization_residual,
+        max_violation=max_violation,
     )
-
-
-def constraint_violation(ensemble: MeasurementEnsemble, y, x) -> float:
-    """Worst violation by x of the primal program's constraints.
-
-    The largest of: -y_i <a_i, x> over rows with y_i != 0, |<a_i, x>| over
-    rows with y_i = 0, and |(1/m) sum_i y_i <a_i, x> - 1|.
-    """
-    A = as_rows(ensemble)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    prods = A @ np.asarray(x, dtype=np.float64)
-    nz = y != 0.0
-    return max(float(np.max(-y[nz] * prods[nz], initial=0.0)),
-               float(np.max(np.abs(prods[~nz]), initial=0.0)),
-               abs(float(y @ prods) / A.shape[0] - 1.0))
 
 
 def recover(ensemble: MeasurementEnsemble, y,
@@ -167,25 +166,23 @@ def recover(ensemble: MeasurementEnsemble, y,
         ValueError: the ensemble has no rows, y is not a sign pattern of
             matching length, or every sign is zero (see build_recovery_lp).
         RecoveryError: LP not optimal (status "unbounded" means no x is
-            consistent with y), or normalization row not tight at the
-            returned vertex.
+            consistent with y), or the returned x_hat violates a primal
+            constraint (sign, zero or normalization row) by more than
+            NORMALIZATION_TOL: certificate.max_violation, nan included.
     """
-    A = as_rows(ensemble)
-    m, n = A.shape
+    n = as_rows(ensemble).shape[1]
     lp = build_recovery_lp(ensemble, y)
     sol = solve_lp(lp, tol)
     if sol.status != "optimal":
         raise RecoveryError(f"recovery LP terminated with status {sol.status}")
     x_hat = sol.multipliers[n:] - sol.multipliers[:n]
-    yf = np.asarray(y, dtype=np.float64).ravel()
-    tightness = float((yf * (A @ x_hat)).sum() / m)
-    # x_hat = 0 reads 0 here, and a NaN x_hat fails the comparison
-    if not abs(tightness - 1.0) <= NORMALIZATION_TOL:
-        raise RecoveryError("normalization not tight")
+    cert = extract_certificate(ensemble, y, x_hat)
+    # x_hat = 0 misses the normalization row by 1, and a nan fails the comparison
+    if not cert.max_violation <= NORMALIZATION_TOL:
+        raise RecoveryError(f"x_hat violates the primal constraints by {cert.max_violation:.3e}")
     x_norm = float(np.linalg.norm(x_hat))
     direction = x_hat / x_norm
     l1_over_l2 = float(np.abs(x_hat).sum() / x_norm)
-    cert = extract_certificate(ensemble, x_hat)
     return RecoveryResult(x_hat, direction, l1_over_l2, cert, sol)
 
 

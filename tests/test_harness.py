@@ -291,7 +291,7 @@ def test_bernoulli_counterexample_matches_full_width(monkeypatch, n, m, num_seed
     assert len(got_log) == 2 * (num_seeds + 1) and got_log == want_log
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--frobnicate"]) == 2
     assert main(["frobnicate"]) == 2
     assert main([]) == 2
@@ -304,15 +304,23 @@ def test_cli_usage_errors(tmp_path):
                  "--out", str(tmp_path / "m0.csv")]) == 2
     assert not (tmp_path / "m0.csv").exists()
     assert main(["tessellate", "--m", "0"]) == 2
-    # the solver tolerances are library API only, not command-line flags
-    assert main(["recover", "--tol-feas", "1e-8"]) == 2
+    # the solver tolerances are library API only, not command-line flags;
+    # recover gets its two files, so that only the flag is refused
+    prefix = str(tmp_path / "inst")
+    assert main(["gen", "--n", "8", "--s", "2", "--m", "20", "--out", prefix]) == 0
+    files = ["--matrix", prefix + "_matrix.txt", "--signs", prefix + "_signs.txt"]
+    capsys.readouterr()
+    assert main(["recover", *files, "--tol-feas", "1e-8"]) == 2
+    assert "unrecognized arguments: --tol-feas" in capsys.readouterr().err
     assert main(["sweep", "--out", "x.csv", "--tol-opt", "1e-9"]) == 2
     # verify writes no report file, and only the concentration checks read --delta
     assert main(["verify", "--check", "concentration", "--out", "r.txt"]) == 2
     assert main(["verify", "--check", "separation", "--delta", "0.1"]) == 2
     assert main(["verify", "--check", "bernoulli-counterexample", "--delta", "0.1"]) == 2
-    # only sweep and tessellate take a list of m
-    assert main(["recover", "--m", "60,120"]) == 2
+    # only sweep and tessellate take a list of m, and recover takes no m
+    capsys.readouterr()
+    assert main(["recover", *files, "--m", "60,120"]) == 2
+    assert "unrecognized arguments: --m" in capsys.readouterr().err
     assert main(["gen", "--m", "60,120", "--out", "inst"]) == 2
     assert main(["verify", "--check", "concentration", "--m", "100,200"]) == 2
 
@@ -399,6 +407,27 @@ def test_cli_recover_bad_inputs(tmp_path, capsys):
     assert main(["recover", "--matrix", str(mat), "--signs", str(good),
                  "--signal", str(short)]) == 1
     assert capsys.readouterr() == ("", "error: signal length does not match the matrix columns\n")
+    # so does a signal that is all zero or not finite, against which the
+    # error is undefined or nan
+    bad_signal = tmp_path / "bad_signal.txt"
+    for signal in ([0.0, 0.0], [np.nan, 1.0], [1.0, np.inf]):
+        np.savetxt(bad_signal, np.array([signal]))
+        assert main(["recover", "--matrix", str(mat), "--signs", str(good),
+                     "--signal", str(bad_signal)]) == 1, signal
+        assert capsys.readouterr() == ("", "error: signal must be finite and nonzero\n"), signal
+
+
+def test_cli_recover_never_prints_negative_zero(tmp_path, capsys):
+    # on this instance -y_i <a_i, x_hat> is -0.0 on a sign row, and the
+    # largest violation is 0
+    prefix = str(tmp_path / "inst")
+    assert main(["gen", "--seed", "0", "--dist", "bernoulli", "--mag", "constant",
+                 "--out", prefix]) == 0
+    capsys.readouterr()
+    assert main(["recover", "--matrix", prefix + "_matrix.txt",
+                 "--signs", prefix + "_signs.txt"]) == 0
+    out = capsys.readouterr().out
+    assert " max_violation=0.000e+00\n" in out and "-0.000" not in out
 
 
 def test_cli_recover_refuses_synthetic_instance_flags(tmp_path, capsys):

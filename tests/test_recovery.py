@@ -17,7 +17,6 @@ from onebit.measurement import (
 from onebit.recovery import (
     RecoveryError,
     build_recovery_lp,
-    constraint_violation,
     extract_certificate,
     recover,
     recovery_error,
@@ -57,7 +56,7 @@ def assert_matches_highs(ens, y):
     res = recover(ens, y)
     want = highs_l1_optimum(ens.rows, y.astype(np.float64))
     assert abs(np.abs(res.x_hat).sum() - want) <= 1e-9 * want
-    assert constraint_violation(ens, y, res.x_hat) <= 1e-9
+    assert res.certificate.max_violation <= 1e-9
     # the dual vertex, split columns of the zero signs included, is feasible
     assert max_violation(build_recovery_lp(ens, y), res.lp_solution.primal) <= 1e-9
     return res
@@ -257,12 +256,18 @@ def test_certificate_structure():
         res = recover(ens, y)
         cert = res.certificate
         x_hat = res.x_hat
-        # the certificate depends on the rows and x_hat alone, not on the signs
-        again = extract_certificate(ens, x_hat)
+        # recover's certificate is the one extract_certificate computes
+        again = extract_certificate(ens, y, x_hat)
         assert np.array_equal(again.support, cert.support)
         assert np.array_equal(again.active_rows, cert.active_rows)
-        assert (again.cardinality_ok, again.kernel_residual, again.normalization_residual) \
-            == (cert.cardinality_ok, cert.kernel_residual, cert.normalization_residual)
+        assert (again.cardinality_ok, again.kernel_residual, again.normalization_residual,
+                again.max_violation) == (cert.cardinality_ok, cert.kernel_residual,
+                                         cert.normalization_residual, cert.max_violation)
+        # max_violation is x_hat's worst violation of the primal constraints
+        prods = ens.rows @ x_hat
+        assert cert.max_violation == max(float(np.max(-y * prods)),
+                                         abs(float(y @ prods) / len(y) - 1.0)) + 0.0
+        assert cert.max_violation <= 1e-6
         assert np.array_equal(cert.support, np.flatnonzero(np.abs(x_hat) > 1e-7))
         norms = np.linalg.norm(ens.rows, axis=1) * np.linalg.norm(x_hat)
         active = np.flatnonzero(np.abs(ens.rows @ x_hat) <= 1e-7 * norms)
@@ -273,11 +278,11 @@ def test_certificate_structure():
             assert cert.kernel_residual <= 1e-6 * np.linalg.norm(x_hat)
     assert ok >= 8
     # an empty support or an empty active set leaves nothing to annihilate
-    _, ens, _ = make_instance(8, 2, 20, seed=3)
-    assert extract_certificate(ens, np.zeros(8)).kernel_residual == 0.0
+    _, ens, y = make_instance(8, 2, 20, seed=3)
+    assert extract_certificate(ens, y, np.zeros(8)).kernel_residual == 0.0
     x_one = np.zeros(8)
     x_one[0] = 1.0
-    cert = extract_certificate(ens, x_one)
+    cert = extract_certificate(ens, y, x_one)
     assert cert.active_rows.size == 0 and cert.kernel_residual == 0.0
 
 
@@ -306,19 +311,57 @@ def test_recover_surfaces_solver_status():
         recover(ens, y, tol=ToleranceConfig(iteration_factor=0))
 
 
-@pytest.mark.parametrize("fill", [0.0, np.nan])
-def test_recover_rejects_untight_multipliers(monkeypatch, fill):
-    # an optimal status alone is not trusted: x_hat = 0 reads tightness 0,
-    # and a nan x_hat fails the tightness comparison instead of passing it
-    _, ens, y = make_instance(8, 2, 16, seed=5)
+def solving_to(monkeypatch, x_hat):
+    """Make recover's solve_lp report an optimal vertex that reads back as x_hat."""
+    x_hat = np.asarray(x_hat, dtype=np.float64)
 
     def fake_solve(lp, tol=None):
         return LpSolution("optimal", np.zeros(lp.num_vars), 0.0, 0, 0.0,
-                          multipliers=np.full(lp.ineq_rhs.shape[0], fill))
+                          multipliers=np.concatenate([np.zeros_like(x_hat), x_hat]))
 
     monkeypatch.setattr(onebit.recovery, "solve_lp", fake_solve)
-    with pytest.raises(RecoveryError, match="normalization not tight"):
+
+
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_recover_rejects_untight_multipliers(monkeypatch, fill):
+    # an optimal status alone is not trusted: x_hat = 0 misses the
+    # normalization row by 1, and a nan x_hat fails the comparison instead
+    # of passing it
+    _, ens, y = make_instance(8, 2, 16, seed=5)
+    solving_to(monkeypatch, np.full(8, fill))
+    with pytest.raises(RecoveryError, match="violates the primal constraints"):
         recover(ens, y)
+
+
+def test_recover_rejects_a_violated_sign_row(monkeypatch):
+    # the normalization row holds, but a sign row does not: recover checks
+    # every primal constraint, not only the normalization
+    _, ens, y = make_instance(8, 2, 16, seed=5)
+    x_hat = recover(ens, y).x_hat
+    A = ens.rows
+    g = A.T @ y / len(y)
+    u = np.random.default_rng(0).standard_normal(8)
+    u -= (g @ u) / (g @ g) * g
+    bad = x_hat + 10.0 * np.linalg.norm(x_hat) / np.linalg.norm(u) * u
+    prods = A @ bad
+    assert abs(float(y @ prods) / len(y) - 1.0) <= 1e-12
+    assert np.min(y * prods) < -1e-3
+    solving_to(monkeypatch, bad)
+    with pytest.raises(RecoveryError, match="violates the primal constraints"):
+        recover(ens, y)
+
+
+def test_max_violation_keeps_every_nan():
+    # a nan x_hat spreads to every row through A @ x_hat
+    A = np.eye(3)
+    y = np.array([1.0, 0.0, 1.0])
+    assert np.isnan(extract_certificate(A, y, np.array([1.5, np.nan, 1.5])).max_violation)
+    # a nan entry on the zero-sign row reaches only that row and the
+    # normalization: the sign rows read 0.0, and Python's max, given that
+    # first, would drop both nans and return 0.0
+    A[1, 0] = np.nan
+    x = np.array([1.5, 0.0, 1.5])
+    assert np.isnan(extract_certificate(A, y, x).max_violation)
 
 
 @pytest.mark.parametrize("dist, mag, s, m", [("gaussian", "unit_gaussian", 3, 60),
@@ -355,7 +398,7 @@ def test_recover_fewer_rows_than_dimensions(m):
         y = sign_quantize(ens.rows @ x)
         res = recover(ens, y)
         assert res.lp_solution.status == "optimal"
-        assert constraint_violation(ens, y, res.x_hat) <= 1e-12, seed
+        assert res.certificate.max_violation <= 1e-12, seed
 
 
 def test_recovery_error_values():
