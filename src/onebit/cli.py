@@ -9,6 +9,7 @@ deterministic checks).  Exit codes: 0 success, 1 experiment failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import asdict
@@ -60,12 +61,13 @@ def _add_common(p: argparse.ArgumentParser, n: int, s: int, m: int | str,
     """--n, --s, --m, --seed and, given a default, --trials.
 
     A str m default makes --m a comma-separated list (sweep, tessellate);
-    an int default makes it one count.
+    an int default makes it one count.  The str is converted on every
+    parse, so no two parses share a list.
     """
     p.add_argument("--n", type=int, default=n, help="ambient dimension")
     p.add_argument("--s", type=int, default=s, help="sparsity")
     if isinstance(m, str):
-        p.add_argument("--m", type=_m_list, default=_m_list(m),
+        p.add_argument("--m", type=_m_list, default=m,
                        help="measurement counts, comma separated")
     else:
         p.add_argument("--m", type=int, default=m, help="measurement count")
@@ -79,7 +81,13 @@ def _add_model(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mag", choices=("unit_gaussian", "constant"), default="unit_gaussian")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The onebit parser, built on the first call and shared by every later one.
+
+    Building the five subcommands costs more than a small recovery, so
+    in-process callers of main() reuse one tree.  Callers must not modify it.
+    """
     ap = argparse.ArgumentParser(
         prog="onebit",
         description="One-bit compressed sensing by linear programming.")
@@ -156,6 +164,8 @@ def cmd_gen(args) -> int:
 
 def cmd_recover(args) -> int:
     rows = np.loadtxt(args.matrix, dtype=np.float64, ndmin=2)
+    if not np.isfinite(rows).all():
+        raise ValueError("matrix entries must be finite")
     # recover rejects entries other than -1, 0 and 1
     y = np.loadtxt(args.signs, dtype=np.float64, ndmin=1)
     x_true = None

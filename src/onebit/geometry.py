@@ -71,6 +71,8 @@ def sample_sphere_cap(spec: SignalSetSpec, count: int, seed: int) -> np.ndarray:
     g = noise[rows] / np.sqrt(np.vecdot(noise[rows], noise[rows]))[:, None]
     w = out[rows]
     for k in range(1, 61):   # radius 2**-k, exact as a power of two
+        if not rows.size:
+            break
         v = w + 0.5 ** k * g
         v /= np.sqrt(np.vecdot(v, v))[:, None]
         ok = np.abs(v).sum(axis=1) <= budget

@@ -1,5 +1,6 @@
 """Tests for sweep orchestration, statistical checks, CSV output, and CLI."""
 
+import argparse
 import inspect
 import json
 import math
@@ -17,7 +18,7 @@ import scipy
 
 import onebit
 import onebit.harness as harness
-from onebit.cli import main
+from onebit.cli import build_parser, main
 from onebit.geometry import SignalSetSpec, sample_sphere_cap
 from onebit.harness import (
     ROOT_TWO_OVER_PI,
@@ -415,6 +416,17 @@ def test_cli_recover_bad_inputs(tmp_path, capsys):
         assert main(["recover", "--matrix", str(mat), "--signs", str(good),
                      "--signal", str(bad_signal)]) == 1, signal
         assert capsys.readouterr() == ("", "error: signal must be finite and nonzero\n"), signal
+    # a matrix entry that is nan or inf is refused as soon as the file is
+    # read, on a zero-sign row as on a sign row, before any solve
+    bad_matrix = tmp_path / "bad_matrix.txt"
+    signs = tmp_path / "zero_sign.txt"
+    signs.write_text("1\n-1\n0\n")
+    for row, value in ((2, np.nan), (0, np.inf), (1, -np.inf)):
+        entries = np.ones((3, 2))
+        entries[row, 1] = value
+        np.savetxt(bad_matrix, entries)
+        assert main(["recover", "--matrix", str(bad_matrix), "--signs", str(signs)]) == 1
+        assert capsys.readouterr() == ("", "error: matrix entries must be finite\n"), value
 
 
 def test_cli_recover_never_prints_negative_zero(tmp_path, capsys):
@@ -732,6 +744,73 @@ def test_cli_delta_must_be_positive_and_finite(capsys, delta):
     for check in ("concentration", "uniform-concentration"):
         assert main(["verify", "--check", check, "--m", "0", "--delta", delta]) == 1, check
         assert capsys.readouterr() == ("", "error: threshold t must be positive and finite\n")
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main() call, not at import, so the
+    # import time that setup_s measures does not include it
+    code = ("import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    built.append(k.get('prog'))\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import onebit.cli\n"
+            "print(len(built))\n")
+    env = dict(os.environ)
+    pkg_parent = str(Path(onebit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "0\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    build_parser.cache_clear()
+    assert main(["--version"]) == 0
+    # the root parser and one per subcommand
+    assert len(built) == 6
+    assert main(["sweep", "--frobnicate"]) == 2
+    assert len(built) == 6
+    assert build_parser() is build_parser()
+
+
+def test_parses_share_no_m_list():
+    # the --m default is converted on every parse: no parse sees another's list
+    for argv in (["sweep", "--out", "x.csv"], ["tessellate"]):
+        first = build_parser().parse_args(argv)
+        want = list(first.m)
+        first.m.append(7)
+        second = build_parser().parse_args(argv)
+        assert second.m == want and second.m is not first.m
+
+
+def test_repeated_main_calls_give_the_same_outputs(tmp_path, capsys):
+    # one process, one parser: a usage error and --version between two runs
+    # of one sweep change neither its stdout nor its CSV bytes
+    out = tmp_path / "sweep.csv"
+    argv = SMALL_ARGV + ["--out", str(out)]
+    drop = SWEEP_FIELDS.index("wall_time_ms")
+
+    def run():
+        assert main(argv) == 0
+        rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()]
+        return capsys.readouterr().out, [r[:drop] + r[drop + 1:] for r in rows]
+
+    first = run()
+    assert main(["sweep", "--m", "10,x", "--out", str(out)]) == 2
+    assert main(["--version"]) == 0
+    capsys.readouterr()
+    assert run() == first
 
 
 def test_console_script_version(tmp_path):
