@@ -87,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     Building the five subcommands costs more than a small recovery, so
     in-process callers of main() reuse one tree.  Callers must not modify it.
+    The tree holds what it read when it was built (each subcommand's cmd_*
+    function, CHECKS, __version__): a patch of one of those takes effect
+    only after build_parser.cache_clear().
     """
     ap = argparse.ArgumentParser(
         prog="onebit",

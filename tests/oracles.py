@@ -14,9 +14,6 @@ random_small_lp draws the tiny general-form LPs that the solver is checked
 on against brute_force_vertex_solve.
 reference_recovery_lp is recovery.build_recovery_lp as it was before the LP
 was assembled column-major; build_recovery_lp must return its bytes.
-full_radius_sample_sphere_cap is geometry.sample_sphere_cap as it was before
-its radius loop stopped at the last accepted row: it always takes all 60
-halvings, and sample_sphere_cap must return its bytes.
 contains, hard_threshold and block_decompose are the membership test of
 K(n, s) and the two steps of the paper's proof (sparse vectors are a net of
 K(n, s); a member of K(n, s) splits into s-sparse blocks), which criterion 09
@@ -483,30 +480,6 @@ def reference_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     c = np.zeros(d)
     c[m] = -1.0
     return LinearProgram(c, rows, np.full(2 * n, -1.0))
-
-
-def full_radius_sample_sphere_cap(spec: SignalSetSpec, count: int, seed: int) -> np.ndarray:
-    """geometry.sample_sphere_cap, running every one of the 60 radius halvings."""
-    n = spec.n
-    sb = int(spec.s)
-    budget = np.sqrt(spec.s)
-    vals = normal_grid(derive_seed(seed, 1), count, n)
-    perm = uniform_grid(derive_seed(seed, 2), count, n)
-    support = np.argsort(perm, axis=1, kind="stable")[:, :sb]
-    out = np.zeros((count, n))
-    np.put_along_axis(out, support, np.take_along_axis(vals, support, axis=1), axis=1)
-    out /= np.sqrt(np.vecdot(out, out))[:, None]
-    noise = normal_grid(derive_seed(seed, 3), count, n)
-    rows = np.arange(1, count, 2)
-    g = noise[rows] / np.sqrt(np.vecdot(noise[rows], noise[rows]))[:, None]
-    w = out[rows]
-    for k in range(1, 61):
-        v = w + 0.5 ** k * g
-        v /= np.sqrt(np.vecdot(v, v))[:, None]
-        ok = np.abs(v).sum(axis=1) <= budget
-        out[rows[ok]] = v[ok]
-        rows, g, w = rows[~ok], g[~ok], w[~ok]
-    return out
 
 
 def contains(spec: SignalSetSpec, x) -> bool:
