@@ -282,14 +282,14 @@ def cmd_verify(args) -> int:
         print(f"identical sign patterns under +-1 rows: "
               f"{sum(rep.identical_per_seed)}/{len(rep.seeds)}")
         print(f"gaussian rows distinguish the pair: {rep.gaussian_differs}")
-        passed = rep.all_identical and rep.gaussian_differs
+        passed = all(rep.identical_per_seed) and rep.gaussian_differs
     else:   # separation
         if args.n < 2:
             raise ValueError("need n >= 2")
-        e1 = np.zeros(args.n)
-        e1[0] = 1.0
-        e2 = np.zeros(args.n)
-        e2[1] = 1.0
+        # each product <a, e> is one exact term, and a grid's first two
+        # columns are the two-column grid at the same seed: posing the pairs
+        # in R^2 gives the estimates of the pairs in R^n, bit for bit
+        e1, e2 = np.eye(2)
         p_orth = single_hyperplane_separation_prob(e1, e2, args.trials, args.seed, margin=0.0)
         p_anti = single_hyperplane_separation_prob(e1, -e1, args.trials,
                                                    derive_seed(args.seed, 1), margin=0.0)
@@ -328,4 +328,4 @@ def console_main() -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    console_main()

@@ -174,6 +174,15 @@ def as_rows(ensemble) -> np.ndarray:
     return rows
 
 
+def _ensemble(grid, m: int, n: int, seed: int) -> MeasurementEnsemble:
+    """The m x n grid of one generator, with the ensemble shape checked."""
+    if n < 1:
+        raise ValueError("ambient dimension n must be at least 1")
+    if m < 0:
+        raise ValueError("row count m must be nonnegative")
+    return MeasurementEnsemble(grid(seed, m, n))
+
+
 def gen_gaussian_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
     """Generate m i.i.d. standard Gaussian measurement vectors in R^n.
 
@@ -185,11 +194,7 @@ def gen_gaussian_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
     Returns:
         MeasurementEnsemble with rows of i.i.d. N(0, 1) entries.
     """
-    if n < 1:
-        raise ValueError("ambient dimension n must be at least 1")
-    if m < 0:
-        raise ValueError("row count m must be nonnegative")
-    return MeasurementEnsemble(normal_grid(seed, m, n))
+    return _ensemble(normal_grid, m, n, seed)
 
 
 def gen_bernoulli_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
@@ -198,11 +203,7 @@ def gen_bernoulli_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
     Included as the negative control: sign measurements from +-1 rows cannot
     separate certain distinct sparse signals, no matter how many rows are used.
     """
-    if n < 1:
-        raise ValueError("ambient dimension n must be at least 1")
-    if m < 0:
-        raise ValueError("row count m must be nonnegative")
-    return MeasurementEnsemble(sign_grid(seed, m, n))
+    return _ensemble(sign_grid, m, n, seed)
 
 
 def sign_quantize(values) -> np.ndarray:

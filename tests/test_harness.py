@@ -17,9 +17,10 @@ import pytest
 import scipy
 
 import onebit
+import onebit.geometry as geometry
 import onebit.harness as harness
 from onebit.cli import build_parser, main
-from onebit.geometry import SignalSetSpec, sample_sphere_cap
+from onebit.geometry import SignalSetSpec, sample_sphere_cap, single_hyperplane_separation_prob
 from onebit.harness import (
     ROOT_TWO_OVER_PI,
     SWEEP_FIELDS,
@@ -290,6 +291,46 @@ def test_bernoulli_counterexample_matches_full_width(monkeypatch, n, m, num_seed
     want = _full_width_bernoulli_counterexample(n, m, num_seeds, seed)
     assert got == want
     assert len(got_log) == 2 * (num_seeds + 1) and got_log == want_log
+
+
+def _full_width_separation(n, trials, seed):
+    """The separation check's two estimates as they were, on pairs in R^n."""
+    e1 = np.zeros(n)
+    e1[0] = 1.0
+    e2 = np.zeros(n)
+    e2[1] = 1.0
+    return (single_hyperplane_separation_prob(e1, e2, trials, seed, margin=0.0),
+            single_hyperplane_separation_prob(e1, -e1, trials, derive_seed(seed, 1),
+                                              margin=0.0))
+
+
+@pytest.mark.parametrize("n", [2, 64])
+@pytest.mark.parametrize("trials", [76, 65537])
+def test_separation_check_matches_full_width(monkeypatch, capsys, n, trials):
+    # the check draws two columns whatever --n is; its estimates must be the
+    # full-width ones to the bit, past the 65,536-row chunk too
+    want = _full_width_separation(n, trials, seed=0)
+    shapes, got = [], []
+    real_grid, real_prob = geometry.normal_grid, single_hyperplane_separation_prob
+
+    def grid(seed, rows, cols, row_offset=0):
+        shapes.append((rows, cols))
+        return real_grid(seed, rows, cols, row_offset)
+
+    def prob(*args, **kwargs):
+        got.append(real_prob(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(geometry, "normal_grid", grid)
+    monkeypatch.setattr(onebit.cli, "single_hyperplane_separation_prob", prob)
+    code = main(["verify", "--check", "separation", "--n", str(n), "--trials", str(trials)])
+    out = capsys.readouterr().out
+    assert tuple(got) == want
+    assert out.startswith(f"separation: trials={trials}\n"
+                          f"orthogonal pair: estimate={want[0]:.5f} exact=0.25\n"
+                          f"antipodal pair:  estimate={want[1]:.5f} exact=0.5\n")
+    assert out.endswith("FAIL\n" if code else "PASS\n")
+    assert shapes and all(cols == 2 for _, cols in shapes), shapes
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -746,6 +787,14 @@ def test_cli_delta_must_be_positive_and_finite(capsys, delta):
         assert capsys.readouterr() == ("", "error: threshold t must be positive and finite\n")
 
 
+def _package_env():
+    """The environment for a child interpreter that imports this onebit."""
+    env = dict(os.environ)
+    pkg_parent = str(Path(onebit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_importing_the_cli_builds_no_parser():
     # the parser is built on the first main() call, not at import, so the
     # import time that setup_s measures does not include it
@@ -758,11 +807,8 @@ def test_importing_the_cli_builds_no_parser():
             "argparse.ArgumentParser.__init__ = counting\n"
             "import onebit.cli\n"
             "print(len(built))\n")
-    env = dict(os.environ)
-    pkg_parent = str(Path(onebit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=_package_env(), check=True).stdout
     assert out == "0\n"
 
 
@@ -820,14 +866,18 @@ def test_console_script_version(tmp_path):
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         entry = tomllib.load(fh)["project"]["scripts"]["onebit"]
     module, func = entry.split(":")
-    env = dict(os.environ)
-    pkg_parent = str(Path(onebit.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_parent, env.get("PYTHONPATH")]))
     code = f"import sys; sys.argv[0] = 'onebit'; from {module} import {func}; sys.exit({func}())"
     out = subprocess.run([sys.executable, "-c", code, "--version"], capture_output=True,
-                         text=True, env=env, cwd=tmp_path)
+                         text=True, env=_package_env(), cwd=tmp_path)
     assert out.returncode == 0
     assert "onebit" in out.stdout
+
+
+def test_module_entry_point_version(tmp_path):
+    # `python -m onebit.cli` takes the console script's path
+    out = subprocess.run([sys.executable, "-m", "onebit.cli", "--version"],
+                         capture_output=True, text=True, env=_package_env(), cwd=tmp_path)
+    assert (out.returncode, out.stdout, out.stderr) == (0, f"onebit {onebit.__version__}\n", "")
 
 
 def test_package_version_has_one_source():
