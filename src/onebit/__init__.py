@@ -21,7 +21,6 @@ from .measurement import (
 from .lp_core import (
     LinearProgram,
     LpSolution,
-    ToleranceConfig,
     solve_lp,
 )
 from .recovery import (
@@ -61,7 +60,6 @@ __all__ = [
     "SignalSetSpec",
     "SweepRow",
     "TessellationReport",
-    "ToleranceConfig",
     "VertexCertificate",
     "__version__",
     "build_recovery_lp",

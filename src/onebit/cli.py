@@ -245,11 +245,17 @@ def cmd_tessellate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Run one check and judge it: every threshold and pass rule lives here."""
+    """Run one check and judge it: every threshold and pass rule lives here.
+
+    A check prints INCONCLUSIVE and exits 0, not PASS, at the sizes where it
+    cannot tell a broken sampler from a working one.
+    """
     check = args.check
     if args.delta is not None and not 0 < args.delta < math.inf:
         raise ValueError("threshold t must be positive and finite")
     t = DELTA_DEFAULTS.get(check) if args.delta is None else args.delta
+    R = ROOT_TWO_OVER_PI   # rows of zeros give every moment 0, so a deviation of R
+    inconclusive = None
     if check == "concentration":
         # one trial's moment deviation has standard deviation
         # sqrt(1 - 2/pi)/sqrt(m): the default threshold and the tolerance on
@@ -258,13 +264,18 @@ def cmd_verify(args) -> int:
         if args.delta is None:
             t *= math.sqrt(20000 / max(args.m, 1))
         rep = verify_concentration(args.n, args.m, args.trials, args.seed)
+        tol = 0.005 * math.sqrt(20000 * 100 / (args.m * args.trials))
         exceedance = float((rep.deviations > t).mean())
         print(f"concentration: n={args.n} m={args.m} trials={args.trials}")
-        print(f"mean_abs_moment={rep.mean_abs_moment:.6f} target={ROOT_TWO_OVER_PI:.6f}")
+        print(f"mean_abs_moment={rep.mean_abs_moment:.6f} target={R:.6f}")
         print(f"exceedance@{t}={exceedance:.4f} decay_rate={rep.decay_rate:.3f}")
-        passed = exceedance <= 0.05 and \
-            abs(rep.mean_abs_moment - ROOT_TWO_OVER_PI) <= \
-            0.005 * math.sqrt(20000 * 100 / (args.m * args.trials))
+        passed = exceedance <= 0.05 and abs(rep.mean_abs_moment - R) <= tol
+        if t >= R and tol >= R:
+            sizes = f"m*trials of {math.floor(20000 * 100 * (0.005 / R) ** 2) + 1}"
+            if args.delta is None:
+                sizes = f"--m {math.floor(20000 * (0.02 / R) ** 2) + 1} or more, or {sizes}"
+            inconclusive = (f"the threshold {t:.4f} and the mean tolerance {tol:.4f} reach "
+                            f"sqrt(2/pi), so rows of zeros would pass; use {sizes} or more")
     elif check == "uniform-concentration":
         # the largest deviation over the sampled cap points scales as
         # sqrt(s ln(2n/s)/m), not as one point's sqrt(1 - 2/pi)/sqrt(m)
@@ -276,6 +287,13 @@ def cmd_verify(args) -> int:
               f"samples={args.trials}")
         print(f"max_deviation={max_dev:.6f} threshold={t}")
         passed = max_dev <= t
+        if t >= R:
+            sizes = "--delta below sqrt(2/pi)"
+            if args.delta is None:
+                m_max = (1.5 / R) ** 2 * args.s * math.log(2 * args.n / args.s)
+                sizes = f"--m {math.floor(m_max) + 1} or more"
+            inconclusive = (f"the threshold {t:.4f} reaches sqrt(2/pi), "
+                            f"so rows of zeros would pass; use {sizes}")
     elif check == "bernoulli-counterexample":
         rep = verify_bernoulli_counterexample(args.n, args.m, args.trials, args.seed)
         print(f"bernoulli counterexample: n={args.n} m={args.m} seeds={len(rep.seeds)}")
@@ -296,13 +314,15 @@ def cmd_verify(args) -> int:
         print(f"separation: trials={args.trials}")
         print(f"orthogonal pair: estimate={p_orth:.5f} exact=0.25")
         print(f"antipodal pair:  estimate={p_anti:.5f} exact=0.5")
-        if args.trials < SEPARATION_MIN_TRIALS:
-            print(f"INCONCLUSIVE: at {args.trials} trials the 5 sigma band around 1/4 "
-                  f"reaches 0, so no estimate can fail; use --trials "
-                  f"{SEPARATION_MIN_TRIALS} or more")
-            return 0
         passed = all(abs(est - p) <= 5 * np.sqrt(p * (1 - p) / args.trials)
                      for est, p in ((p_orth, 0.25), (p_anti, 0.5)))
+        if args.trials < SEPARATION_MIN_TRIALS:
+            inconclusive = (f"at {args.trials} trials the 5 sigma band around 1/4 reaches 0, "
+                            f"so no estimate can fail; use --trials "
+                            f"{SEPARATION_MIN_TRIALS} or more")
+    if inconclusive:
+        print(f"INCONCLUSIVE: {inconclusive}")
+        return 0
     print("PASS" if passed else "FAIL")
     return 0 if passed else 1
 

@@ -35,17 +35,7 @@ OPTIMALITY_TOL = 1e-9    # a reduced cost above -OPTIMALITY_TOL does not improve
 PIVOT_TOL = 1e-10        # smallest tableau entry accepted as a pivot
 REFRESH_PIVOTS = 512     # pivots between recomputations of the cost row
 STALL_LIMIT = 1000       # consecutive degenerate pivots before Bland's rule
-
-
-@dataclass
-class ToleranceConfig:
-    """Pivot budget of the simplex.
-
-    iteration_factor caps pivots at iteration_factor * (rows + cols) of the
-    standard-form problem.
-    """
-
-    iteration_factor: int = 50
+ITERATION_FACTOR = 50    # pivot cap per row and column of the standard-form problem
 
 
 @dataclass
@@ -211,20 +201,20 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, cost: np.ndarr
     return "iteration_limit", iters, degenerate, switches
 
 
-def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
 
-    Raises ValueError unless every ineq_rhs is <= 0.  The returned primal
-    and row multipliers are recomputed from the final basis with one linear
-    solve each against the original standard-form data (B w = b and
+    Raises ValueError unless every ineq_rhs is <= 0.  Stops with status
+    iteration_limit after ITERATION_FACTOR * (rows + cols) pivots of the
+    standard-form problem, reading the constant at call time.  The returned
+    primal and row multipliers are recomputed from the final basis with one
+    linear solve each against the original standard-form data (B w = b and
     B^T pi = c_B), so accumulated tableau roundoff does not leak into the
     reported vertex.
     """
     if (lp.ineq_rhs > 0.0).any():
         raise ValueError("solve_lp needs an LP feasible at z = 0: "
                          "every ineq_rhs must be <= 0")
-    if tol is None:
-        tol = ToleranceConfig()
     c = lp.objective
     K = lp.num_vars
     M = lp.ineq_lhs.shape[0]
@@ -243,7 +233,7 @@ def solve_lp(lp: LinearProgram, tol: ToleranceConfig | None = None) -> LpSolutio
     cost = np.zeros(K + M)
     cost[:K] = c
     status, iters, degenerate, switches = _simplex(
-        T, slots, basis, cost, tol.iteration_factor * (2 * M + K))
+        T, slots, basis, cost, ITERATION_FACTOR * (2 * M + K))
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
         return LpSolution(status, None, value, iters, np.nan,

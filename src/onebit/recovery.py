@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp_core import LinearProgram, LpSolution, ToleranceConfig, solve_lp
+from .lp_core import LinearProgram, LpSolution, solve_lp
 from .measurement import MeasurementEnsemble, as_rows
 
 NORMALIZATION_TOL = 1e-6       # largest max_violation that recover accepts
@@ -152,9 +152,11 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat) -> VertexCertif
     )
 
 
-def recover(ensemble: MeasurementEnsemble, y,
-            tol: ToleranceConfig | None = None) -> RecoveryResult:
+def recover(ensemble: MeasurementEnsemble, y, tol=None) -> RecoveryResult:
     """Solve the recovery LP and package the minimizer with its certificate.
+
+    tol must be None.  It exists only because perfbench/selftest.py calls
+    recover(ens, y, tol) positionally; it goes with benchmark v2.
 
     On certificate.active_rows, A @ x_hat is roundoff around 0.  To re-solve
     from x_hat's own sign pattern, take sign_quantize(A @ x_hat) and set
@@ -163,6 +165,7 @@ def recover(ensemble: MeasurementEnsemble, y,
     vertex comes back.
 
     Raises:
+        TypeError: tol is not None.
         ValueError: the ensemble has no rows, y is not a sign pattern of
             matching length, or every sign is zero (see build_recovery_lp).
         RecoveryError: LP not optimal (status "unbounded" means no x is
@@ -170,9 +173,11 @@ def recover(ensemble: MeasurementEnsemble, y,
             constraint (sign, zero or normalization row) by more than
             NORMALIZATION_TOL: certificate.max_violation, nan included.
     """
+    if tol is not None:
+        raise TypeError("recover takes no solver settings: tol must be None")
     n = as_rows(ensemble).shape[1]
     lp = build_recovery_lp(ensemble, y)
-    sol = solve_lp(lp, tol)
+    sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RecoveryError(f"recovery LP terminated with status {sol.status}")
     x_hat = sol.multipliers[n:] - sol.multipliers[:n]

@@ -29,13 +29,13 @@ import numpy as np
 from scipy.linalg import null_space
 from scipy.linalg.blas import dger
 
+from onebit import lp_core
 from onebit.geometry import SignalSetSpec
 from onebit.lp_core import (
     OPTIMALITY_TOL,
     PIVOT_TOL,
     LinearProgram,
     LpSolution,
-    ToleranceConfig,
     _solve_square,
     max_violation,
     solve_lp,
@@ -43,8 +43,6 @@ from onebit.lp_core import (
 from onebit.measurement import MeasurementEnsemble, as_rows, derive_seed, normal_grid, uniform_grid
 
 FEASIBILITY_TOL = 1e-8   # row residual, relative to 1 + max |rhs|, that counts as satisfied
-FULL_REFRESH_PIVOTS = 512   # pivots between cost-row recomputations in full_tableau_solve_lp
-FULL_STALL_LIMIT = 1000     # degenerate pivots before Bland's rule in full_tableau_solve_lp
 
 
 @dataclass
@@ -125,13 +123,13 @@ def canonical(lp: GeneralLP) -> LinearProgram:
                          np.concatenate([lp.eq_rhs, 0.0 - lp.eq_rhs, lp.ineq_rhs]))
 
 
-def solve_general(lp: GeneralLP, tol: ToleranceConfig | None = None) -> LpSolution:
+def solve_general(lp: GeneralLP) -> LpSolution:
     """Solve lp with solve_lp through canonical(), in lp's variables and rows.
 
     z = w[:d] minus the z_j- parts, and an equality row's multiplier is the
     difference of its pair's.
     """
-    sol = solve_lp(canonical(lp), tol)
+    sol = solve_lp(canonical(lp))
     if sol.status != "optimal":
         return sol
     d, p = lp.num_vars, lp.eq_lhs.shape[0]
@@ -357,7 +355,10 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     """Run pivots until optimality, unboundedness, or the iteration cap.
 
     Dantzig pricing with lowest-index tie-breaks; switches to Bland's rule
-    after FULL_STALL_LIMIT consecutive degenerate pivots, back on progress.
+    after lp_core.STALL_LIMIT consecutive degenerate pivots, back on
+    progress, and recomputes the cost row every lp_core.REFRESH_PIVOTS
+    pivots.  Both are read at call time, so a patch of lp_core reaches
+    this simplex and solve_lp alike.
     """
     K = T.shape[1] - 1
     r = _full_reduced_costs(T, basis, cost)
@@ -395,13 +396,13 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
         basis[rpiv] = cpiv
         iters += 1
         refresh += 1
-        if refresh >= FULL_REFRESH_PIVOTS:
+        if refresh >= lp_core.REFRESH_PIVOTS:
             # recompute the cost row from the basis to shed pivot roundoff
             r[:] = _full_reduced_costs(T, basis, cost)
             refresh = 0
         if gain <= 1e-12 * (1.0 + abs(r[K])):
             stall += 1
-            if stall >= FULL_STALL_LIMIT:
+            if stall >= lp_core.STALL_LIMIT:
                 bland = True
         else:
             stall = 0
@@ -438,7 +439,7 @@ def full_tableau_solve_lp(lp: LinearProgram) -> LpSolution:
     T[:, N] = b
     cost = np.zeros(N)
     cost[:d] = c
-    status, iters = _full_simplex(T, basis, cost, ToleranceConfig().iteration_factor * (M + N))
+    status, iters = _full_simplex(T, basis, cost, lp_core.ITERATION_FACTOR * (M + N))
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
         return LpSolution(status, None, value, iters, np.nan)

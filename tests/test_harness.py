@@ -32,6 +32,7 @@ from onebit.harness import (
     write_manifest,
 )
 from onebit.measurement import (
+    MeasurementEnsemble,
     derive_seed,
     gen_bernoulli_ensemble,
     gen_gaussian_ensemble,
@@ -359,10 +360,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["verify", "--check", "concentration", "--out", "r.txt"]) == 2
     assert main(["verify", "--check", "separation", "--delta", "0.1"]) == 2
     assert main(["verify", "--check", "bernoulli-counterexample", "--delta", "0.1"]) == 2
-    # only sweep and tessellate take a list of m, and recover takes no m
-    capsys.readouterr()
-    assert main(["recover", *files, "--m", "60,120"]) == 2
-    assert "unrecognized arguments: --m" in capsys.readouterr().err
+    # only sweep and tessellate take a list of m
     assert main(["gen", "--m", "60,120", "--out", "inst"]) == 2
     assert main(["verify", "--check", "concentration", "--m", "100,200"]) == 2
 
@@ -767,6 +765,45 @@ def test_cli_verify_uniform_concentration_default_scales_with_m(capsys, monkeypa
     # a given --delta is used as is
     code, t, out = verify("--delta", "0.1")
     assert code == 0 and t == 0.1
+
+
+def test_cli_verify_concentration_checks_say_when_they_cannot_fail(capsys, monkeypatch):
+    # rows of zeros give every moment 0 and every deviation sqrt(2/pi): at
+    # the default thresholds they pass concentration when m <= 12 and
+    # m * trials <= 78, and uniform-concentration (n = 64, s = 4) when
+    # m <= 48.  There the check says INCONCLUSIVE and names the sizes that
+    # can fail; one step past, zero rows fail and the real generator passes
+    def verify(*argv):
+        code = main(["verify", "--check", *argv])
+        return code, capsys.readouterr().out
+
+    floors = ((["concentration", "--m", "12", "--trials", "6"],
+               ["concentration", "--m", "13", "--trials", "7"],
+               "use --m 13 or more, or m*trials of 79 or more\n"),
+              (["uniform-concentration", "--m", "48"],
+               ["uniform-concentration", "--m", "49"],
+               "use --m 49 or more\n"))
+    for _, past, _ in floors:
+        code, out = verify(*past)
+        assert code == 0 and out.endswith("PASS\n"), (past, out)
+
+    monkeypatch.setattr(harness, "gen_gaussian_ensemble",
+                        lambda m, n, seed: MeasurementEnsemble(np.zeros((m, n))))
+    for floor, past, sizes in floors:
+        code, out = verify(*floor)
+        assert code == 0 and "\nINCONCLUSIVE: " in out and out.endswith(sizes), (floor, out)
+        assert "PASS" not in out
+        code, out = verify(*past)
+        assert code == 1 and out.endswith("FAIL\n"), (past, out)
+    # either concentration bound alone lets zero rows fail
+    for argv in (["--m", "12", "--trials", "7"], ["--m", "13", "--trials", "6"]):
+        code, out = verify("concentration", *argv)
+        assert code == 1 and out.endswith("FAIL\n"), (argv, out)
+    # a given --delta at or above sqrt(2/pi) leaves only the sizes it does not set
+    code, out = verify("concentration", "--m", "12", "--trials", "6", "--delta", "0.9")
+    assert code == 0 and out.endswith("use m*trials of 79 or more\n"), out
+    code, out = verify("uniform-concentration", "--delta", str(ROOT_TWO_OVER_PI))
+    assert code == 0 and out.endswith("use --delta below sqrt(2/pi)\n"), out
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "0", "-1"])

@@ -14,13 +14,11 @@ import onebit
 import onebit.geometry
 import onebit.lp_core
 import onebit.recovery
-import oracles
 from onebit.harness import gen_instance
 from onebit.lp_core import (
     OPTIMALITY_TOL,
     PIVOT_TOL,
     LinearProgram,
-    ToleranceConfig,
     max_violation,
     solve_lp,
 )
@@ -160,16 +158,16 @@ def test_multipliers_certify_optimality(mask):
     assert checked >= 10
 
 
-def test_iteration_limit_status():
+def test_iteration_limit_status(monkeypatch):
     # min -z subject to z <= 3 takes one pivot, which a zero budget denies
     prob = lp([-1.0], ineq_lhs=[[-1.0]], ineq_rhs=[-3.0])
     assert solve_general(prob).iterations == 1
-    cfg = ToleranceConfig(iteration_factor=0)
-    sol = solve_general(prob, cfg)
+    monkeypatch.setattr(onebit.lp_core, "ITERATION_FACTOR", 0)
+    sol = solve_general(prob)
     assert sol.status == "iteration_limit"
     assert sol.primal is None
     # an LP with no rows takes the same path, so the same limit applies
-    assert solve_general(lp([1.0, -1.0]), cfg).status == "iteration_limit"
+    assert solve_general(lp([1.0, -1.0])).status == "iteration_limit"
 
 
 def test_optimal_within_feasibility_tolerance():
@@ -266,7 +264,6 @@ def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
     # returns its bytes; a refresh every 3 pivots compares that path too,
     # and a stall limit of 1 compares Bland's rule
     monkeypatch.setattr(onebit.lp_core, "REFRESH_PIVOTS", refresh)
-    monkeypatch.setattr(oracles, "FULL_REFRESH_PIVOTS", refresh)
     cases = [(f"{mask} seed {seed}", canonical(random_small_lp(seed, mask)))
              for mask in ("free", "nonneg", "mixed") for seed in range(300)]
     cases += [(f"gaussian m={m} seed {seed}", recovery_lp(128, 4, m, seed))
@@ -280,7 +277,6 @@ def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
     for label, prob in cases:
         for stall in stalls:
             monkeypatch.setattr(onebit.lp_core, "STALL_LIMIT", stall)
-            monkeypatch.setattr(oracles, "FULL_STALL_LIMIT", stall)
             got, want = solve_lp(prob), full_tableau_solve_lp(prob)
             assert (got.status, got.iterations) == (want.status, want.iterations), (label, stall)
             if want.status == "optimal":
@@ -323,11 +319,17 @@ def test_brute_force_guard():
 
 
 def test_settings_and_public_surface():
-    # the pivot budget is the only setting; the thresholds are constants,
-    # and with no phase 1 the solver has no feasibility threshold
-    assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["iteration_factor"]
-    assert (OPTIMALITY_TOL, PIVOT_TOL, onebit.lp_core.STALL_LIMIT) == (1e-9, 1e-10, 1000)
+    # the solver has no settings: the thresholds and the pivot budget are
+    # constants, and with no phase 1 there is no feasibility threshold
+    assert (OPTIMALITY_TOL, PIVOT_TOL, onebit.lp_core.STALL_LIMIT,
+            onebit.lp_core.ITERATION_FACTOR) == (1e-9, 1e-10, 1000, 50)
     assert not hasattr(onebit.lp_core, "FEASIBILITY_TOL")
+    # and no settings class: lp_core's classes, here and as the package
+    # exports them, are the LP and its solution
+    for module in (onebit, onebit.lp_core):
+        classes = {name for name, obj in vars(module).items()
+                   if isinstance(obj, type) and obj.__module__ == "onebit.lp_core"}
+        assert classes == {"LinearProgram", "LpSolution"}, module.__name__
     # the reference oracles and the proof-lemma helpers are test code, not
     # library API
     for module in (onebit, onebit.lp_core, onebit.recovery, onebit.geometry):

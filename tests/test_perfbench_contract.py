@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,9 +48,13 @@ def test_recover_takes_the_selftest_arguments():
     # perfbench/selftest.py calls recover(ens, y, tol) positionally; without
     # the third parameter its scaled-x_hat stub would raise TypeError and the
     # check it exercises would never see a wrong output
-    from onebit.harness import recover
+    from onebit.harness import gen_instance, recover
 
     inspect.signature(recover).bind(object(), object(), None)
+    # but it is no setting: anything other than None is refused
+    x, ens = gen_instance(8, 2, 16, 5, "gaussian", "unit_gaussian")
+    with pytest.raises(TypeError, match="tol must be None"):
+        recover(ens, np.sign(ens.rows @ x), object())
 
 
 def test_layer_info_attributes():

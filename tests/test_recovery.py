@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import onebit.lp_core
 import onebit.recovery
 from onebit.harness import gen_instance
-from onebit.lp_core import LpSolution, ToleranceConfig, max_violation, solve_lp
+from onebit.lp_core import LpSolution, max_violation, solve_lp
 from onebit.measurement import (
     MeasurementEnsemble,
     derive_seed,
@@ -305,17 +306,18 @@ def test_scale_invariance_of_input():
     assert np.array_equal(a.x_hat, b.x_hat)
 
 
-def test_recover_surfaces_solver_status():
+def test_recover_surfaces_solver_status(monkeypatch):
     _, ens, y = make_instance(8, 2, 16, seed=5)
+    monkeypatch.setattr(onebit.lp_core, "ITERATION_FACTOR", 0)
     with pytest.raises(RecoveryError, match="iteration_limit"):
-        recover(ens, y, tol=ToleranceConfig(iteration_factor=0))
+        recover(ens, y)
 
 
 def solving_to(monkeypatch, x_hat):
     """Make recover's solve_lp report an optimal vertex that reads back as x_hat."""
     x_hat = np.asarray(x_hat, dtype=np.float64)
 
-    def fake_solve(lp, tol=None):
+    def fake_solve(lp):
         return LpSolution("optimal", np.zeros(lp.num_vars), 0.0, 0, 0.0,
                           multipliers=np.concatenate([np.zeros_like(x_hat), x_hat]))
 
