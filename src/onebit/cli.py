@@ -189,6 +189,7 @@ def cmd_recover(args) -> int:
     print(f"certificate: |T|={cert.support.size} |Omega|={cert.active_rows.size} "
           f"cardinality_ok={cert.cardinality_ok} kernel_residual={cert.kernel_residual:.3e} "
           f"normalization_residual={cert.normalization_residual:.3e}")
+    print(f"duality: gap={cert.duality_gap:.3e} dual_violation={cert.dual_violation:.3e}")
     if x_true is not None:
         print(f"error={recovery_error(res.direction, x_true):.6f}")
     if args.out:

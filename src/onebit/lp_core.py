@@ -2,26 +2,40 @@
 
 Problem form: minimize objective @ z subject to
 
-    ineq_lhs @ z >= ineq_rhs    (q rows, ineq_rhs <= 0)
+    ineq_rhs <= ineq_lhs @ z <= ineq_upper    (q range rows)
     z >= 0
 
-The right-hand-side condition makes z = 0 feasible; solve_lp requires it
-(the recovery LP meets it, every right-hand side being -1).  It runs a
-one-phase primal simplex on the standard form (subtract a surplus variable
-from every row), starting from the all-surplus basis, and reports the
-optimal vertex with its row multipliers.  An equality row or a free
-variable is posed by its caller in this form: as two opposite inequality
-rows, or as the difference of two nonnegative variables.
+with ineq_rhs <= 0 <= ineq_upper; an upper bound of +inf (the default)
+makes a row one-sided.  The bound condition makes z = 0 feasible; solve_lp
+requires it (the recovery LP meets it, every row reading -1 <= G_i z <= 1).
+It runs a one-phase primal simplex from the all-surplus basis and reports
+the optimal vertex with one signed multiplier per row.  An equality row is
+a row whose bounds are both 0; a free variable is posed by its caller as the
+difference of two nonnegative variables.
+
+The simplex is the one on the two-row form, in which every row is the lower
+row a_i z >= l_i and every finite upper bound adds the mirrored row
+-a_i z >= -u_i, each with its own surplus; it takes that form's pivots.  A
+row's two surpluses sum to its width u_i - l_i, so either determines the
+other (Dantzig's upper-bounding technique), and the tableau keeps one row
+per range row.  While both surpluses of a row are basic, the tableau stores
+the row of one of them and the ratio test reads the other's as
+[-row, width - rhs]; a pivot on that mirrored row is the stored row's pivot
+from the rhs rhs - width, with the leaving column negated.  An entering
+surplus whose own width binds first flips to its mirror: rhs -= width *
+column, and the column is negated.  A one-sided row (width +inf) has no
+mirror and never flips.
 
 The tableau is a condensed exchange tableau: one column per nonbasic
 variable plus the rhs, filled straight from the LP blocks.  The basic
 columns of the full tableau are unit columns and are not stored; a pivot
-hands the entering variable's column to the leaving variable.  Pricing
-takes the most negative reduced cost (Dantzig's rule, Bland's after a
-stall) and breaks ties by variable index, so the pivots, and the vertex,
-are those of the full tableau.  The ratio test runs over the whole
-entering column, with an infinite ratio on every row whose entry is not a
-usable pivot, and picks the stoutest pivot among near-tied rows.
+hands the entering variable's column to the leaving variable.  Variables
+keep their two-row names (z, then the lower surpluses, then the upper ones)
+and rows their two-row positions, so pricing (Dantzig's rule, Bland's after
+a stall, ties broken by name), the ratio test's tie-breaks and the clean
+re-solve's block order are those of the full two-row tableau.  The ratio
+test runs over every row, with an infinite ratio on every row whose entry is
+not a usable pivot, and picks the stoutest pivot among near-tied rows.
 """
 
 from __future__ import annotations
@@ -35,27 +49,34 @@ OPTIMALITY_TOL = 1e-9    # a reduced cost above -OPTIMALITY_TOL does not improve
 PIVOT_TOL = 1e-10        # smallest tableau entry accepted as a pivot
 REFRESH_PIVOTS = 512     # pivots between recomputations of the cost row
 STALL_LIMIT = 1000       # consecutive degenerate pivots before Bland's rule
-ITERATION_FACTOR = 50    # pivot cap per row and column of the standard-form problem
+ITERATION_FACTOR = 50    # pivot cap per row and column of the two-row standard form
 
 
 @dataclass
 class LinearProgram:
-    """Dense LP data: minimize objective @ z s.t. ineq_lhs @ z >= ineq_rhs, z >= 0."""
+    """Dense LP data: minimize objective @ z s.t. ineq_rhs <= ineq_lhs @ z <= ineq_upper, z >= 0."""
 
-    objective: np.ndarray   # (d,)
-    ineq_lhs: np.ndarray    # (q, d)
-    ineq_rhs: np.ndarray    # (q,)
+    objective: np.ndarray            # (d,)
+    ineq_lhs: np.ndarray             # (q, d)
+    ineq_rhs: np.ndarray             # (q,) row lower bounds
+    ineq_upper: np.ndarray | None = None   # (q,) row upper bounds, +inf for a one-sided row
 
     def __post_init__(self) -> None:
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
         d = self.objective.shape[0]
         self.ineq_lhs = np.asarray(self.ineq_lhs, dtype=np.float64).reshape(-1, d)
         self.ineq_rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=np.float64))
-        if self.ineq_lhs.shape[0] != self.ineq_rhs.shape[0]:
+        q = self.ineq_rhs.shape[0]
+        self.ineq_upper = np.full(q, np.inf) if self.ineq_upper is None else \
+            np.atleast_1d(np.asarray(self.ineq_upper, dtype=np.float64))
+        if self.ineq_lhs.shape[0] != q or self.ineq_upper.shape != (q,):
             raise ValueError("inequality lhs/rhs row counts differ")
         for block in (self.objective, self.ineq_lhs, self.ineq_rhs):
             if not np.isfinite(block).all():
                 raise ValueError("linear program data must be finite")
+        if not (self.ineq_upper > -np.inf).all():   # a nan compares false too
+            raise ValueError("linear program data must be finite, "
+                             "apart from +inf row upper bounds")
 
     @property
     def num_vars(self) -> int:
@@ -78,18 +99,23 @@ class LpSolution:
     objective_value: float           # nan unless optimal, -inf if unbounded
     iterations: int
     max_constraint_violation: float  # against the original rows, nan unless optimal
-    # (q,) row multipliers, present iff optimal (and only from solve_lp):
-    # ineq_lhs.T @ pi <= objective, pi >= 0, and
-    # ineq_rhs @ pi = objective_value
+    # (q,) signed row multipliers, present iff optimal (and only from solve_lp):
+    # positive where the lower bound binds, negative where the upper one does
+    # (so >= 0 on a one-sided row), ineq_lhs.T @ y <= objective, and
+    # ineq_rhs @ max(y, 0) + ineq_upper @ min(y, 0) = objective_value, the
+    # second sum over the rows with a finite upper bound
     multipliers: np.ndarray | None = None
     degenerate_pivots: int = 0       # pivots that did not improve the objective
     bland_switches: int = 0          # switches to Bland's rule after a stall
+    upper_pivots: int = 0            # pivots that made a row's upper bound binding
+    bound_flips: int = 0             # entering surpluses that crossed their row's width
 
 
 def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
-    """Largest violation by z of the LP's rows and of z >= 0."""
-    slack = lp.ineq_lhs @ z - lp.ineq_rhs
-    return max(float((-z).max(initial=0.0)), float((-slack).max(initial=0.0)))
+    """Largest violation by z of the LP's row bounds and of z >= 0 (never -0.0)."""
+    prods = lp.ineq_lhs @ z
+    return max(float((-z).max(initial=0.0)), float((lp.ineq_rhs - prods).max(initial=0.0)),
+               float((prods - lp.ineq_upper).max(initial=0.0))) + 0.0
 
 
 def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int, row: np.ndarray) -> None:
@@ -127,135 +153,210 @@ def _reduced_costs(T: np.ndarray, slots: np.ndarray, basis: np.ndarray,
     return r
 
 
-def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, cost: np.ndarray,
-             itmax: int) -> tuple[str, int, int, int]:
-    """Run pivots until optimality, unboundedness, or the iteration cap.
+def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, pos: np.ndarray,
+             cost: np.ndarray, width: np.ndarray, itmax: int) -> tuple:
+    """Run pivots from the all-surplus basis until optimality, unboundedness,
+    or the iteration cap.
 
     Returns the status, the pivots, the degenerate pivots (those that did
-    not improve the objective) and the switches to Bland's rule.  The
-    candidates are the columns with reduced cost below -OPTIMALITY_TOL;
-    Dantzig's rule keeps those of the most negative one, Bland's rule keeps
-    them all, and both take the lowest variable index (slots), not column,
-    so the pivots are those of the full tableau.  Switches to Bland's rule
-    after STALL_LIMIT consecutive degenerate pivots, back on progress.
+    not improve the objective), the switches to Bland's rule, the pivots
+    that made an upper bound binding and the bound flips.  Variables carry
+    two-row names: z is 0..K-1, row i's lower surplus K + i and its upper
+    one K + M + i; pos holds each stored row's two-row position, row i's
+    upper row being at M + i (the two-row form numbers only the finite upper
+    bounds, in the same order); width is each row's width, +inf for a
+    one-sided row.  The candidates are the columns with reduced cost below
+    -OPTIMALITY_TOL; Dantzig's rule keeps those of the most negative one,
+    Bland's rule keeps them all, and both take the lowest variable name
+    (slots), not column.  Switches to Bland's rule after STALL_LIMIT
+    consecutive degenerate pivots, back on progress.
 
-    The ratio test divides max(rhs, 0) by the entering column on the rows
-    whose entry exceeds PIVOT_TOL and gives every other row an infinite
-    ratio; a column with no such row is unbounded.  When several rows come
-    within 1e-9 (relative) of the least ratio, those whose entry is at least
-    a tenth of the largest tied entry stay in, and Dantzig's rule takes the
-    largest entry among them, Bland's rule the lowest basic variable index.
+    The ratio test runs over the stored rows, their mirrored rows and the
+    entering variable's own bound: it divides max(rhs, 0) by the entry on
+    the rows whose entry exceeds PIVOT_TOL and gives every other row an
+    infinite ratio; a column with no finite ratio is unbounded.  When several
+    rows come within 1e-9 (relative) of the least ratio, those whose entry is
+    at least a tenth of the largest tied entry stay in, and Dantzig's rule
+    takes the largest entry among them (on a tie, the lowest two-row
+    position), Bland's rule the lowest basic variable name.
     """
     M, K = T.shape[0], T.shape[1] - 1
-    r = _reduced_costs(T, slots, basis, cost)
+    # the all-surplus basis costs nothing, so its cost row is [objective | 0]
+    r = np.zeros(K + 1)
+    r[:K] = cost[slots]
     red = r[:K]
     rhs = T[:, K]
-    num = np.empty(M)
-    ratios = np.empty(M)
-    positive = np.empty(M, dtype=bool)
+    # the two-row position of the surplus row of each row that the tableau
+    # does not store: the mirror of its stored surplus, or its lone basic one
+    dpos = np.arange(M, 2 * M)
+    wrow = width.copy()     # the width of the row whose surplus each stored row holds
+    # ratio-test rows: [stored rows | their mirrors | the entering variable's own bound]
+    entry = np.empty(2 * M + 1)
+    entry[2 * M] = 1.0
+    num = np.empty(2 * M + 1)
+    stored_entry, mirror_entry, stored_num, mirror_num = entry[:M], entry[M:2 * M], num[:M], num[M:2 * M]
+    ratios = np.empty(2 * M + 1)
+    unusable = np.empty(2 * M + 1, dtype=bool)
     prow = np.empty(K + 1)
-    iters = 0
-    degenerate = 0
-    switches = 0
+    iters = degenerate = switches = uppers = flips = 0
     stall = 0
     bland = False
-    while iters < itmax:
-        cpiv = int(red.argmin())
-        if not red[cpiv] < -OPTIMALITY_TOL:
-            return "optimal", iters, degenerate, switches
-        cand = (red < -OPTIMALITY_TOL if bland else red == red[cpiv]).nonzero()[0]
-        if cand.size > 1:
-            cpiv = int(cand[slots[cand].argmin()])
-        col = T[:, cpiv]
-        np.greater(col, PIVOT_TOL, out=positive)
-        if not positive.any():
-            return "unbounded", iters, degenerate, switches
-        np.maximum(rhs, 0.0, out=num)
-        ratios.fill(np.inf)
-        np.divide(num, col, out=ratios, where=positive)
-        rpiv = int(ratios.argmin())
-        best = float(ratios[rpiv])
-        # among (near-)tied rows take the stoutest pivot first: index-only
-        # tie-breaking happily pivots on 1e-10 entries and wrecks the tableau
-        ties = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
-        if ties.size > 1:
-            entries = col[ties]
-            stout = ties[entries >= 0.1 * entries.max()]
-            rpiv = int(stout[basis[stout].argmin()] if bland else stout[col[stout].argmax()])
-        gain = -r[cpiv] * best
-        _pivot(T, r, rpiv, cpiv, prow)
-        slots[cpiv], basis[rpiv] = basis[rpiv], slots[cpiv]
-        iters += 1
-        if iters % REFRESH_PIVOTS == 0:
-            # recompute the cost row from the basis to shed pivot roundoff
-            r[:] = _reduced_costs(T, slots, basis, cost)
-        if gain <= 1e-12 * (1.0 + abs(r[K])):
-            degenerate += 1
-            stall += 1
-            if stall >= STALL_LIMIT and not bland:
-                bland = True
-                switches += 1
-        else:
-            stall = 0
-            bland = False
-    return "iteration_limit", iters, degenerate, switches
+    # a ratio of an unusable entry is overwritten, so its division may warn
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while iters < itmax:
+            cpiv = int(red.argmin())
+            if not red[cpiv] < -OPTIMALITY_TOL:
+                return "optimal", iters, degenerate, switches, uppers, flips
+            cand = (red < -OPTIMALITY_TOL if bland else red == red[cpiv]).nonzero()[0]
+            if cand.size > 1:
+                cpiv = int(cand[slots[cand].argmin()])
+            enter = int(slots[cpiv])
+            own = float(width[(enter - K) % M]) if enter >= K else np.inf
+            col = T[:, cpiv]
+            stored_entry[:] = col
+            np.negative(col, out=mirror_entry)
+            stored_num[:] = rhs
+            np.subtract(wrow, rhs, out=mirror_num)
+            num[2 * M] = own
+            np.maximum(num, 0.0, out=num)
+            np.divide(num, entry, out=ratios)
+            np.less_equal(entry, PIVOT_TOL, out=unusable)
+            np.putmask(ratios, unusable, np.inf)
+            k = int(ratios.argmin())
+            best = float(ratios[k])
+            if best == np.inf:
+                return "unbounded", iters, degenerate, switches, uppers, flips
+            # among (near-)tied rows take the stoutest pivot first: index-only
+            # tie-breaking happily pivots on 1e-10 entries and wrecks the tableau
+            ties = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
+            if ties.size > 1:
+                ent = entry[ties]
+                stout = ties[ent >= 0.1 * ent.max()]
+                if not bland:
+                    stout = stout[entry[stout] == entry[stout].max()]
+                k = int(stout[0])
+                if stout.size > 1:
+                    # a row past the stored ones holds the mirror of the surplus
+                    # stored there, or of the entering one (owner)
+                    below = stout < M
+                    owner = basis[stout % M]
+                    if stout[-1] == 2 * M:
+                        owner[-1] = enter
+                    if bland:
+                        key = np.where(below, owner, np.where(owner < K + M, owner + M, owner - M))
+                    else:
+                        key = np.where(below, pos[stout % M], dpos[(owner - K) % M])
+                    k = int(stout[key.argmin()])
+            gain = -r[cpiv] * best
+            if k == 2 * M:
+                # the entering surplus reaches its row's width: it trades names
+                # with its basic mirror, and no row changes
+                rc = r[cpiv]
+                rhs -= own * col
+                np.negative(col, out=col)
+                r[cpiv] = -rc
+                r[K] -= own * rc
+                slots[cpiv] = enter + M if enter < K + M else enter - M
+                flips += 1
+            else:
+                j = k % M
+                leave = int(basis[j])
+                if k >= M:
+                    # the mirrored row of row j's surplus, [-row, width - rhs]:
+                    # its pivot is row j's from the rhs rhs - width, with the
+                    # leaving column negated, as the mirror leaves, not the surplus
+                    i = (leave - K) % M
+                    rhs[j] -= wrow[j]
+                    pos[j], dpos[i] = dpos[i], pos[j]
+                    leave = leave + M if leave < K + M else leave - M
+                _pivot(T, r, j, cpiv, prow)
+                if k >= M:
+                    np.negative(col, out=col)
+                    r[cpiv] = -r[cpiv]
+                slots[cpiv], basis[j] = leave, enter
+                wrow[j] = own
+                uppers += leave >= K + M
+            iters += 1
+            if iters % REFRESH_PIVOTS == 0:
+                # recompute the cost row from the basis to shed pivot roundoff
+                r[:] = _reduced_costs(T, slots, basis, cost)
+            if gain <= 1e-12 * (1.0 + abs(r[K])):
+                degenerate += 1
+                stall += 1
+                if stall >= STALL_LIMIT and not bland:
+                    bland = True
+                    switches += 1
+            else:
+                stall = 0
+                bland = False
+    return "iteration_limit", iters, degenerate, switches, uppers, flips
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
 
-    Raises ValueError unless every ineq_rhs is <= 0.  Stops with status
-    iteration_limit after ITERATION_FACTOR * (rows + cols) pivots of the
-    standard-form problem, reading the constant at call time.  The returned
-    primal and row multipliers are recomputed from the final basis with one
-    linear solve each against the original standard-form data (B w = b and
-    B^T pi = c_B), so accumulated tableau roundoff does not leak into the
-    reported vertex.
+    Raises ValueError unless every ineq_rhs is <= 0 and every ineq_upper
+    >= 0.  Stops with status iteration_limit after ITERATION_FACTOR *
+    (rows + cols) pivots of the two-row standard form, reading the constant
+    at call time.  The returned primal and row multipliers are recomputed
+    from the final basis with one linear solve each against the original
+    two-row data (B w = b and B^T pi = c_B), so accumulated tableau roundoff
+    does not leak into the reported vertex.
     """
-    if (lp.ineq_rhs > 0.0).any():
-        raise ValueError("solve_lp needs an LP feasible at z = 0: "
-                         "every ineq_rhs must be <= 0")
+    if np.count_nonzero(lp.ineq_rhs > 0.0) or np.count_nonzero(lp.ineq_upper < 0.0):
+        raise ValueError("solve_lp needs an LP feasible at z = 0: every ineq_rhs "
+                         "must be <= 0 and every ineq_upper >= 0")
     c = lp.objective
     K = lp.num_vars
     M = lp.ineq_lhs.shape[0]
 
-    # standard form, every row negated: row i reads -a_i z + s_i = -f_i with
-    # surplus s_i >= 0, so the all-surplus basis is feasible.  Variables: z,
-    # then surplus.  The condensed tableau holds one column per nonbasic
-    # variable (slots names it) and the rhs; basis names each row's basic
-    # variable
-    b = -lp.ineq_rhs
+    # two-row standard form, every row negated: lower row i reads
+    # -a_i z + s_i = -l_i and its upper row a_i z + s'_i = u_i, with
+    # surpluses >= 0, so the all-surplus basis is feasible.  The condensed
+    # tableau starts from the M lower rows: one column per nonbasic variable
+    # (slots names it) and the rhs; basis names each stored row's basic
+    # variable and pos gives its two-row position
     T = np.empty((M, K + 1), order="F")
     np.negative(lp.ineq_lhs, out=T[:, :K])
-    T[:, K] = b
+    np.negative(lp.ineq_rhs, out=T[:, K])
     slots = np.arange(K)
-    basis = K + np.arange(M)
-    cost = np.zeros(K + M)
+    basis = np.arange(K, K + M)
+    pos = np.arange(M)
+    cost = np.zeros(K + 2 * M)
     cost[:K] = c
-    status, iters, degenerate, switches = _simplex(
-        T, slots, basis, cost, ITERATION_FACTOR * (2 * M + K))
+    width = lp.ineq_upper - lp.ineq_rhs
+    two_rows = M + int(np.count_nonzero(width < np.inf))
+    status, iters, degenerate, switches, uppers, flips = _simplex(
+        T, slots, basis, pos, cost, width, ITERATION_FACTOR * (2 * two_rows + K))
+    telemetry = dict(degenerate_pivots=degenerate, bland_switches=switches,
+                     upper_pivots=uppers, bound_flips=flips)
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
-        return LpSolution(status, None, value, iters, np.nan,
-                          degenerate_pivots=degenerate, bland_switches=switches)
+        return LpSolution(status, None, value, iters, np.nan, **telemetry)
 
     # clean vertex and multipliers: re-solve the basis systems B w = b and
-    # B^T pi = c_B against the unpivoted data.  A basic surplus is a
+    # B^T pi = c_B against the unpivoted two-row data.  A basic surplus is a
     # zero-cost unit column on its own row, so both systems reduce to the
-    # block of the basic z columns on the rows whose surplus is nonbasic (in
-    # the recovery dual: the support of x_hat by the basic measurements);
-    # undoing the row negation gives the multipliers of the rows >= form
-    unit = basis >= K
-    cols = basis[~unit]
-    rows = np.ones(M, dtype=bool)
-    rows[basis[unit] - K] = False
-    block = -lp.ineq_lhs[rows][:, cols]
+    # block of the basic z columns (in two-row position order) on the rows
+    # whose surplus is nonbasic (lower rows, then upper rows; in the
+    # recovery dual: the support of x_hat by the basic measurements).
+    # Undoing the row negation gives the multipliers of the >= rows, a
+    # lower row's counting positive and an upper row's negative
+    cols = basis[np.argsort(pos)]
+    cols = cols[cols < K]
+    tight = np.sort(slots)
+    tight = tight[np.searchsorted(tight, K):] - K    # two-row indices: lower rows, then upper
+    nl = int(np.searchsorted(tight, M))
+    rows = tight % M
+    block = lp.ineq_lhs[rows][:, cols]
+    block[:nl] = -block[:nl]
     z = np.zeros(K)
-    z[cols] = _solve_square(block, b[rows])
-    pi = np.zeros(M)
-    pi[rows] = _solve_square(block.T, cost[cols])
-    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), -pi,
-                      degenerate, switches)
+    z[cols] = _solve_square(block, np.concatenate([-lp.ineq_rhs, lp.ineq_upper])[tight])
+    pi = _solve_square(block.T, c[cols])
+    pi[:nl] = -pi[:nl]
+    y = np.zeros(M)
+    y[rows] = pi
+    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), y, **telemetry)
 
 
 def _solve_square(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -9,19 +9,23 @@ Given y = sign(A x), the convex program
 is solved through its LP dual.  With W the rows y_i a_i where y_i != 0 and
 a_i where y_i = 0, and g = (1/m) sum_i y_i a_i, the dual is
 
-    maximize t   subject to   -1 <= W^T w + t g <= 1   (2n rows)
+    maximize t   subject to   -1 <= W^T w + t g <= 1   (n range rows)
                               t >= 0, w_i >= 0 where y_i != 0, other w_i free
 
 A row <a_i, x'> = 0 is two opposite inequalities, so its free w_i is posed
 as w_i+ - w_i-, and the LP has m + 1 + #zeros nonnegative variables with
-columns [W^T | g | -W^T[:, y == 0]].  Every right-hand side is -1, so
+columns [W^T | g | -W^T[:, y == 0]].  Every row's bounds are -1 and 1, so
 z = 0 is feasible and the all-surplus basis is the start that solve_lp
-requires.  x_hat is read back by complementary slackness as the multipliers
-of the upper rows minus those of the lower rows.  The normalization is
-posed as >= 1 and must be tight at the optimum (scaling the solution down
+requires.  x_hat is read back by complementary slackness from the signed
+row multipliers: x_hat_i is minus row i's multiplier, positive where the
+upper bound binds and negative where the lower one does.  The normalization
+is posed as >= 1 and must be tight at the optimum (scaling the solution down
 would otherwise lower the objective).  After the solve, x_hat is checked
 against every primal constraint, the normalization row included, through
-the certificate's max_violation; recover refuses a vertex that fails it.
+the certificate's max_violation, and the dual (w, t) is checked to prove it
+optimal: (w, t) meets the dual's rows (dual_violation) and its objective t
+equals ||x_hat||_1 (duality_gap), so by weak duality no feasible x' has a
+smaller l1 norm.  recover refuses a vertex that fails either check.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .lp_core import LinearProgram, LpSolution, solve_lp
 from .measurement import MeasurementEnsemble, as_rows
 
 NORMALIZATION_TOL = 1e-6       # largest max_violation that recover accepts
+DUALITY_TOL = 1e-9             # largest duality_gap and dual_violation that recover accepts
 SUPPORT_TOL = 1e-7
 ACTIVE_ROW_TOL = 1e-7
 
@@ -62,6 +67,13 @@ class VertexCertificate:
     y_i != 0, |<a_i, x_hat>| over rows with y_i = 0, and
     |(1/m) sum_i y_i <a_i, x_hat> - 1|.  It is never -0.0, and it is nan when
     x_hat holds a nan.
+
+    The last two fields prove x_hat optimal, from the dual solution (w, t)
+    of the recovery LP: dual_violation is its worst violation of the dual's
+    rows and bounds, and duality_gap is | ||x_hat||_1 - t | / t (+inf when
+    t <= 0).  With max_violation, both near 0 mean that no feasible x' has a
+    smaller l1 norm than x_hat, whatever the solver did.  Both are nan when
+    no dual solution is given.
     """
 
     support: np.ndarray            # indices with |x_hat_i| > SUPPORT_TOL
@@ -70,6 +82,8 @@ class VertexCertificate:
     kernel_residual: float         # ||A_active[:, support] @ x_hat[support]||_2
     normalization_residual: float  # |(1/m) sum |<a_i, x_hat>| - 1|
     max_violation: float           # worst violation of the primal constraints
+    dual_violation: float = np.nan  # worst violation of the dual constraints by (w, t)
+    duality_gap: float = np.nan    # | ||x_hat||_1 - t | / t
 
 
 @dataclass
@@ -78,7 +92,7 @@ class RecoveryResult:
     direction: np.ndarray          # x_hat / ||x_hat||_2
     l1_over_l2: float
     certificate: VertexCertificate
-    lp_solution: LpSolution        # the solve of the dual LP
+    lp_solution: LpSolution        # the solve of the dual LP: primal is (w, t, w-)
 
 
 def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
@@ -86,9 +100,11 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
 
     Variables are (w_1, ..., w_m, t), then one w_i- per zero sign y_i = 0
     in row order, all nonnegative; the dual's free w_i at a zero sign is
-    w_i - w_i-.  The objective is -t.  Inequality rows, in order: the lower
-    rows W^T w + t g >= -1, then the upper rows -(W^T w + t g) >= -1, one
-    of each per coordinate of x (see the module docstring for W and g).
+    w_i - w_i-.  The objective is -t.  One range row per coordinate of x,
+    -1 <= W^T w + t g <= 1 (see the module docstring for W and g): ineq_lhs
+    is the n x (m + 1 + #zeros) matrix G = [W^T | g | -W^T[:, y == 0]],
+    ineq_rhs is -1 and ineq_upper is 1.  x_hat is minus the rows' signed
+    multipliers.
 
     Raises:
         ValueError: on an ensemble with no rows, on length mismatch, on an
@@ -111,21 +127,25 @@ def build_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
         raise ValueError("degenerate sign pattern")
 
     d = m + 1 + int(np.count_nonzero(~nz))
-    # [G; -G] with G = [W^T | g | -W^T[:, y == 0]], column-major like the
-    # tableau that solve_lp copies it into
-    rows = np.empty((2 * n, d), order="F")
-    W = rows[:n, :m].T
+    # G = [W^T | g | -W^T[:, y == 0]], column-major like the tableau that
+    # solve_lp copies it into
+    G = np.empty((n, d), order="F")
+    W = G[:, :m].T
     np.multiply(A, np.where(nz, y, 1.0)[:, None], out=W)
-    rows[:n, m] = W[nz].sum(axis=0) / m
-    np.negative(W[~nz].T, out=rows[:n, m + 1:])
-    np.negative(rows[:n], out=rows[n:])
+    G[:, m] = W[nz].sum(axis=0) / m
+    np.negative(W[~nz].T, out=G[:, m + 1:])
     c = np.zeros(d)
     c[m] = -1.0
-    return LinearProgram(c, rows, np.full(2 * n, -1.0))
+    return LinearProgram(c, G, np.full(n, -1.0), np.full(n, 1.0))
 
 
-def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat) -> VertexCertificate:
-    """Compute the vertex certificate of a candidate minimizer for signs y."""
+def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
+                        lp_solution: LpSolution | None = None) -> VertexCertificate:
+    """Compute the vertex certificate of a candidate minimizer for signs y.
+
+    lp_solution, the optimal solve of build_recovery_lp(ensemble, y) that
+    x_hat was read from, fills dual_violation and duality_gap.
+    """
     A = as_rows(ensemble)
     m = A.shape[0]
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -142,6 +162,11 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat) -> VertexCertif
     # np.max keeps a nan that Python's max would drop; + 0.0 turns -0.0 into 0.0
     max_violation = float(np.max(np.where(y != 0.0, -y * prods, np.abs(prods)),
                                  initial=abs(tightness - 1.0))) + 0.0
+    dual_violation = duality_gap = np.nan
+    if lp_solution is not None:
+        dual_violation = lp_solution.max_constraint_violation
+        t = float(lp_solution.primal[m])
+        duality_gap = abs(float(np.abs(x_hat).sum()) - t) / t if t > 0.0 else np.inf
     return VertexCertificate(
         support=support,
         active_rows=active,
@@ -149,6 +174,8 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat) -> VertexCertif
         kernel_residual=kernel_residual,
         normalization_residual=normalization_residual,
         max_violation=max_violation,
+        dual_violation=dual_violation,
+        duality_gap=duality_gap,
     )
 
 
@@ -169,22 +196,27 @@ def recover(ensemble: MeasurementEnsemble, y, tol=None) -> RecoveryResult:
         ValueError: the ensemble has no rows, y is not a sign pattern of
             matching length, or every sign is zero (see build_recovery_lp).
         RecoveryError: LP not optimal (status "unbounded" means no x is
-            consistent with y), or the returned x_hat violates a primal
+            consistent with y); or the returned x_hat violates a primal
             constraint (sign, zero or normalization row) by more than
-            NORMALIZATION_TOL: certificate.max_violation, nan included.
+            NORMALIZATION_TOL: certificate.max_violation, nan included; or
+            the dual does not prove it optimal: certificate.dual_violation or
+            certificate.duality_gap above DUALITY_TOL, nan included.
     """
     if tol is not None:
         raise TypeError("recover takes no solver settings: tol must be None")
-    n = as_rows(ensemble).shape[1]
     lp = build_recovery_lp(ensemble, y)
     sol = solve_lp(lp)
     if sol.status != "optimal":
         raise RecoveryError(f"recovery LP terminated with status {sol.status}")
-    x_hat = sol.multipliers[n:] - sol.multipliers[:n]
-    cert = extract_certificate(ensemble, y, x_hat)
+    # 0.0 - y, not -y: a row with no multiplier reads +0.0, not -0.0
+    x_hat = 0.0 - sol.multipliers
+    cert = extract_certificate(ensemble, y, x_hat, sol)
     # x_hat = 0 misses the normalization row by 1, and a nan fails the comparison
     if not cert.max_violation <= NORMALIZATION_TOL:
         raise RecoveryError(f"x_hat violates the primal constraints by {cert.max_violation:.3e}")
+    if not (cert.dual_violation <= DUALITY_TOL and cert.duality_gap <= DUALITY_TOL):
+        raise RecoveryError(f"the dual does not prove x_hat optimal: duality_gap="
+                            f"{cert.duality_gap:.3e}, dual_violation={cert.dual_violation:.3e}")
     x_norm = float(np.linalg.norm(x_hat))
     direction = x_hat / x_norm
     l1_over_l2 = float(np.abs(x_hat).sum() / x_norm)

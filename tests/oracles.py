@@ -7,13 +7,16 @@ brute_force_vertex_solve solves a tiny general-form LP by enumerating
 candidate active sets, so it shares no pivoting code with lp_core.solve_lp.
 nonconvex_oracle approximates the sphere-constrained l1 minimizer that the
 recovery LP relaxes.  Both are small-instance references, not solvers.
-full_tableau_solve_lp is the simplex on the full tableau (surplus identity
-columns stored), which lp_core.solve_lp replaced by the condensed exchange
-tableau; solve_lp must take its pivots and return its bytes.
+full_tableau_solve_lp is the simplex on the full tableau of the two-row
+form (surplus identity columns stored, every finite upper bound its own
+mirrored row), which lp_core.solve_lp replaced by the condensed exchange
+tableau on one row per range row; solve_lp must take its pivots and return
+its bytes.
 random_small_lp draws the tiny general-form LPs that the solver is checked
-on against brute_force_vertex_solve.
-reference_recovery_lp is recovery.build_recovery_lp as it was before the LP
-was assembled column-major; build_recovery_lp must return its bytes.
+on against brute_force_vertex_solve, and random_range_lp tiny LPs of range
+rows, which two_row_form poses as the oracles' rows.
+reference_recovery_lp is recovery.build_recovery_lp assembled row-major;
+build_recovery_lp must return its bytes.
 contains, hard_threshold and block_decompose are the membership test of
 K(n, s) and the two steps of the paper's proof (sparse vectors are a net of
 K(n, s); a member of K(n, s) splits into s-sparse blocks), which criterion 09
@@ -105,6 +108,28 @@ def random_small_lp(seed, mask="free") -> GeneralLP:
     nonneg = {"free": np.zeros(d, dtype=bool), "nonneg": np.ones(d, dtype=bool),
               "mixed": rng.integers(0, 2, size=d).astype(bool)}[mask]
     return GeneralLP(*args, nonneg=nonneg)
+
+
+def random_range_lp(seed) -> LinearProgram:
+    """Half-integer random LP in lp_core's form: d <= 5 nonnegative
+    variables and q <= 6 range rows, feasible at z = 0.
+
+    A row is one-sided (upper bound +inf) with probability 1/3.  The others
+    get a lower bound in [-2, 0] and an upper one in [0, 1.5], so their
+    widths (0 included: an equality row) are small next to the entries, and
+    a pivot often makes an upper bound binding or flips a surplus across
+    its row's width.
+    """
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 6))
+    q = int(rng.integers(1, 7))
+    lhs = rng.integers(-4, 5, size=(q, d)) / 2.0
+    # 0.0 - x, not -x: a lower bound of -0.0 would flip the sign of some
+    # zero entries of the primal
+    lower = 0.0 - rng.integers(0, 5, size=q) / 2.0
+    upper = rng.integers(0, 4, size=q) / 2.0
+    upper[rng.random(q) < 1.0 / 3.0] = np.inf
+    return LinearProgram(rng.integers(-4, 5, size=d) / 2.0, lhs, lower, upper)
 
 
 def canonical(lp: GeneralLP) -> LinearProgram:
@@ -410,27 +435,40 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     return "iteration_limit", iters
 
 
+def two_row_form(lp: LinearProgram) -> LinearProgram:
+    """lp with each finite upper bound posed as its own row: the mirrored row
+    -a_i z >= -u_i, the mirrored rows after all the lower ones in row order."""
+    fin = lp.ineq_upper < np.inf
+    return LinearProgram(lp.objective, np.vstack([lp.ineq_lhs, -lp.ineq_lhs[fin]]),
+                         np.concatenate([lp.ineq_rhs, -lp.ineq_upper[fin]]))
+
+
 def full_tableau_solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
 
-    Raises ValueError unless every ineq_rhs is <= 0.  The returned primal
-    and row multipliers are recomputed from the final basis with one linear
-    solve each against the original standard-form data (B w = b and
-    B^T pi = c_B), so accumulated tableau roundoff does not leak into the
-    reported vertex.
+    The simplex runs on the full tableau of two_row_form(lp), one row per
+    bound.  Raises ValueError unless every ineq_rhs is <= 0 and every
+    ineq_upper >= 0.  The returned primal and row multipliers are recomputed
+    from the final basis with one linear solve each against the original
+    standard-form data (B w = b and B^T pi = c_B), so accumulated tableau
+    roundoff does not leak into the reported vertex.  A range row's signed
+    multiplier is its lower row's minus its mirrored row's, +0.0 where
+    neither has one.
     """
-    if np.any(lp.ineq_rhs > 0.0):
-        raise ValueError("solve_lp needs an LP feasible at z = 0: "
-                         "every ineq_rhs must be <= 0")
+    if np.any(lp.ineq_rhs > 0.0) or np.any(lp.ineq_upper < 0.0):
+        raise ValueError("solve_lp needs an LP feasible at z = 0: every ineq_rhs "
+                         "must be <= 0 and every ineq_upper >= 0")
     c = lp.objective
     d = lp.num_vars
+    q = lp.ineq_lhs.shape[0]
+    two = two_row_form(lp)
 
     # standard form, every row negated: row i reads -a_i z + s_i = -f_i with
     # surplus s_i >= 0, so the all-surplus basis is feasible.  Tableau
     # columns: z, surplus, rhs
-    Z = -lp.ineq_lhs   # the unpivoted z columns
+    Z = -two.ineq_lhs   # the unpivoted z columns
     M = Z.shape[0]
-    b = -lp.ineq_rhs
+    b = -two.ineq_rhs
     N = d + M
     basis = d + np.arange(M)
     T = np.zeros((M, N + 1), order="F")
@@ -458,14 +496,19 @@ def full_tableau_solve_lp(lp: LinearProgram) -> LpSolution:
     z[cols] = _solve_square(block, b[rows])
     pi = np.zeros(M)
     pi[rows] = _solve_square(block.T, cost[cols])
-    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), -pi)
+    of_row = np.concatenate([np.arange(q), np.flatnonzero(lp.ineq_upper < np.inf)])
+    y = np.zeros(q)
+    lower = rows[:q]
+    y[lower] = -pi[:q][lower]
+    y[of_row[q:][rows[q:]]] = pi[q:][rows[q:]]
+    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), y)
 
 
 def reference_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     """The recovery dual LP of recovery.build_recovery_lp, assembled row-major.
 
     W stacks y_i a_i (a_i where y_i = 0), g = (1/m) sum over y_i != 0 of
-    y_i a_i, and the rows are [G; -G] with G = [W^T | g | -W^T[:, y == 0]].
+    y_i a_i, and the rows are -1 <= G z <= 1 with G = [W^T | g | -W^T[:, y == 0]].
     """
     A = as_rows(ensemble)
     m, n = A.shape
@@ -473,14 +516,13 @@ def reference_recovery_lp(ensemble: MeasurementEnsemble, y) -> LinearProgram:
     nz = y != 0.0
     W = np.where(nz[:, None], y[:, None] * A, A)
     d = m + 1 + int(np.count_nonzero(~nz))
-    rows = np.empty((2 * n, d))
-    rows[:n, :m] = W.T
-    rows[:n, m] = W[nz].sum(axis=0) / m
-    np.negative(W[~nz].T, out=rows[:n, m + 1:])
-    np.negative(rows[:n], out=rows[n:])
+    G = np.empty((n, d))
+    G[:, :m] = W.T
+    G[:, m] = W[nz].sum(axis=0) / m
+    np.negative(W[~nz].T, out=G[:, m + 1:])
     c = np.zeros(d)
     c[m] = -1.0
-    return LinearProgram(c, rows, np.full(2 * n, -1.0))
+    return LinearProgram(c, G, np.full(n, -1.0), np.full(n, 1.0))
 
 
 def contains(spec: SignalSetSpec, x) -> bool:

@@ -381,6 +381,12 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
     assert (f"status=optimal iterations={sol.iterations} "
             f"degenerate_pivots={sol.degenerate_pivots} "
             f"bland_switches={sol.bland_switches}\n") in text
+    # the proof of optimality: the certificate's duality gap and dual violation
+    cert = recover(A, np.loadtxt(prefix + "_signs.txt")).certificate
+    assert (f"\nduality: gap={cert.duality_gap:.3e} "
+            f"dual_violation={cert.dual_violation:.3e}\n") in text
+    printed = re.search(r"duality: gap=(\S+) dual_violation=(\S+)\n", text).groups()
+    assert max(map(float, printed)) <= 1e-9
     assert "error=" in text
     direction = np.loadtxt(out).ravel()
     assert np.linalg.norm(direction) == pytest.approx(1.0, abs=1e-12)

@@ -2,7 +2,8 @@
 
 The general-form families (equality rows, free variables) are posed through
 oracles.GeneralLP and solved through canonical() by solve_general; the
-recovery LPs are in solve_lp's form already.
+recovery LPs and the random range-row LPs are in solve_lp's form already,
+and the oracles solve their two-row form.
 """
 
 import dataclasses
@@ -29,8 +30,10 @@ from oracles import (
     brute_force_vertex_solve,
     canonical,
     full_tableau_solve_lp,
+    random_range_lp,
     random_small_lp,
     solve_general,
+    two_row_form,
 )
 
 
@@ -87,6 +90,9 @@ def test_rhs_outside_domain_raises():
         solve_general(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[1.0]))
     with pytest.raises(ValueError, match="feasible at z = 0"):
         solve_general(lp([1.0], eq_lhs=[[1.0]], eq_rhs=[-1.0]))
+    # a range row whose upper bound is below 0
+    with pytest.raises(ValueError, match="feasible at z = 0"):
+        solve_lp(LinearProgram([1.0], [[1.0]], [-2.0], [-1.0]))
 
 
 def test_unbounded_toys():
@@ -260,8 +266,9 @@ def recovery_lp(n, s, m, seed, dist="gaussian", mag="unit_gaussian"):
 
 @pytest.mark.parametrize("refresh", [512, 3])
 def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
-    # the condensed exchange tableau takes the full tableau's pivots and
-    # returns its bytes; a refresh every 3 pivots compares that path too,
+    # the condensed exchange tableau on one row per range row takes the
+    # pivots of the full tableau on the two-row form and returns its bytes,
+    # x_hat's included; a refresh every 3 pivots compares that path too,
     # and a stall limit of 1 compares Bland's rule
     monkeypatch.setattr(onebit.lp_core, "REFRESH_PIVOTS", refresh)
     cases = [(f"{mask} seed {seed}", canonical(random_small_lp(seed, mask)))
@@ -282,6 +289,86 @@ def test_condensed_tableau_matches_full_tableau(monkeypatch, refresh):
             if want.status == "optimal":
                 assert got.primal.tobytes() == want.primal.tobytes(), (label, stall)
                 assert got.multipliers.tobytes() == want.multipliers.tobytes(), (label, stall)
+                # x_hat as recover reads it
+                assert (0.0 - got.multipliers).tobytes() == (0.0 - want.multipliers).tobytes()
+
+
+SETTINGS = {"default": {}, "stall limit 1": {"STALL_LIMIT": 1},
+            "refresh every 3 pivots": {"REFRESH_PIVOTS": 3}}
+
+
+def check_range_multipliers(prob, sol):
+    """The signed multipliers prove sol optimal: dual feasible, with the
+    dual objective equal to the primal one."""
+    y = sol.multipliers
+    finite = prob.ineq_upper < np.inf
+    assert np.all(y[~finite] >= 0.0)
+    assert np.all(prob.objective - prob.ineq_lhs.T @ y >= -1e-9)
+    dual = prob.ineq_rhs @ np.maximum(y, 0.0) + prob.ineq_upper[finite] @ np.minimum(y[finite], 0.0)
+    assert dual == pytest.approx(sol.objective_value, abs=1e-9)
+
+
+def test_range_rows_match_two_row_form(monkeypatch):
+    # tiny LPs mixing small finite widths (zero included) with one-sided
+    # rows, at the default settings, with Bland's rule after one degenerate
+    # pivot, and with the cost row recomputed every 3 pivots: each takes the
+    # full two-row tableau's pivots and bytes, and the first 80 are checked
+    # against the brute-force oracle on the two-row form, multipliers
+    # included.  Both moves of the range rows happen: a pivot that makes an
+    # upper bound binding, and a surplus that flips across its row's width
+    moves = {name: [0, 0] for name in SETTINGS}
+    statuses = {"optimal": 0, "unbounded": 0}
+    for seed in range(400):
+        prob = random_range_lp(seed)
+        want = None
+        if seed < 80:
+            two = two_row_form(prob)
+            want = brute_force_vertex_solve(lp(two.objective, ineq_lhs=two.ineq_lhs,
+                                               ineq_rhs=two.ineq_rhs,
+                                               nonneg=np.ones(prob.num_vars, dtype=bool)))
+            statuses[want.status] += 1
+        for name, patch in SETTINGS.items():
+            with monkeypatch.context() as mp:
+                for attr, value in patch.items():
+                    mp.setattr(onebit.lp_core, attr, value)
+                got, full = solve_lp(prob), full_tableau_solve_lp(prob)
+            label = (seed, name)
+            assert (got.status, got.iterations) == (full.status, full.iterations), label
+            moves[name][0] += got.upper_pivots
+            moves[name][1] += got.bound_flips
+            if got.status == "optimal":
+                assert got.primal.tobytes() == full.primal.tobytes(), label
+                assert got.multipliers.tobytes() == full.multipliers.tobytes(), label
+                assert max_violation(prob, got.primal) <= 1e-9, label
+                check_range_multipliers(prob, got)
+            if want is not None:
+                assert got.status == want.status, label
+                if want.status == "optimal":
+                    assert abs(got.objective_value - want.objective_value) <= 1e-8, label
+    assert min(statuses.values()) >= 5
+    for name, (uppers, flips) in moves.items():
+        assert uppers > 0 and flips > 0, (name, uppers, flips)
+
+
+def test_range_row_toys():
+    # min -z subject to -1 <= z <= 2: the upper bound binds, so the row's
+    # multiplier is -1, negative; with the bound one-sided z is unbounded
+    sol = solve_lp(LinearProgram([-1.0], [[1.0]], [-1.0], [2.0]))
+    assert sol.status == "optimal"
+    assert sol.primal.tolist() == [2.0]
+    assert sol.multipliers.tolist() == [-1.0]
+    assert sol.objective_value == -2.0
+    assert (sol.upper_pivots, sol.bound_flips) == (1, 0)
+    assert solve_lp(LinearProgram([-1.0], [[1.0]], [-1.0])).status == "unbounded"
+    # min -z1 subject to -1 <= z1 - z2 <= 1, 0 <= z2 <= 3: z1 = 4; its
+    # two-row form has 4 rows, and the pivot budget counts them
+    prob = LinearProgram([-1.0, 0.0], [[1.0, -1.0], [0.0, 1.0]], [-1.0, 0.0], [1.0, 3.0])
+    sol = solve_lp(prob)
+    assert sol.status == "optimal"
+    assert sol.primal.tolist() == [4.0, 3.0]
+    assert sol.multipliers.tolist() == [-1.0, -1.0]
+    check_range_multipliers(prob, sol)
+    assert sol.iterations == full_tableau_solve_lp(prob).iterations
 
 
 def test_solver_telemetry_on_stalls(monkeypatch):
@@ -342,23 +429,31 @@ def test_settings_and_public_surface():
 def test_validation_errors():
     with pytest.raises(ValueError, match="row counts differ"):
         LinearProgram([1.0], [[1.0]], [])
+    with pytest.raises(ValueError, match="row counts differ"):
+        LinearProgram([1.0], [[1.0]], [0.0], [1.0, 2.0])
     with pytest.raises(ValueError, match="finite"):
         LinearProgram([np.inf], np.zeros((0, 1)), [])
     with pytest.raises(ValueError, match="finite"):
         LinearProgram([1.0], [[np.nan]], [0.0])
+    # an upper bound may be +inf, but not nan or -inf
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ValueError, match="apart from \\+inf row upper bounds"):
+            LinearProgram([1.0], [[1.0]], [0.0], [bad])
 
 
 def test_one_lp_form():
-    # solve_lp's only form is ineq_lhs @ z >= ineq_rhs, z >= 0: no equality
-    # block, no free variables
+    # solve_lp's only form is ineq_rhs <= ineq_lhs @ z <= ineq_upper,
+    # z >= 0: no equality block, no free variables, and a row is one-sided
+    # unless given an upper bound
     assert [f.name for f in dataclasses.fields(LinearProgram)] == \
-        ["objective", "ineq_lhs", "ineq_rhs"]
+        ["objective", "ineq_lhs", "ineq_rhs", "ineq_upper"]
     with pytest.raises(TypeError):
         LinearProgram([1.0], [[1.0]], [0.0], nonneg=[True])
     with pytest.raises(TypeError):
-        LinearProgram([1.0], [[1.0]], [0.0], [[1.0]], [0.0])
+        LinearProgram([1.0], [[1.0]], [0.0], [1.0], [[1.0]], [0.0])
+    assert LinearProgram([1.0], [[1.0], [2.0]], [0.0, -1.0]).ineq_upper.tolist() == [np.inf] * 2
     # the empty equality block that perfbench/run.py's traced run counts rows through
-    prob = LinearProgram([1.0, 2.0], [[1.0, 0.0]], [-1.0])
+    prob = LinearProgram([1.0, 2.0], [[1.0, 0.0]], [-1.0], [1.0])
     assert prob.eq_lhs.shape == (0, 2)
     # the nonnegativity bound holds without a row: min z subject to z >= -5 is z = 0
     sol = solve_lp(LinearProgram([1.0], [[1.0]], [-5.0]))

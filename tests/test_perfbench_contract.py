@@ -65,7 +65,7 @@ def test_layer_info_attributes():
     ens = gen_gaussian_ensemble(12, 4, seed=1)
     y = np.sign(ens.rows @ np.array([1.0, -0.5, 0.0, 0.0]))
     lp = build_recovery_lp(ens, y)
-    assert lp.eq_lhs.shape[0] + lp.ineq_lhs.shape[0] == 8
+    assert lp.eq_lhs.shape[0] + lp.ineq_lhs.shape[0] == 4   # one range row per coordinate
     assert lp.num_vars == 13
     assert isinstance(solve_lp(lp).iterations, int)
 
@@ -105,4 +105,4 @@ def test_traced_round_reads_the_recovery_lp(tmp_path):
     assert out.returncode == 0, out.stderr
     for name, got in json.loads(out.stdout.splitlines()[-1]).items():
         assert got["ops"] > 0 and got["problems"] == [], (name, got)
-        assert got["lp_rows"] == 256, (name, got)   # 2n rows at n = 128
+        assert got["lp_rows"] == 128, (name, got)   # n range rows at n = 128

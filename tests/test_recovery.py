@@ -1,5 +1,7 @@
 """Tests for the one-bit recovery LP, its certificate, and the oracle."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -16,13 +18,20 @@ from onebit.measurement import (
     sign_quantize,
 )
 from onebit.recovery import (
+    DUALITY_TOL,
     RecoveryError,
     build_recovery_lp,
     extract_certificate,
     recover,
     recovery_error,
 )
-from oracles import GeneralLP, brute_force_vertex_solve, nonconvex_oracle, reference_recovery_lp
+from oracles import (
+    GeneralLP,
+    brute_force_vertex_solve,
+    nonconvex_oracle,
+    reference_recovery_lp,
+    two_row_form,
+)
 
 
 def make_instance(n, s, m, seed):
@@ -109,11 +118,12 @@ def test_lp_assembly_matches_reference(dist, mag, zero_every):
             assert got.objective.tobytes() == want.objective.tobytes()
             assert got.ineq_lhs.tobytes() == want.ineq_lhs.tobytes()
             assert got.ineq_rhs.tobytes() == want.ineq_rhs.tobytes()
+            assert got.ineq_upper.tobytes() == want.ineq_upper.tobytes()
 
 
 def test_lp_row_counts():
-    # the dual: 2n rows, one column per measurement, then t, then one column
-    # per zero sign, every variable nonnegative
+    # the dual: n range rows -1 <= G z <= 1, one column per measurement,
+    # then t, then one column per zero sign, every variable nonnegative
     n, m = 5, 7
     _, ens, y = make_instance(n, 2, m, seed=3)
     y = y.copy()
@@ -121,8 +131,9 @@ def test_lp_row_counts():
     zeros = 2
     prob = build_recovery_lp(ens, y)
     assert prob.num_vars == m + 1 + zeros
-    assert prob.ineq_lhs.shape == (2 * n, m + 1 + zeros)
-    assert np.array_equal(prob.ineq_rhs, -np.ones(2 * n))
+    assert prob.ineq_lhs.shape == (n, m + 1 + zeros)
+    assert np.array_equal(prob.ineq_rhs, -np.ones(n))
+    assert np.array_equal(prob.ineq_upper, np.ones(n))
     assert prob.eq_lhs.shape[0] == 0
     assert np.array_equal(prob.objective, np.eye(m + 1 + zeros)[m] * -1.0)
     # column i is y_i a_i (a_i where y_i = 0), column m the normalization
@@ -130,8 +141,7 @@ def test_lp_row_counts():
     # m + 1 + k, which is -a_i
     cols = [ens.rows[i] * (y[i] if y[i] != 0 else 1.0) for i in range(m)]
     cols.append(sum(y[i] * ens.rows[i] for i in range(m)) / m)
-    assert np.array_equal(prob.ineq_lhs[:n, :m + 1], np.column_stack(cols))
-    assert np.array_equal(prob.ineq_lhs[n:], -prob.ineq_lhs[:n])
+    assert np.array_equal(prob.ineq_lhs[:, :m + 1], np.column_stack(cols))
     for k, i in enumerate(np.flatnonzero(y == 0)):
         assert np.array_equal(prob.ineq_lhs[:, m + 1 + k], -prob.ineq_lhs[:, i])
     # no zero signs, no extra columns
@@ -146,7 +156,8 @@ def test_lp_hand_instance():
     # x_hat = (1, 0), the minimizer of |x1| + |x2| s.t. x1 >= 0, x1 >= 1
     ens = MeasurementEnsemble(np.array([[1.0, 0.0]]))
     prob = build_recovery_lp(ens, np.array([1], dtype=np.int8))
-    general = GeneralLP(prob.objective, ineq_lhs=prob.ineq_lhs, ineq_rhs=prob.ineq_rhs,
+    two = two_row_form(prob)
+    general = GeneralLP(two.objective, ineq_lhs=two.ineq_lhs, ineq_rhs=two.ineq_rhs,
                         nonneg=[True, True])
     for sol in (solve_lp(prob), brute_force_vertex_solve(general)):
         assert sol.status == "optimal"
@@ -258,12 +269,16 @@ def test_certificate_structure():
         cert = res.certificate
         x_hat = res.x_hat
         # recover's certificate is the one extract_certificate computes
-        again = extract_certificate(ens, y, x_hat)
+        again = extract_certificate(ens, y, x_hat, res.lp_solution)
         assert np.array_equal(again.support, cert.support)
         assert np.array_equal(again.active_rows, cert.active_rows)
         assert (again.cardinality_ok, again.kernel_residual, again.normalization_residual,
-                again.max_violation) == (cert.cardinality_ok, cert.kernel_residual,
-                                         cert.normalization_residual, cert.max_violation)
+                again.max_violation, again.dual_violation, again.duality_gap) == \
+            (cert.cardinality_ok, cert.kernel_residual, cert.normalization_residual,
+             cert.max_violation, cert.dual_violation, cert.duality_gap)
+        # without the dual solution there is no proof of optimality
+        alone = extract_certificate(ens, y, x_hat)
+        assert np.isnan(alone.dual_violation) and np.isnan(alone.duality_gap)
         # max_violation is x_hat's worst violation of the primal constraints
         prods = ens.rows @ x_hat
         assert cert.max_violation == max(float(np.max(-y * prods)),
@@ -319,7 +334,7 @@ def solving_to(monkeypatch, x_hat):
 
     def fake_solve(lp):
         return LpSolution("optimal", np.zeros(lp.num_vars), 0.0, 0, 0.0,
-                          multipliers=np.concatenate([np.zeros_like(x_hat), x_hat]))
+                          multipliers=-x_hat)
 
     monkeypatch.setattr(onebit.recovery, "solve_lp", fake_solve)
 
@@ -350,6 +365,81 @@ def test_recover_rejects_a_violated_sign_row(monkeypatch):
     assert np.min(y * prods) < -1e-3
     solving_to(monkeypatch, bad)
     with pytest.raises(RecoveryError, match="violates the primal constraints"):
+        recover(ens, y)
+
+
+@pytest.mark.parametrize("dist, mag", [("gaussian", "unit_gaussian"), ("bernoulli", "constant")])
+def test_recover_proves_optimality(dist, mag):
+    # the dual (w, t) meets the dual's n range rows, and t = ||x_hat||_1,
+    # to roundoff; the +-1 rows have zero signs, whose w_i- columns count
+    for m in (50, 200, 800):
+        for seed in (0, 1):
+            _, ens, y = sweep_trial(seed, m, dist, mag)
+            res = recover(ens, y)
+            cert, sol = res.certificate, res.lp_solution
+            assert cert.dual_violation == max_violation(build_recovery_lp(ens, y), sol.primal)
+            t = sol.primal[m]
+            assert cert.duality_gap == abs(np.abs(res.x_hat).sum() - t) / t
+            assert cert.dual_violation <= 1e-14 and cert.duality_gap <= 1e-14, (m, seed)
+
+
+def solving_wrong(monkeypatch, mutate):
+    """Make recover's solve_lp return its solution changed by mutate."""
+    real = onebit.recovery.solve_lp
+    monkeypatch.setattr(onebit.recovery, "solve_lp", lambda lp: mutate(real(lp)))
+
+
+def test_duality_check_trips_on_a_scaled_x_hat(monkeypatch):
+    # x_hat 1e-8 too long still meets the primal rows within
+    # NORMALIZATION_TOL, but its l1 norm is no longer the dual's t
+    _, ens, y = sweep_trial(1, 100, "gaussian", "unit_gaussian")
+    solving_wrong(monkeypatch, lambda sol: dataclasses.replace(
+        sol, multipliers=(1.0 + 1e-8) * sol.multipliers))
+    with pytest.raises(RecoveryError, match="does not prove x_hat optimal: duality_gap=1.0"):
+        recover(ens, y)
+
+
+def test_duality_check_trips_on_a_perturbed_multiplier(monkeypatch):
+    # one multiplier (one entry of x_hat) off by 1e-7: every primal row is
+    # still met within NORMALIZATION_TOL
+    _, ens, y = sweep_trial(1, 100, "gaussian", "unit_gaussian")
+
+    def perturbed(sol):
+        k = int(np.abs(sol.multipliers).argmax())
+        multipliers = sol.multipliers.copy()
+        multipliers[k] += 1e-7
+        return dataclasses.replace(sol, multipliers=multipliers)
+
+    solving_wrong(monkeypatch, perturbed)
+    with pytest.raises(RecoveryError, match=r"does not prove x_hat optimal: duality_gap=5\.\d+e-08"):
+        recover(ens, y)
+
+
+def test_duality_check_trips_on_a_wrong_pivot(monkeypatch):
+    # the first pivot updates the tableau on the row of the largest entry,
+    # not on the row the ratio test chose.  On this instance the returned
+    # x_hat meets every primal row and ||x_hat||_1 = t, yet (w, t) breaks
+    # the dual's rows, so t bounds nothing and only dual_violation shows it
+    x, ens = gen_instance(8, 2, 100, derive_seed(1, 100, 0), "bernoulli", "constant")
+    y = sign_quantize(ens.rows @ x)
+    real = onebit.lp_core._pivot
+    calls = []
+
+    def wrong_row(T, r, rpiv, cpiv, row):
+        calls.append(rpiv)
+        if len(calls) == 1:
+            entries = np.abs(T[:, cpiv])
+            entries[rpiv] = -1.0
+            rpiv = int(entries.argmax())
+        real(T, r, rpiv, cpiv, row)
+
+    monkeypatch.setattr(onebit.lp_core, "_pivot", wrong_row)
+    sol = solve_lp(build_recovery_lp(ens, y))
+    cert = extract_certificate(ens, y, 0.0 - sol.multipliers, sol)
+    assert cert.max_violation <= 1e-12 and cert.duality_gap <= 1e-12
+    assert cert.dual_violation > 0.1
+    calls.clear()
+    with pytest.raises(RecoveryError, match="does not prove x_hat optimal"):
         recover(ens, y)
 
 
