@@ -36,11 +36,12 @@ print(f"l1/l2 ratio: input {np.abs(x).sum() / np.linalg.norm(x):.3f}, "
       f"output {res.l1_over_l2:.3f}")
 
 # the optimum sits at a vertex of the feasible polytope: its support T and
-# the active measurement rows Omega satisfy |T| = |Omega| + 1 and the
-# active rows annihilate x_hat on T
+# the active measurement rows Omega satisfy |T| = |Omega| + 1.  x_hat meets
+# every constraint up to max_violation, and the dual solution proves that
+# no feasible x' has a smaller l1 norm
 cert = res.certificate
 print(f"\nvertex certificate: |T|={cert.support.size} |Omega|={cert.active_rows.size} "
       f"cardinality_ok={cert.cardinality_ok}")
-print(f"kernel residual {cert.kernel_residual:.2e}, "
-      f"normalization residual {cert.normalization_residual:.2e}")
+print(f"max violation {cert.max_violation:.2e}, duality gap {cert.duality_gap:.2e}, "
+      f"dual violation {cert.dual_violation:.2e}")
 print(f"estimated support {cert.support.tolist()} vs true {np.flatnonzero(x).tolist()}")

@@ -187,8 +187,7 @@ def cmd_recover(args) -> int:
     print(f"l1={np.abs(res.x_hat).sum():.6f} l1/l2={res.l1_over_l2:.6f} "
           f"max_violation={cert.max_violation:.3e}")
     print(f"certificate: |T|={cert.support.size} |Omega|={cert.active_rows.size} "
-          f"cardinality_ok={cert.cardinality_ok} kernel_residual={cert.kernel_residual:.3e} "
-          f"normalization_residual={cert.normalization_residual:.3e}")
+          f"cardinality_ok={cert.cardinality_ok}")
     print(f"duality: gap={cert.duality_gap:.3e} dual_violation={cert.dual_violation:.3e}")
     if x_true is not None:
         print(f"error={recovery_error(res.direction, x_true):.6f}")

@@ -50,7 +50,6 @@ class SweepRow:
     l1l2_ratio_in: float
     l1l2_ratio_out: float
     cert_cardinality_ok: bool
-    normalization_residual: float
     wall_time_ms: float
 
 
@@ -102,17 +101,15 @@ def run_sweep(n: int, s: int, m_list: list[int], trials: int, seed: int,
                 error = recovery_error(res.direction, x)
                 ratio_out = res.l1_over_l2
                 card_ok = bool(res.certificate.cardinality_ok)
-                residual = res.certificate.normalization_residual
             except (RecoveryError, ValueError):
                 failures += 1
                 wall = (time.perf_counter() - t0) * 1000.0
-                error = ratio_out = residual = float("nan")
+                error = ratio_out = float("nan")
                 card_ok = False
             rows.append(SweepRow(
                 n=n, s=s, m=m, trial=trial, seed=tseed, error=error,
                 l1l2_ratio_in=float(np.abs(x).sum() / np.linalg.norm(x)),
-                l1l2_ratio_out=ratio_out, cert_cardinality_ok=card_ok,
-                normalization_residual=residual, wall_time_ms=wall,
+                l1l2_ratio_out=ratio_out, cert_cardinality_ok=card_ok, wall_time_ms=wall,
             ))
     if rows and failures == len(rows):
         raise RuntimeError("every sweep trial failed")

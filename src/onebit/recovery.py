@@ -25,7 +25,9 @@ against every primal constraint, the normalization row included, through
 the certificate's max_violation, and the dual (w, t) is checked to prove it
 optimal: (w, t) meets the dual's rows (dual_violation) and its objective t
 equals ||x_hat||_1 (duality_gap), so by weak duality no feasible x' has a
-smaller l1 norm.  recover refuses a vertex that fails either check.
+smaller l1 norm.  recover refuses a vertex that fails either check.  The
+certificate also records the vertex: x_hat's support T and the rows Omega
+active at zero, with |T| = |Omega| + 1 at a nondegenerate vertex.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ class VertexCertificate:
     """Evidence that the LP solution sits on a vertex of the feasible set.
 
     At a nondegenerate optimal vertex the support T and the set Omega of
-    rows active at zero satisfy |T| = |Omega| + 1, the active rows
-    annihilate x_hat on T, and the normalization holds with equality.
+    rows active at zero satisfy |T| = |Omega| + 1, which cardinality_ok
+    records.  The active rows annihilate x_hat on T by their definition, up
+    to ACTIVE_ROW_TOL and SUPPORT_TOL.
 
     On active_rows, <a_i, x_hat> is 0 in exact arithmetic, so the computed
     A @ x_hat there is roundoff and its signs are arbitrary.  The sign
@@ -66,7 +69,10 @@ class VertexCertificate:
     max_violation is the largest of: -y_i <a_i, x_hat> over rows with
     y_i != 0, |<a_i, x_hat>| over rows with y_i = 0, and
     |(1/m) sum_i y_i <a_i, x_hat> - 1|.  It is never -0.0, and it is nan when
-    x_hat holds a nan.
+    x_hat holds a nan.  It also bounds the paper's normalization: the sign
+    and zero-sign rows' violations move (1/m) ||A x_hat||_1 at most
+    2 max_violation away from the tightness term, so
+    |(1/m) ||A x_hat||_1 - 1| <= 3 max_violation.
 
     The last two fields prove x_hat optimal, from the dual solution (w, t)
     of the recovery LP: dual_violation is its worst violation of the dual's
@@ -79,8 +85,6 @@ class VertexCertificate:
     support: np.ndarray            # indices with |x_hat_i| > SUPPORT_TOL
     active_rows: np.ndarray        # rows with |<a_i, x_hat>| <= ACTIVE_ROW_TOL * ||a_i|| * ||x_hat||
     cardinality_ok: bool           # |support| == |active_rows| + 1
-    kernel_residual: float         # ||A_active[:, support] @ x_hat[support]||_2
-    normalization_residual: float  # |(1/m) sum |<a_i, x_hat>| - 1|
     max_violation: float           # worst violation of the primal constraints
     dual_violation: float = np.nan  # worst violation of the dual constraints by (w, t)
     duality_gap: float = np.nan    # | ||x_hat||_1 - t | / t
@@ -143,6 +147,7 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
                         lp_solution: LpSolution | None = None) -> VertexCertificate:
     """Compute the vertex certificate of a candidate minimizer for signs y.
 
+    A @ x_hat is computed once and gives both active_rows and max_violation.
     lp_solution, the optimal solve of build_recovery_lp(ensemble, y) that
     x_hat was read from, fills dual_violation and duality_gap.
     """
@@ -155,9 +160,6 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
     row_norms = np.linalg.norm(A, axis=1)
     support = np.flatnonzero(np.abs(x_hat) > SUPPORT_TOL)
     active = np.flatnonzero(np.abs(prods) <= ACTIVE_ROW_TOL * row_norms * x_norm)
-    # 0.0 when either index set is empty
-    kernel_residual = float(np.linalg.norm(A[np.ix_(active, support)] @ x_hat[support]))
-    normalization_residual = float(abs(np.abs(prods).sum() / m - 1.0)) if m else np.nan
     tightness = float(y @ prods) / m if m else np.nan
     # np.max keeps a nan that Python's max would drop; + 0.0 turns -0.0 into 0.0
     max_violation = float(np.max(np.where(y != 0.0, -y * prods, np.abs(prods)),
@@ -171,8 +173,6 @@ def extract_certificate(ensemble: MeasurementEnsemble, y, x_hat,
         support=support,
         active_rows=active,
         cardinality_ok=support.size == active.size + 1,
-        kernel_residual=kernel_residual,
-        normalization_residual=normalization_residual,
         max_violation=max_violation,
         dual_violation=dual_violation,
         duality_gap=duality_gap,

@@ -43,6 +43,8 @@ from onebit.recovery import RecoveryError, recover
 
 
 SMALL = dict(n=16, s=2, m_list=[20, 30], trials=2, seed=3)
+SWEEP_HEADER = ("n,s,m,trial,seed,error,l1l2_ratio_in,l1l2_ratio_out,"
+                "cert_cardinality_ok,wall_time_ms").split(",")
 SMALL_ARGV = ["sweep", "--n", "16", "--s", "2", "--m", "20,30", "--trials", "2", "--seed", "3"]
 
 
@@ -76,7 +78,6 @@ def test_run_sweep_rows_and_order():
         assert r.n == 16 and r.s == 2
         assert 0.0 <= r.error <= 2.0
         assert r.l1l2_ratio_in >= 1.0
-        assert r.normalization_residual <= 1e-6
 
 
 def test_run_sweep_row_independence():
@@ -102,14 +103,13 @@ def test_run_sweep_csv_determinism(tmp_path):
 
 def test_sweep_csv_schema_and_format(tmp_path):
     header, data = read_csv(small_sweep_files(tmp_path))
-    assert header == SWEEP_FIELDS
+    assert header == SWEEP_HEADER
     assert len(data) == 4
     float_pat = re.compile(r"-?\d\.\d{11}e[+-]\d{2,}")
     for rec in data:
         row = dict(zip(header, rec))
         assert row["cert_cardinality_ok"] in ("true", "false")
-        for name in ("error", "l1l2_ratio_in", "l1l2_ratio_out",
-                     "normalization_residual", "wall_time_ms"):
+        for name in ("error", "l1l2_ratio_in", "l1l2_ratio_out", "wall_time_ms"):
             assert float_pat.fullmatch(row[name]) or row[name] == "nan"
         int(row["n"]); int(row["m"]); int(row["trial"]); int(row["seed"])
     text = (tmp_path / "sweep.csv").read_text(encoding="utf-8")
@@ -381,8 +381,12 @@ def test_cli_gen_recover_roundtrip(tmp_path, capsys):
     assert (f"status=optimal iterations={sol.iterations} "
             f"degenerate_pivots={sol.degenerate_pivots} "
             f"bland_switches={sol.bland_switches}\n") in text
-    # the proof of optimality: the certificate's duality gap and dual violation
+    # the vertex structure, then the proof of optimality: the certificate's
+    # duality gap and dual violation
     cert = recover(A, np.loadtxt(prefix + "_signs.txt")).certificate
+    assert re.search(r"\ncertificate: \|T\|=(\d+) \|Omega\|=(\d+) cardinality_ok=(True|False)\n",
+                     text).groups() == (str(cert.support.size), str(cert.active_rows.size),
+                                        str(cert.cardinality_ok))
     assert (f"\nduality: gap={cert.duality_gap:.3e} "
             f"dual_violation={cert.dual_violation:.3e}\n") in text
     printed = re.search(r"duality: gap=(\S+) dual_violation=(\S+)\n", text).groups()
@@ -508,7 +512,7 @@ def test_cli_sweep(tmp_path, capsys):
                  "--trials", "2", "--seed", "3", "--out", str(out)])
     assert code == 0
     header, data = read_csv(out)
-    assert header == SWEEP_FIELDS
+    assert header == SWEEP_HEADER
     assert len(data) == 4
     assert (tmp_path / "runs" / "a.manifest.json").exists()
     assert "median_error" in capsys.readouterr().out

@@ -20,6 +20,7 @@ from onebit.measurement import (
 from onebit.recovery import (
     DUALITY_TOL,
     RecoveryError,
+    VertexCertificate,
     build_recovery_lp,
     extract_certificate,
     recover,
@@ -246,10 +247,17 @@ def test_recover_feasibility_and_tightness():
     for seed in range(8):
         x, ens, y = make_instance(24, 3, 50, seed=seed)
         res = recover(ens, y)
-        prods = y * (ens.rows @ res.x_hat)
+        m = len(ens.rows)
+        Ax = ens.rows @ res.x_hat
+        prods = y * Ax
         assert prods.min() >= -1e-6
-        assert abs(prods.sum() / len(ens.rows) - 1.0) <= 1e-6
-        assert res.certificate.normalization_residual <= 1e-6
+        tightness = abs(prods.sum() / m - 1.0)
+        assert tightness <= 1e-6
+        # the paper's normalization; the sign rows' violations move it at
+        # most 2 max_violation from the tightness term
+        normalization = abs(np.abs(Ax).sum() / m - 1.0)
+        assert normalization <= 1e-6
+        assert abs(normalization - tightness) <= 2.0 * res.certificate.max_violation + 1e-12
         # the direction never strays to the wrong halfspace of the truth
         assert recovery_error(res.direction, x) <= np.sqrt(2.0)
 
@@ -262,6 +270,9 @@ def test_support_bound():
 
 
 def test_certificate_structure():
+    assert [f.name for f in dataclasses.fields(VertexCertificate)] == [
+        "support", "active_rows", "cardinality_ok", "max_violation",
+        "dual_violation", "duality_gap"]
     ok = 0
     for seed in range(10):
         x, ens, y = make_instance(32, 3, 60, seed=seed + 200)
@@ -272,10 +283,9 @@ def test_certificate_structure():
         again = extract_certificate(ens, y, x_hat, res.lp_solution)
         assert np.array_equal(again.support, cert.support)
         assert np.array_equal(again.active_rows, cert.active_rows)
-        assert (again.cardinality_ok, again.kernel_residual, again.normalization_residual,
-                again.max_violation, again.dual_violation, again.duality_gap) == \
-            (cert.cardinality_ok, cert.kernel_residual, cert.normalization_residual,
-             cert.max_violation, cert.dual_violation, cert.duality_gap)
+        assert (again.cardinality_ok, again.max_violation, again.dual_violation,
+                again.duality_gap) == \
+            (cert.cardinality_ok, cert.max_violation, cert.dual_violation, cert.duality_gap)
         # without the dual solution there is no proof of optimality
         alone = extract_certificate(ens, y, x_hat)
         assert np.isnan(alone.dual_violation) and np.isnan(alone.duality_gap)
@@ -291,15 +301,19 @@ def test_certificate_structure():
         if cert.cardinality_ok:
             ok += 1
             assert len(cert.support) == len(cert.active_rows) + 1
-            assert cert.kernel_residual <= 1e-6 * np.linalg.norm(x_hat)
+            # the active rows annihilate x_hat on its support
+            T, omega = cert.support, cert.active_rows
+            kernel = np.linalg.norm(ens.rows[np.ix_(omega, T)] @ x_hat[T])
+            assert kernel <= 1e-6 * np.linalg.norm(x_hat)
     assert ok >= 8
-    # an empty support or an empty active set leaves nothing to annihilate
+    # an empty support or an empty active set is a certificate too
     _, ens, y = make_instance(8, 2, 20, seed=3)
-    assert extract_certificate(ens, y, np.zeros(8)).kernel_residual == 0.0
+    cert = extract_certificate(ens, y, np.zeros(8))
+    assert cert.support.size == 0 and cert.active_rows.size == 20
     x_one = np.zeros(8)
     x_one[0] = 1.0
     cert = extract_certificate(ens, y, x_one)
-    assert cert.active_rows.size == 0 and cert.kernel_residual == 0.0
+    assert cert.support.tolist() == [0] and cert.active_rows.size == 0
 
 
 def test_zero_sign_entries_become_equalities():
