@@ -34,10 +34,6 @@ from .measurement import derive_seed, sign_quantize
 from .recovery import recover, recovery_error
 
 CHECKS = ("concentration", "uniform-concentration", "bernoulli-counterexample", "separation")
-# the checks that read --delta, with the threshold each uses without it
-# (for concentration, at m = 20000; for uniform-concentration, in units of
-# sqrt(s ln(2n/s)/m): see cmd_verify)
-DELTA_DEFAULTS = {"concentration": 0.02, "uniform-concentration": 1.5}
 # the separation check wants each estimate within 5 binomial sigmas,
 # sqrt(p (1 - p) / trials), of its exact p; for p = 1/4 that band reaches 0,
 # and no estimate can fail, unless trials > 25 (1 - p) / p = 75
@@ -132,16 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a named check")
     ver.add_argument("--check", required=True, choices=CHECKS)
     _add_common(ver, n=64, s=4, m=20000, trials=100)
-    ver.add_argument("--delta", type=float, default=None,
-                     help="deviation threshold, read by the concentration and "
-                          "uniform-concentration checks only.  The concentration "
-                          "default is 0.02 at m = 20000 and scales as sqrt(20000/m), "
-                          "as one trial's moment deviation does (standard deviation "
-                          "sqrt(1 - 2/pi)/sqrt(m)); the uniform-concentration default "
-                          "is 1.5 sqrt(s ln(2n/s)/m), as the largest deviation over "
-                          "the sampled points scales; a given value is used as is, "
-                          "and must be positive and finite")
-    ver.set_defaults(func=cmd_verify, usage_error=ver.error)
+    ver.set_defaults(func=cmd_verify)
     return ap
 
 
@@ -247,23 +234,32 @@ def cmd_tessellate(args) -> int:
 def cmd_verify(args) -> int:
     """Run one check and judge it: every threshold and pass rule lives here.
 
+    Each rule is fixed by the sizes n, s, m and trials:
+
+    - concentration: PASS when at most 5% of the trials' moment deviations
+      exceed t = 0.02 sqrt(20000/m) and the mean moment over the trials is
+      within tol = 0.005 sqrt(20000 * 100/(m trials)) of sqrt(2/pi);
+    - uniform-concentration: PASS when the largest deviation over `trials`
+      sampled points of K(n, s) is at most t = 1.5 sqrt(s ln(2n/s)/m);
+    - bernoulli-counterexample: PASS when +-1 rows give e1 and e1 + e2/2 the
+      same signs at each of `trials` seeds and Gaussian rows tell them apart;
+    - separation: PASS when each of the two estimates over `trials`
+      hyperplanes is within 5 sqrt(p (1 - p)/trials) of its exact p, 1/4 for
+      an orthogonal pair and 1/2 for an antipodal one.
+
     A check prints INCONCLUSIVE and exits 0, not PASS, at the sizes where it
     cannot tell a broken sampler from a working one.
     """
     check = args.check
-    if args.delta is not None and not 0 < args.delta < math.inf:
-        raise ValueError("threshold t must be positive and finite")
-    t = DELTA_DEFAULTS.get(check) if args.delta is None else args.delta
     R = ROOT_TWO_OVER_PI   # rows of zeros give every moment 0, so a deviation of R
     inconclusive = None
     if check == "concentration":
         # one trial's moment deviation has standard deviation
-        # sqrt(1 - 2/pi)/sqrt(m): the default threshold and the tolerance on
-        # the mean over trials hold at m = 20000 and 100 trials and scale with
-        # it (m < 1 is refused by verify_concentration)
-        if args.delta is None:
-            t *= math.sqrt(20000 / max(args.m, 1))
+        # sqrt(1 - 2/pi)/sqrt(m): the threshold and the tolerance on the mean
+        # over trials are 0.02 and 0.005 at m = 20000 and 100 trials and
+        # scale with it (m < 1 and trials < 1 are refused by verify_concentration)
         rep = verify_concentration(args.n, args.m, args.trials, args.seed)
+        t = 0.02 * math.sqrt(20000 / args.m)
         tol = 0.005 * math.sqrt(20000 * 100 / (args.m * args.trials))
         exceedance = float((rep.deviations > t).mean())
         print(f"concentration: n={args.n} m={args.m} trials={args.trials}")
@@ -271,29 +267,24 @@ def cmd_verify(args) -> int:
         print(f"exceedance@{t}={exceedance:.4f} decay_rate={rep.decay_rate:.3f}")
         passed = exceedance <= 0.05 and abs(rep.mean_abs_moment - R) <= tol
         if t >= R and tol >= R:
-            sizes = f"m*trials of {math.floor(20000 * 100 * (0.005 / R) ** 2) + 1}"
-            if args.delta is None:
-                sizes = f"--m {math.floor(20000 * (0.02 / R) ** 2) + 1} or more, or {sizes}"
             inconclusive = (f"the threshold {t:.4f} and the mean tolerance {tol:.4f} reach "
-                            f"sqrt(2/pi), so rows of zeros would pass; use {sizes} or more")
+                            f"sqrt(2/pi), so rows of zeros would pass; use --m "
+                            f"{math.floor(20000 * (0.02 / R) ** 2) + 1} or more, or m*trials "
+                            f"of {math.floor(20000 * 100 * (0.005 / R) ** 2) + 1} or more")
     elif check == "uniform-concentration":
         # the largest deviation over the sampled cap points scales as
         # sqrt(s ln(2n/s)/m), not as one point's sqrt(1 - 2/pi)/sqrt(m)
-        # (other s, and m < 1, are refused by verify_uniform_concentration)
-        if args.delta is None and 1 <= args.s <= args.n:
-            t *= math.sqrt(args.s * math.log(2 * args.n / args.s) / max(args.m, 1))
+        # (s outside [1, n], and m < 1, are refused by verify_uniform_concentration)
         max_dev = verify_uniform_concentration(args.n, args.s, args.m, args.trials, args.seed)
+        t = 1.5 * math.sqrt(args.s * math.log(2 * args.n / args.s) / args.m)
         print(f"uniform concentration: n={args.n} s={args.s} m={args.m} "
               f"samples={args.trials}")
         print(f"max_deviation={max_dev:.6f} threshold={t}")
         passed = max_dev <= t
         if t >= R:
-            sizes = "--delta below sqrt(2/pi)"
-            if args.delta is None:
-                m_max = (1.5 / R) ** 2 * args.s * math.log(2 * args.n / args.s)
-                sizes = f"--m {math.floor(m_max) + 1} or more"
-            inconclusive = (f"the threshold {t:.4f} reaches sqrt(2/pi), "
-                            f"so rows of zeros would pass; use {sizes}")
+            m_max = (1.5 / R) ** 2 * args.s * math.log(2 * args.n / args.s)
+            inconclusive = (f"the threshold {t:.4f} reaches sqrt(2/pi), so rows of zeros "
+                            f"would pass; use --m {math.floor(m_max) + 1} or more")
     elif check == "bernoulli-counterexample":
         rep = verify_bernoulli_counterexample(args.n, args.m, args.trials, args.seed)
         print(f"bernoulli counterexample: n={args.n} m={args.m} seeds={len(rep.seeds)}")
@@ -331,9 +322,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "verify" and args.delta is not None \
-                and args.check not in DELTA_DEFAULTS:
-            args.usage_error(f"--delta does not apply to --check {args.check}")
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

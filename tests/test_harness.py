@@ -19,7 +19,7 @@ import scipy
 import onebit
 import onebit.geometry as geometry
 import onebit.harness as harness
-from onebit.cli import build_parser, main
+from onebit.cli import CHECKS, build_parser, main
 from onebit.geometry import SignalSetSpec, sample_sphere_cap, single_hyperplane_separation_prob
 from onebit.harness import (
     ROOT_TWO_OVER_PI,
@@ -356,7 +356,7 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["recover", *files, "--tol-feas", "1e-8"]) == 2
     assert "unrecognized arguments: --tol-feas" in capsys.readouterr().err
     assert main(["sweep", "--out", "x.csv", "--tol-opt", "1e-9"]) == 2
-    # verify writes no report file, and only the concentration checks read --delta
+    # verify writes no report file and takes no threshold
     assert main(["verify", "--check", "concentration", "--out", "r.txt"]) == 2
     assert main(["verify", "--check", "separation", "--delta", "0.1"]) == 2
     assert main(["verify", "--check", "bernoulli-counterexample", "--delta", "0.1"]) == 2
@@ -650,8 +650,7 @@ def test_cli_verify_checks(capsys, monkeypatch):
                  "--n", "8", "--m", "200", "--trials", "5"]) == 0
     assert "PASS" in capsys.readouterr().out
     assert main(["verify", "--check", "concentration", "--n", "16",
-                 "--m", "4000", "--trials", "20", "--seed", "1",
-                 "--delta", "0.05"]) == 0
+                 "--m", "4000", "--trials", "20", "--seed", "1"]) == 0
     assert main(["verify", "--check", "separation", "--n", "4",
                  "--trials", "40000", "--seed", "2"]) == 0
     assert main(["verify", "--check", "uniform-concentration", "--n", "32",
@@ -717,29 +716,28 @@ def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
         out = capsys.readouterr().out
         seen.append(float(re.search(r"exceedance@(\S+)=", out).group(1)))
     assert seen[:2] == [0.02, 0.02] and seen[2] == 0.02 * math.sqrt(20)
-    # a given --delta is used as is
-    assert main(["verify", "--check", "concentration", "--m", "1000", "--delta", "0.05"]) == 0
-    assert "exceedance@0.05=" in capsys.readouterr().out
 
 
 def test_cli_verify_concentration_verdicts(capsys, monkeypatch):
     # the pass rules compare as they did in the library: a largest deviation
     # of exactly t passes and the next float above fails; an exceedance of
-    # 5 in 100 passes and 6 fails, a deviation equal to t not counting
-    t = 0.05
-    above = math.nextafter(t, math.inf)
-    for max_dev, code in ((t, 0), (above, 1)):
+    # 5 in 100 passes and 6 fails, a deviation equal to t not counting.
+    # At the defaults (n = 64, s = 4, m = 20000, 100 trials) the thresholds
+    # are 1.5 sqrt(s ln(2n/s)/m) and 0.02
+    t = 1.5 * math.sqrt(4 * math.log(2 * 64 / 4) / 20000)
+    for max_dev, code in ((t, 0), (math.nextafter(t, math.inf), 1)):
         monkeypatch.setattr(onebit.cli, "verify_uniform_concentration", lambda *a: max_dev)
-        assert main(["verify", "--check", "uniform-concentration",
-                     "--delta", str(t)]) == code, max_dev
+        assert main(["verify", "--check", "uniform-concentration"]) == code, max_dev
         assert capsys.readouterr().out.endswith("FAIL\n" if code else "PASS\n")
+    t = 0.02
+    above = math.nextafter(t, math.inf)
     for count, code in ((5, 0), (6, 1)):
         rep = harness.ConcentrationReport(
             mean_abs_moment=ROOT_TWO_OVER_PI,
             deviations=np.where(np.arange(100) < count, above, t), decay_rate=float("nan"))
         monkeypatch.setattr(onebit.cli, "verify_concentration", lambda *a: rep)
-        assert main(["verify", "--check", "concentration", "--trials", "100",
-                     "--delta", str(t)]) == code, count
+        assert main(["verify", "--check", "concentration", "--m", "20000",
+                     "--trials", "100"]) == code, count
         out = capsys.readouterr().out
         assert f"exceedance@{t}={count / 100:.4f} " in out, out
         assert out.endswith("FAIL\n" if code else "PASS\n")
@@ -772,9 +770,6 @@ def test_cli_verify_uniform_concentration_default_scales_with_m(capsys, monkeypa
     code, t, out = verify()
     assert code == 1 and out.endswith("FAIL\n")
     assert 0.07 < float(re.search(r"max_deviation=(\S+)", out).group(1)) < 0.1
-    # a given --delta is used as is
-    code, t, out = verify("--delta", "0.1")
-    assert code == 0 and t == 0.1
 
 
 def test_cli_verify_concentration_checks_say_when_they_cannot_fail(capsys, monkeypatch):
@@ -809,29 +804,20 @@ def test_cli_verify_concentration_checks_say_when_they_cannot_fail(capsys, monke
     for argv in (["--m", "12", "--trials", "7"], ["--m", "13", "--trials", "6"]):
         code, out = verify("concentration", *argv)
         assert code == 1 and out.endswith("FAIL\n"), (argv, out)
-    # a given --delta at or above sqrt(2/pi) leaves only the sizes it does not set
-    code, out = verify("concentration", "--m", "12", "--trials", "6", "--delta", "0.9")
-    assert code == 0 and out.endswith("use m*trials of 79 or more\n"), out
-    code, out = verify("uniform-concentration", "--delta", str(ROOT_TWO_OVER_PI))
-    assert code == 0 and out.endswith("use --delta below sqrt(2/pi)\n"), out
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "0", "-1"])
 def test_cli_delta_must_be_positive_and_finite(capsys, delta):
-    # x > nan is always False: a nan threshold would pass every check and
-    # count no pair beyond it, and an infinite one would do the same
-    commands = (["tessellate", "--m", "10", "--trials", "5"],
-                ["verify", "--check", "concentration", "--m", "10", "--trials", "2"],
-                ["verify", "--check", "uniform-concentration", "--m", "10", "--trials", "2"])
-    for argv in commands:
-        assert main(argv + ["--delta", delta]) == 1, argv
+    # x > nan is always False: a nan pair distance would count no pair
+    # beyond it, and an infinite one would do the same
+    assert main(["tessellate", "--m", "10", "--trials", "5", "--delta", delta]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "positive and finite" in err
+    # each verify check's threshold is fixed by the sizes: --delta is a usage error
+    for check in CHECKS:
+        assert main(["verify", "--check", check, "--delta", delta]) == 2, check
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: ") and "positive and finite" in err, argv
-    # `onebit verify` checks a given --delta before it runs the check, so a
-    # bad --delta is named before any other bad argument
-    for check in ("concentration", "uniform-concentration"):
-        assert main(["verify", "--check", check, "--m", "0", "--delta", delta]) == 1, check
-        assert capsys.readouterr() == ("", "error: threshold t must be positive and finite\n")
+        assert out == "" and "unrecognized arguments: --delta" in err, check
 
 
 def _package_env():
