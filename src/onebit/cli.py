@@ -248,7 +248,10 @@ def cmd_verify(args) -> int:
       an orthogonal pair and 1/2 for an antipodal one.
 
     A check prints INCONCLUSIVE and exits 0, not PASS, at the sizes where it
-    cannot tell a broken sampler from a working one.
+    cannot tell a broken sampler from a working one.  separation reads --n
+    only for its n >= 2 guard, plus --trials and --seed; concentration and
+    bernoulli-counterexample do not read --s.  A size that a check does not
+    read is accepted and ignored.
     """
     check = args.check
     R = ROOT_TWO_OVER_PI   # rows of zeros give every moment 0, so a deviation of R

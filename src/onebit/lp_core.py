@@ -31,9 +31,10 @@ variable plus the rhs, filled straight from the LP blocks.  The basic
 columns of the full tableau are unit columns and are not stored; a pivot
 hands the entering variable's column to the leaving variable.  Variables
 keep their two-row names (z, then the lower surpluses, then the upper ones)
-and rows their two-row positions, so pricing (Dantzig's rule, Bland's after
-a stall, ties broken by name), the ratio test's tie-breaks and the clean
-re-solve's block order are those of the full two-row tableau.  The ratio
+and each basic variable the two-row position of its row, which an entering
+variable takes from the leaving one, so pricing (Dantzig's rule, Bland's
+after a stall, ties broken by name), the ratio test's tie-breaks and the
+clean re-solve's block order are those of the full two-row tableau.  The ratio
 test runs over every row, with an infinite ratio on every row whose entry is
 not a usable pivot, and picks the stoutest pivot among near-tied rows.
 """
@@ -153,7 +154,7 @@ def _reduced_costs(T: np.ndarray, slots: np.ndarray, basis: np.ndarray,
     return r
 
 
-def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, pos: np.ndarray,
+def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.ndarray,
              cost: np.ndarray, width: np.ndarray, itmax: int) -> tuple:
     """Run pivots from the all-surplus basis until optimality, unboundedness,
     or the iteration cap.
@@ -162,14 +163,15 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, pos: np.ndarra
     not improve the objective), the switches to Bland's rule, the pivots
     that made an upper bound binding and the bound flips.  Variables carry
     two-row names: z is 0..K-1, row i's lower surplus K + i and its upper
-    one K + M + i; pos holds each stored row's two-row position, row i's
-    upper row being at M + i (the two-row form numbers only the finite upper
-    bounds, in the same order); width is each row's width, +inf for a
-    one-sided row.  The candidates are the columns with reduced cost below
-    -OPTIMALITY_TOL; Dantzig's rule keeps those of the most negative one,
-    Bland's rule keeps them all, and both take the lowest variable name
-    (slots), not column.  Switches to Bland's rule after STALL_LIMIT
-    consecutive degenerate pivots, back on progress.
+    one K + M + i.  position[name] is the two-row position of the row where
+    that variable is basic, row i's upper row being at M + i (the two-row
+    form numbers only the finite upper bounds, in the same order), and the
+    entering variable takes the position of the one that leaves; width is
+    each row's width, +inf for a one-sided row.  The candidates are the
+    columns with reduced cost below -OPTIMALITY_TOL; Dantzig's rule keeps
+    those of the most negative one, Bland's rule keeps them all, and both
+    take the lowest variable name (slots), not column.  Switches to Bland's
+    rule after STALL_LIMIT consecutive degenerate pivots, back on progress.
 
     The ratio test runs over the stored rows, their mirrored rows and the
     entering variable's own bound: it divides max(rhs, 0) by the entry on
@@ -186,9 +188,6 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, pos: np.ndarra
     r[:K] = cost[slots]
     red = r[:K]
     rhs = T[:, K]
-    # the two-row position of the surplus row of each row that the tableau
-    # does not store: the mirror of its stored surplus, or its lone basic one
-    dpos = np.arange(M, 2 * M)
     wrow = width.copy()     # the width of the row whose surplus each stored row holds
     # ratio-test rows: [stored rows | their mirrors | the entering variable's own bound]
     entry = np.empty(2 * M + 1)
@@ -236,17 +235,12 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, pos: np.ndarra
                     stout = stout[entry[stout] == entry[stout].max()]
                 k = int(stout[0])
                 if stout.size > 1:
-                    # a row past the stored ones holds the mirror of the surplus
-                    # stored there, or of the entering one (owner)
-                    below = stout < M
-                    owner = basis[stout % M]
-                    if stout[-1] == 2 * M:
-                        owner[-1] = enter
-                    if bland:
-                        key = np.where(below, owner, np.where(owner < K + M, owner + M, owner - M))
-                    else:
-                        key = np.where(below, pos[stout % M], dpos[(owner - K) % M])
-                    k = int(stout[key.argmin()])
+                    # each tied row's basic variable: a stored row's own, the
+                    # mate of the surplus stored there on a mirror row, and
+                    # the entering surplus's mate on its own bound
+                    name = np.concatenate((basis, basis, [enter]))[stout]
+                    name = np.where(stout < M, name, np.where(name < K + M, name + M, name - M))
+                    k = int(stout[(name if bland else position[name]).argmin()])
             gain = -r[cpiv] * best
             if k == 2 * M:
                 # the entering surplus reaches its row's width: it trades names
@@ -264,10 +258,11 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, pos: np.ndarra
                 if k >= M:
                     # the mirrored row of row j's surplus, [-row, width - rhs]:
                     # its pivot is row j's from the rhs rhs - width, with the
-                    # leaving column negated, as the mirror leaves, not the surplus
-                    i = (leave - K) % M
+                    # leaving column negated, as the mirror leaves, not the surplus.
+                    # No tableau row is negated in place: at the 64-byte stride
+                    # of an 8-row tableau's rows, numpy 2.4.6's in-place
+                    # np.negative(row, out=row) reads the wrong elements
                     rhs[j] -= wrow[j]
-                    pos[j], dpos[i] = dpos[i], pos[j]
                     leave = leave + M if leave < K + M else leave - M
                 _pivot(T, r, j, cpiv, prow)
                 if k >= M:
@@ -276,6 +271,9 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, pos: np.ndarra
                 slots[cpiv], basis[j] = leave, enter
                 wrow[j] = own
                 uppers += leave >= K + M
+            # slots[cpiv] now names the variable that left (the mirror, on a
+            # flip), and the entering one is basic in its row
+            position[enter] = position[slots[cpiv]]
             iters += 1
             if iters % REFRESH_PIVOTS == 0:
                 # recompute the cost row from the basis to shed pivot roundoff
@@ -315,19 +313,21 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # surpluses >= 0, so the all-surplus basis is feasible.  The condensed
     # tableau starts from the M lower rows: one column per nonbasic variable
     # (slots names it) and the rhs; basis names each stored row's basic
-    # variable and pos gives its two-row position
+    # variable, and position gives each basic variable its two-row position:
+    # i for lower surplus K + i, M + i for upper surplus K + M + i (a z
+    # variable gets its own when it enters)
     T = np.empty((M, K + 1), order="F")
     np.negative(lp.ineq_lhs, out=T[:, :K])
     np.negative(lp.ineq_rhs, out=T[:, K])
     slots = np.arange(K)
     basis = np.arange(K, K + M)
-    pos = np.arange(M)
+    position = np.arange(-K, 2 * M)
     cost = np.zeros(K + 2 * M)
     cost[:K] = c
     width = lp.ineq_upper - lp.ineq_rhs
     two_rows = M + int(np.count_nonzero(width < np.inf))
     status, iters, degenerate, switches, uppers, flips = _simplex(
-        T, slots, basis, pos, cost, width, ITERATION_FACTOR * (2 * two_rows + K))
+        T, slots, basis, position, cost, width, ITERATION_FACTOR * (2 * two_rows + K))
     telemetry = dict(degenerate_pivots=degenerate, bland_switches=switches,
                      upper_pivots=uppers, bound_flips=flips)
     if status != "optimal":
@@ -342,7 +342,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # recovery dual: the support of x_hat by the basic measurements).
     # Undoing the row negation gives the multipliers of the >= rows, a
     # lower row's counting positive and an upper row's negative
-    cols = basis[np.argsort(pos)]
+    cols = basis[np.argsort(position[basis])]
     cols = cols[cols < K]
     tight = np.sort(slots)
     tight = tight[np.searchsorted(tight, K):] - K    # two-row indices: lower rows, then upper
