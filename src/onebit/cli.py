@@ -47,8 +47,8 @@ def _m_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad m list {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty m list")
-    if min(values) < 1:
-        raise argparse.ArgumentTypeError(f"every m must be at least 1, got {text!r}")
+    if min(values) < 1 or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"every m must be at least 1 and given once, got {text!r}")
     return values
 
 

@@ -82,9 +82,9 @@ def run_sweep(n: int, s: int, m_list: list[int], trials: int, seed: int,
     A trial whose recovery fails (RecoveryError, or ValueError, which
     includes numpy's LinAlgError) records a row with nan results and
     continues; the sweep itself only fails if every trial failed.  Any other
-    exception is a programming error and propagates.  Rows come back sorted
-    by (m, trial).  No file is written: `onebit sweep --out` writes the rows
-    as CSV with a manifest next to it.
+    exception is a programming error and propagates.  Rows come back in
+    m_list order, trials ascending.  No file is written: `onebit sweep --out`
+    writes the rows as CSV with a manifest next to it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

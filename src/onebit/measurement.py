@@ -7,6 +7,11 @@ with the m-row ensemble for the same seed.  Likewise the first k columns of a
 grid are the k-column grid for the same seed, so a computation that reads only
 some leading coordinates can generate just those.
 
+The word of grid entry (i, j) is derive_seed(seed, i, j).  A uniform is its
+top 53 bits, centered in (0, 1), and a normal is ndtri of that uniform.  A
+sign is its top bit, +1 when set, so a sign is -1 exactly where the uniform
+is below 1/2; gen_sparse_signal's constant magnitudes use that same rule.
+
 Grids are generated in row blocks of about 16K entries, mixed in place in two
 reused word buffers and converted straight into the output array.  Every entry
 is still that pure function of (seed, i, j), so blocking never changes a value.
@@ -65,11 +70,10 @@ def derive_seed(seed: int, *labels: int) -> int:
     return h
 
 
-def _mix64_inplace(z: np.ndarray, t: np.ndarray, finish: bool = True) -> None:
+def _mix64_inplace(z: np.ndarray, t: np.ndarray) -> None:
     """SplitMix64 finalizer applied to z in place; t is scratch of z's shape.
 
     uint64 arithmetic wraps mod 2**64, which is exactly what SplitMix64 needs.
-    finish=False skips the last z ^= z >> 31, which never changes bit 63.
     """
     np.right_shift(z, np.uint64(30), out=t)
     np.bitwise_xor(z, t, out=z)
@@ -77,22 +81,23 @@ def _mix64_inplace(z: np.ndarray, t: np.ndarray, finish: bool = True) -> None:
     np.right_shift(z, np.uint64(27), out=t)
     np.bitwise_xor(z, t, out=z)
     np.multiply(z, _M2, out=z)
-    if finish:
-        np.right_shift(z, np.uint64(31), out=t)
-        np.bitwise_xor(z, t, out=z)
+    np.right_shift(z, np.uint64(31), out=t)
+    np.bitwise_xor(z, t, out=z)
 
 
 # entries mixed per block: the two 128 KB word buffers stay in cache
 _BLOCK = 1 << 14
 
 
-def _word_blocks(seed: int, rows: int, cols: int, row_offset: int,
-                 finish: bool = True):
-    """Yield (row slice, words) over the word grid of (seed, row, col), in row blocks.
+def _grid(seed: int, rows: int, cols: int, row_offset: int, fill) -> np.ndarray:
+    """The (rows, cols) grid that fill maps from the words of (seed, row, col).
 
-    words is a (block rows, cols) view of a buffer the next block overwrites.
-    A block holds at least one whole row.
+    The word of entry (i, j) is derive_seed(seed, row_offset + i, j).  Words
+    are mixed in row blocks of at least one whole row, in two reused
+    buffers, and fill(words, out_block) converts each block into the output
+    before the next one overwrites it; fill may overwrite words.
     """
+    out = np.empty((rows, cols))
     i = np.arange(row_offset + 1, row_offset + rows + 1, dtype=np.uint64)
     row_keys = np.uint64(seed & MASK64) + i * _GOLDEN_U
     _mix64_inplace(row_keys, np.empty_like(row_keys))
@@ -102,17 +107,31 @@ def _word_blocks(seed: int, rows: int, cols: int, row_offset: int,
     t = np.empty_like(z)
     for r0 in range(0, rows, step):
         w = z[:min(step, rows - r0)]
-        np.add(row_keys[r0:r0 + w.shape[0], None], col_keys, out=w)
-        _mix64_inplace(w, t[:w.shape[0]], finish)
-        yield slice(r0, r0 + w.shape[0]), w
+        np.add(row_keys[r0:r0 + len(w), None], col_keys, out=w)
+        _mix64_inplace(w, t[:len(w)])
+        fill(w, out[r0:r0 + len(w)])
+    return out
 
 
-def _uniforms_into(w: np.ndarray, out: np.ndarray) -> None:
-    # top 53 bits, centered so 0 and 1 are never produced; w is overwritten
+def _uniforms(w: np.ndarray, out: np.ndarray) -> None:
+    # top 53 bits, centered so 0 and 1 are never produced
     np.right_shift(w, np.uint64(11), out=w)
     np.copyto(out, w, casting="unsafe")
     out += 0.5
     out *= 2.0 ** -53
+
+
+def _normals(w: np.ndarray, out: np.ndarray) -> None:
+    _uniforms(w, out)
+    ndtri(out, out=out)
+
+
+def _signs(w: np.ndarray, out: np.ndarray) -> None:
+    # the top bit: -1 exactly where the uniform is below 1/2
+    np.right_shift(w, np.uint64(63), out=w)
+    np.copyto(out, w, casting="unsafe")
+    out *= 2.0
+    out -= 1.0
 
 
 def uniform_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
@@ -121,32 +140,17 @@ def uniform_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.nda
     row_offset shifts the row index, so uniform_grid(seed, r, c, k) equals
     rows k..k+r of uniform_grid(seed, k + r, c).
     """
-    out = np.empty((rows, cols))
-    for block, w in _word_blocks(seed, rows, cols, row_offset):
-        _uniforms_into(w, out[block])
-    return out
+    return _grid(seed, rows, cols, row_offset, _uniforms)
 
 
 def normal_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
     """Matrix of standard normals via the inverse-CDF transform of uniform_grid."""
-    out = np.empty((rows, cols))
-    for block, w in _word_blocks(seed, rows, cols, row_offset):
-        dest = out[block]
-        _uniforms_into(w, dest)
-        ndtri(dest, out=dest)
-    return out
+    return _grid(seed, rows, cols, row_offset, _normals)
 
 
 def sign_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
     """Matrix of symmetric +-1 entries drawn from the top bit of the word grid."""
-    out = np.empty((rows, cols))
-    for block, w in _word_blocks(seed, rows, cols, row_offset, finish=False):
-        dest = out[block]
-        np.right_shift(w, np.uint64(63), out=w)
-        np.copyto(dest, w, casting="unsafe")
-        dest *= 2.0
-        dest -= 1.0
-    return out
+    return _grid(seed, rows, cols, row_offset, _signs)
 
 
 @dataclass

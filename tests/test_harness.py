@@ -506,6 +506,17 @@ def test_cli_recover_refuses_synthetic_instance_flags(tmp_path, capsys):
         assert out == "" and flag[0] in err, (flag, err)
 
 
+def test_cli_m_list_refuses_repeats(tmp_path, capsys):
+    # a repeated m would repeat its rows, seeds included, and its report
+    out = tmp_path / "mm.csv"
+    assert main(["sweep", "--n", "16", "--s", "2", "--m", "20,20", "--trials", "3",
+                 "--out", str(out)]) == 2
+    assert not out.exists() and not list(tmp_path.iterdir())
+    assert main(["tessellate", "--m", "10,10,5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("given once") == 2
+
+
 def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "runs" / "a.csv"
     code = main(["sweep", "--n", "16", "--s", "2", "--m", "20,30",

@@ -244,6 +244,26 @@ def test_grids_bit_identical_to_whole_array_reference(seed, rows, cols, row_offs
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), grid.__name__
 
 
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("row_offset", [0, 1000])
+def test_grids_are_the_derive_seed_chain(seed, row_offset):
+    # the scalar mix64 chain, not a rebuilt vector path: the word of entry
+    # (i, j) is derive_seed(seed, row_offset + i, j)
+    rows, cols = 5, 7
+    u = uniform_grid(seed, rows, cols, row_offset)
+    g = sign_grid(seed, rows, cols, row_offset)
+    for i in range(rows):
+        for j in range(cols):
+            word = derive_seed(seed, row_offset + i, j)
+            assert u[i, j] == ((word >> 11) + 0.5) * 2.0 ** -53, (i, j)
+            assert g[i, j] == (1.0 if word >> 63 else -1.0), (i, j)
+    # a sign is -1 exactly where the uniform is below 1/2
+    u = uniform_grid(seed, 300, 64, row_offset)
+    want = np.where(u < 0.5, -1.0, 1.0)
+    got = sign_grid(seed, 300, 64, row_offset)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("seed, row_offset", [(2**64 - 1, 0), (2**64 - 1, 999), (7, 123456)])
 def test_grids_column_prefix(seed, row_offset):
     # a k-column grid is the first k columns of any wider grid at the same
