@@ -195,98 +195,96 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.n
     num = np.empty(2 * M + 1)
     stored_entry, mirror_entry, stored_num, mirror_num = entry[:M], entry[M:2 * M], num[:M], num[M:2 * M]
     ratios = np.empty(2 * M + 1)
-    unusable = np.empty(2 * M + 1, dtype=bool)
+    usable = np.empty(2 * M + 1, dtype=bool)
     prow = np.empty(K + 1)
     iters = degenerate = switches = uppers = flips = 0
     stall = 0
     bland = False
-    # a ratio of an unusable entry is overwritten, so its division may warn
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while iters < itmax:
-            cpiv = int(red.argmin())
-            if not red[cpiv] < -OPTIMALITY_TOL:
-                return "optimal", iters, degenerate, switches, uppers, flips
-            cand = (red < -OPTIMALITY_TOL if bland else red == red[cpiv]).nonzero()[0]
-            if cand.size > 1:
-                cpiv = int(cand[slots[cand].argmin()])
-            enter = int(slots[cpiv])
-            own = float(width[(enter - K) % M]) if enter >= K else np.inf
-            col = T[:, cpiv]
-            stored_entry[:] = col
-            np.negative(col, out=mirror_entry)
-            stored_num[:] = rhs
-            np.subtract(wrow, rhs, out=mirror_num)
-            num[2 * M] = own
-            np.maximum(num, 0.0, out=num)
-            np.divide(num, entry, out=ratios)
-            np.less_equal(entry, PIVOT_TOL, out=unusable)
-            np.putmask(ratios, unusable, np.inf)
-            k = int(ratios.argmin())
-            best = float(ratios[k])
-            if best == np.inf:
-                return "unbounded", iters, degenerate, switches, uppers, flips
-            # among (near-)tied rows take the stoutest pivot first: index-only
-            # tie-breaking happily pivots on 1e-10 entries and wrecks the tableau
-            ties = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
-            if ties.size > 1:
-                ent = entry[ties]
-                stout = ties[ent >= 0.1 * ent.max()]
-                if not bland:
-                    stout = stout[entry[stout] == entry[stout].max()]
-                k = int(stout[0])
-                if stout.size > 1:
-                    # each tied row's basic variable: a stored row's own, the
-                    # mate of the surplus stored there on a mirror row, and
-                    # the entering surplus's mate on its own bound
-                    name = np.concatenate((basis, basis, [enter]))[stout]
-                    name = np.where(stout < M, name, np.where(name < K + M, name + M, name - M))
-                    k = int(stout[(name if bland else position[name]).argmin()])
-            gain = -r[cpiv] * best
-            if k == 2 * M:
-                # the entering surplus reaches its row's width: it trades names
-                # with its basic mirror, and no row changes
-                rc = r[cpiv]
-                rhs -= own * col
+    while iters < itmax:
+        cpiv = int(red.argmin())
+        if not red[cpiv] < -OPTIMALITY_TOL:
+            return "optimal", iters, degenerate, switches, uppers, flips
+        cand = (red < -OPTIMALITY_TOL if bland else red == red[cpiv]).nonzero()[0]
+        if cand.size > 1:
+            cpiv = int(cand[slots[cand].argmin()])
+        enter = int(slots[cpiv])
+        own = float(width[(enter - K) % M]) if enter >= K else np.inf
+        col = T[:, cpiv]
+        stored_entry[:] = col
+        np.negative(col, out=mirror_entry)
+        stored_num[:] = rhs
+        np.subtract(wrow, rhs, out=mirror_num)
+        num[2 * M] = own
+        np.maximum(num, 0.0, out=num)
+        np.greater(entry, PIVOT_TOL, out=usable)
+        ratios.fill(np.inf)
+        np.divide(num, entry, out=ratios, where=usable)
+        k = int(ratios.argmin())
+        best = float(ratios[k])
+        if best == np.inf:
+            return "unbounded", iters, degenerate, switches, uppers, flips
+        # among (near-)tied rows take the stoutest pivot first: index-only
+        # tie-breaking happily pivots on 1e-10 entries and wrecks the tableau
+        ties = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
+        if ties.size > 1:
+            ent = entry[ties]
+            stout = ties[ent >= 0.1 * ent.max()]
+            if not bland:
+                stout = stout[entry[stout] == entry[stout].max()]
+            k = int(stout[0])
+            if stout.size > 1:
+                # each tied row's basic variable: a stored row's own, the
+                # mate of the surplus stored there on a mirror row, and
+                # the entering surplus's mate on its own bound
+                name = np.concatenate((basis, basis, [enter]))[stout]
+                name = np.where(stout < M, name, np.where(name < K + M, name + M, name - M))
+                k = int(stout[(name if bland else position[name]).argmin()])
+        gain = -r[cpiv] * best
+        if k == 2 * M:
+            # the entering surplus reaches its row's width: it trades names
+            # with its basic mirror, and no row changes
+            rc = r[cpiv]
+            rhs -= own * col
+            np.negative(col, out=col)
+            r[cpiv] = -rc
+            r[K] -= own * rc
+            slots[cpiv] = enter + M if enter < K + M else enter - M
+            flips += 1
+        else:
+            j = k % M
+            leave = int(basis[j])
+            if k >= M:
+                # the mirrored row of row j's surplus, [-row, width - rhs]:
+                # its pivot is row j's from the rhs rhs - width, with the
+                # leaving column negated, as the mirror leaves, not the surplus.
+                # No tableau row is negated in place: at the 64-byte stride
+                # of an 8-row tableau's rows, numpy 2.4.6's in-place
+                # np.negative(row, out=row) reads the wrong elements
+                rhs[j] -= wrow[j]
+                leave = leave + M if leave < K + M else leave - M
+            _pivot(T, r, j, cpiv, prow)
+            if k >= M:
                 np.negative(col, out=col)
-                r[cpiv] = -rc
-                r[K] -= own * rc
-                slots[cpiv] = enter + M if enter < K + M else enter - M
-                flips += 1
-            else:
-                j = k % M
-                leave = int(basis[j])
-                if k >= M:
-                    # the mirrored row of row j's surplus, [-row, width - rhs]:
-                    # its pivot is row j's from the rhs rhs - width, with the
-                    # leaving column negated, as the mirror leaves, not the surplus.
-                    # No tableau row is negated in place: at the 64-byte stride
-                    # of an 8-row tableau's rows, numpy 2.4.6's in-place
-                    # np.negative(row, out=row) reads the wrong elements
-                    rhs[j] -= wrow[j]
-                    leave = leave + M if leave < K + M else leave - M
-                _pivot(T, r, j, cpiv, prow)
-                if k >= M:
-                    np.negative(col, out=col)
-                    r[cpiv] = -r[cpiv]
-                slots[cpiv], basis[j] = leave, enter
-                wrow[j] = own
-                uppers += leave >= K + M
-            # slots[cpiv] now names the variable that left (the mirror, on a
-            # flip), and the entering one is basic in its row
-            position[enter] = position[slots[cpiv]]
-            iters += 1
-            if iters % REFRESH_PIVOTS == 0:
-                # recompute the cost row from the basis to shed pivot roundoff
-                r[:] = _reduced_costs(T, slots, basis, cost)
-            if gain <= 1e-12 * (1.0 + abs(r[K])):
-                degenerate += 1
-                stall += 1
-                if stall >= STALL_LIMIT and not bland:
-                    bland = True
-                    switches += 1
-            else:
-                stall = 0
-                bland = False
+                r[cpiv] = -r[cpiv]
+            slots[cpiv], basis[j] = leave, enter
+            wrow[j] = own
+            uppers += leave >= K + M
+        # slots[cpiv] now names the variable that left (the mirror, on a
+        # flip), and the entering one is basic in its row
+        position[enter] = position[slots[cpiv]]
+        iters += 1
+        if iters % REFRESH_PIVOTS == 0:
+            # recompute the cost row from the basis to shed pivot roundoff
+            r[:] = _reduced_costs(T, slots, basis, cost)
+        if gain <= 1e-12 * (1.0 + abs(r[K])):
+            degenerate += 1
+            stall += 1
+            if stall >= STALL_LIMIT and not bland:
+                bland = True
+                switches += 1
+        else:
+            stall = 0
+            bland = False
     return "iteration_limit", iters, degenerate, switches, uppers, flips
 
 

@@ -248,7 +248,7 @@ def test_verify_bernoulli_counterexample_report():
         # the library measures; `onebit verify` owns every threshold and verdict
         assert "t" not in params, check.__name__
     assert list(harness.ConcentrationReport.__dataclass_fields__) == [
-        "mean_abs_moment", "deviations", "decay_rate"]
+        "mean_abs_moment", "deviations"]
     assert not hasattr(harness, "UniformConcentrationReport")
 
 
@@ -625,12 +625,21 @@ def test_cli_gen_and_recover_need_a_row(tmp_path, capsys):
         gen_instance(16, 2, 10, 1, "cauchy", "unit_gaussian")
 
 
-def test_cli_verify_concentration_decay_needs_two_fractions(capsys):
-    # one trial makes every fraction of the decay fit 1: no slope to read
+def test_cli_verify_concentration_runs_one_trial():
     assert main(["verify", "--check", "concentration", "--trials", "1"]) == 0
-    assert " decay_rate=nan\n" in capsys.readouterr().out
     rep = verify_concentration(16, 2000, trials=1, seed=7)
-    assert rep.deviations.shape == (1,) and math.isnan(rep.decay_rate)
+    assert rep.deviations.shape == (1,)
+
+
+def test_cli_out_of_memory_is_an_error_line(capsys, monkeypatch):
+    # a size the machine cannot hold ends in an error line, not numpy's
+    # traceback; the stand-in raises without allocating anything
+    def too_big(*args):
+        raise MemoryError("Unable to allocate 22.4 GiB")
+
+    monkeypatch.setattr(onebit.cli, "tessellate_and_report", too_big)
+    assert main(["tessellate", "--m", "5", "--trials", "1000000000"]) == 1
+    assert capsys.readouterr() == ("", "error: Unable to allocate 22.4 GiB\n")
 
 
 @pytest.mark.parametrize("dist,mag", [("gaussian", "unit_gaussian"), ("bernoulli", "constant")])
@@ -712,8 +721,7 @@ def test_cli_verify_concentration_defaults_scale_with_m(capsys, monkeypatch):
 
     def fake(n, m, trials, seed, gap=0.0):
         return harness.ConcentrationReport(mean_abs_moment=ROOT_TWO_OVER_PI + gap,
-                                           deviations=np.zeros(trials),
-                                           decay_rate=float("nan"))
+                                           deviations=np.zeros(trials))
 
     # at m = 20000 and 100 trials: threshold 0.02 and mean tolerance 0.005,
     # exactly as before; the tolerance scales as 1/sqrt(m * trials)
@@ -745,12 +753,12 @@ def test_cli_verify_concentration_verdicts(capsys, monkeypatch):
     for count, code in ((5, 0), (6, 1)):
         rep = harness.ConcentrationReport(
             mean_abs_moment=ROOT_TWO_OVER_PI,
-            deviations=np.where(np.arange(100) < count, above, t), decay_rate=float("nan"))
+            deviations=np.where(np.arange(100) < count, above, t))
         monkeypatch.setattr(onebit.cli, "verify_concentration", lambda *a: rep)
         assert main(["verify", "--check", "concentration", "--m", "20000",
                      "--trials", "100"]) == code, count
         out = capsys.readouterr().out
-        assert f"exceedance@{t}={count / 100:.4f} " in out, out
+        assert out.splitlines()[2] == f"exceedance@{t}={count / 100:.4f}", out
         assert out.endswith("FAIL\n" if code else "PASS\n")
 
 
