@@ -12,6 +12,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -152,15 +153,26 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _load_numbers(path: str, ndmin: int) -> np.ndarray:
+    """The numbers in a text file that gen wrote; a file with none is an error."""
+    with warnings.catch_warnings():
+        # numpy only warns on an empty file; the size check reports it
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        values = np.loadtxt(path, dtype=np.float64, ndmin=ndmin)
+    if values.size == 0:
+        raise ValueError(f"{path} holds no data")
+    return values
+
+
 def cmd_recover(args) -> int:
-    rows = np.loadtxt(args.matrix, dtype=np.float64, ndmin=2)
+    rows = _load_numbers(args.matrix, 2)
     if not np.isfinite(rows).all():
         raise ValueError("matrix entries must be finite")
     # recover rejects entries other than -1, 0 and 1
-    y = np.loadtxt(args.signs, dtype=np.float64, ndmin=1)
+    y = _load_numbers(args.signs, 1)
     x_true = None
     if args.signal:
-        x_true = np.loadtxt(args.signal, dtype=np.float64).ravel()
+        x_true = _load_numbers(args.signal, 1).ravel()
         if x_true.shape[0] != rows.shape[1]:
             raise ValueError("signal length does not match the matrix columns")
         if not (np.isfinite(x_true).all() and x_true.any()):

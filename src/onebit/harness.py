@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .geometry import SignalSetSpec, sample_sphere_cap
@@ -151,6 +150,8 @@ def _environment() -> dict:
     and the BLAS thread count changes timings.  A thread variable that is
     not set reads None.
     """
+    import scipy
+
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),

@@ -37,6 +37,10 @@ after a stall, ties broken by name), the ratio test's tie-breaks and the
 clean re-solve's block order are those of the full two-row tableau.  The ratio
 test runs over every row, with an infinite ratio on every row whose entry is
 not a usable pivot, and picks the stoutest pivot among near-tied rows.
+
+Each pivot's rank-one update is scipy.linalg.blas's dger, imported at first
+use: solve_lp looks it up once per solve and hands it to every pivot, so
+importing onebit loads no scipy.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dger
 
 OPTIMALITY_TOL = 1e-9    # a reduced cost above -OPTIMALITY_TOL does not improve
 PIVOT_TOL = 1e-10        # smallest tableau entry accepted as a pivot
@@ -119,7 +122,8 @@ def max_violation(lp: LinearProgram, z: np.ndarray) -> float:
                float((prods - lp.ineq_upper).max(initial=0.0))) + 0.0
 
 
-def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int, row: np.ndarray) -> None:
+def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int, row: np.ndarray,
+           dger) -> None:
     """Exchange pivot on the condensed tableau T and its cost row r.
 
     The nonbasic variable of column cpiv enters at row rpiv, and the variable
@@ -128,7 +132,8 @@ def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int, row: np.ndarray) 
     to 1/pivot on row rpiv and 0 elsewhere before the rank-one update writes
     it with the full tableau's arithmetic.  T must be Fortran-ordered: BLAS
     then applies the update in place.  row is scratch space of T's width
-    that takes a contiguous copy of the new pivot row.
+    that takes a contiguous copy of the new pivot row, and dger is
+    scipy.linalg.blas.dger, which solve_lp looks up once per solve.
     """
     col = T[:, cpiv].copy()
     piv = col[rpiv]
@@ -155,7 +160,7 @@ def _reduced_costs(T: np.ndarray, slots: np.ndarray, basis: np.ndarray,
 
 
 def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.ndarray,
-             cost: np.ndarray, width: np.ndarray, itmax: int) -> tuple:
+             cost: np.ndarray, width: np.ndarray, itmax: int, dger) -> tuple:
     """Run pivots from the all-surplus basis until optimality, unboundedness,
     or the iteration cap.
 
@@ -262,7 +267,7 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.n
                 # np.negative(row, out=row) reads the wrong elements
                 rhs[j] -= wrow[j]
                 leave = leave + M if leave < K + M else leave - M
-            _pivot(T, r, j, cpiv, prow)
+            _pivot(T, r, j, cpiv, prow, dger)
             if k >= M:
                 np.negative(col, out=col)
                 r[cpiv] = -r[cpiv]
@@ -324,8 +329,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     cost[:K] = c
     width = lp.ineq_upper - lp.ineq_rhs
     two_rows = M + int(np.count_nonzero(width < np.inf))
+    from scipy.linalg.blas import dger
     status, iters, degenerate, switches, uppers, flips = _simplex(
-        T, slots, basis, position, cost, width, ITERATION_FACTOR * (2 * two_rows + K))
+        T, slots, basis, position, cost, width, ITERATION_FACTOR * (2 * two_rows + K), dger)
     telemetry = dict(degenerate_pivots=degenerate, bland_switches=switches,
                      upper_pivots=uppers, bound_flips=flips)
     if status != "optimal":

@@ -15,6 +15,10 @@ is below 1/2; gen_sparse_signal's constant magnitudes use that same rule.
 Grids are generated in row blocks of about 16K entries, mixed in place in two
 reused word buffers and converted straight into the output array.  Every entry
 is still that pure function of (seed, i, j), so blocking never changes a value.
+
+scipy.special's ndtri is imported at first use: normal_grid and
+gen_sparse_signal's Gaussian magnitudes look it up once per call, so importing
+onebit loads no scipy and the uniform and sign draws never load it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -121,11 +124,6 @@ def _uniforms(w: np.ndarray, out: np.ndarray) -> None:
     out *= 2.0 ** -53
 
 
-def _normals(w: np.ndarray, out: np.ndarray) -> None:
-    _uniforms(w, out)
-    ndtri(out, out=out)
-
-
 def _signs(w: np.ndarray, out: np.ndarray) -> None:
     # the top bit: -1 exactly where the uniform is below 1/2
     np.right_shift(w, np.uint64(63), out=w)
@@ -145,7 +143,13 @@ def uniform_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.nda
 
 def normal_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
     """Matrix of standard normals via the inverse-CDF transform of uniform_grid."""
-    return _grid(seed, rows, cols, row_offset, _normals)
+    from scipy.special import ndtri
+
+    def normals(w: np.ndarray, out: np.ndarray) -> None:
+        _uniforms(w, out)
+        ndtri(out, out=out)
+
+    return _grid(seed, rows, cols, row_offset, normals)
 
 
 def sign_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
@@ -253,6 +257,7 @@ def gen_sparse_signal(n: int, s: int, seed: int,
     support = np.argsort(u[0], kind="stable")[:s]
     x = np.zeros(n)
     if magnitude_model == "unit_gaussian":
+        from scipy.special import ndtri
         x[support] = ndtri(u[1][support])
     else:
         x[support] = np.where(u[1][support] < 0.5, -1.0, 1.0)

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -611,18 +612,34 @@ def test_cli_bad_n_is_blamed_on_n(tmp_path, capsys):
 
 
 def test_cli_gen_and_recover_need_a_row(tmp_path, capsys):
-    # no rows: gen would write a 0 x n matrix, and recover, reading an empty
-    # file, would blame the signs
+    # no rows: gen would write a 0 x n matrix, and recover refuses an empty file
     assert main(["gen", "--m", "0", "--out", str(tmp_path / "inst")]) == 1
     assert capsys.readouterr().err == "error: need at least one row\n"
     assert list(tmp_path.iterdir()) == []
     empty = tmp_path / "empty.txt"
     empty.write_text("")
-    with pytest.warns(UserWarning, match="input contained no data"):
-        assert main(["recover", "--matrix", str(empty), "--signs", str(empty)]) == 1
-    assert capsys.readouterr().err == "error: need at least one row\n"
+    assert main(["recover", "--matrix", str(empty), "--signs", str(empty)]) == 1
+    assert capsys.readouterr() == ("", f"error: {empty} holds no data\n")
     with pytest.raises(ValueError, match="unknown distribution"):
         gen_instance(16, 2, 10, 1, "cauchy", "unit_gaussian")
+
+
+def test_cli_recover_names_an_empty_file(tmp_path, capsys):
+    # a --matrix, --signs or --signal file with no numbers (here only blank
+    # lines) is one error line, with no numpy warning before it
+    assert main(["gen", "--n", "16", "--s", "2", "--m", "40", "--out", str(tmp_path / "inst")]) == 0
+    capsys.readouterr()
+    files = {flag: str(tmp_path / f"inst_{flag}.txt") for flag in ("matrix", "signs", "signal")}
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n  \n")
+    for flag in files:
+        argv = ["recover"]
+        for name, path in files.items():
+            argv += [f"--{name}", str(empty) if name == flag else path]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1, flag
+        assert capsys.readouterr() == ("", f"error: {empty} holds no data\n"), flag
 
 
 def test_cli_verify_concentration_runs_one_trial():

@@ -439,13 +439,13 @@ def test_duality_check_trips_on_a_wrong_pivot(monkeypatch):
     real = onebit.lp_core._pivot
     calls = []
 
-    def wrong_row(T, r, rpiv, cpiv, row):
+    def wrong_row(T, r, rpiv, cpiv, row, dger):
         calls.append(rpiv)
         if len(calls) == 1:
             entries = np.abs(T[:, cpiv])
             entries[rpiv] = -1.0
             rpiv = int(entries.argmax())
-        real(T, r, rpiv, cpiv, row)
+        real(T, r, rpiv, cpiv, row, dger)
 
     monkeypatch.setattr(onebit.lp_core, "_pivot", wrong_row)
     sol = solve_lp(build_recovery_lp(ens, y))
