@@ -38,9 +38,11 @@ clean re-solve's block order are those of the full two-row tableau.  The ratio
 test runs over every row, with an infinite ratio on every row whose entry is
 not a usable pivot, and picks the stoutest pivot among near-tied rows.
 
-Each pivot's rank-one update is scipy.linalg.blas's dger, imported at first
-use: solve_lp looks it up once per solve and hands it to every pivot, so
-importing onebit loads no scipy.
+solve_lp is the whole solver in one scope: it builds the tableau and the
+pivot state, runs the pivot loop and re-solves the final basis for the clean
+vertex; _pivot applies one exchange.  Each pivot's rank-one update is
+scipy.linalg.blas's dger, imported at first use: solve_lp looks it up once
+per solve and hands it to every pivot, so importing onebit loads no scipy.
 """
 
 from __future__ import annotations
@@ -58,7 +60,11 @@ ITERATION_FACTOR = 50    # pivot cap per row and column of the two-row standard 
 
 @dataclass
 class LinearProgram:
-    """Dense LP data: minimize objective @ z s.t. ineq_rhs <= ineq_lhs @ z <= ineq_upper, z >= 0."""
+    """Dense LP data: minimize objective @ z s.t. ineq_rhs <= ineq_lhs @ z <= ineq_upper, z >= 0.
+
+    ineq_lhs must be 2-d with one column per objective entry, (q, d): an
+    LP with no rows passes a (0, d) block.  Raises ValueError otherwise.
+    """
 
     objective: np.ndarray            # (d,)
     ineq_lhs: np.ndarray             # (q, d)
@@ -68,7 +74,9 @@ class LinearProgram:
     def __post_init__(self) -> None:
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
         d = self.objective.shape[0]
-        self.ineq_lhs = np.asarray(self.ineq_lhs, dtype=np.float64).reshape(-1, d)
+        self.ineq_lhs = np.asarray(self.ineq_lhs, dtype=np.float64)
+        if self.ineq_lhs.ndim != 2 or self.ineq_lhs.shape[1] != d:
+            raise ValueError(f"ineq_lhs must be (q, {d}), not {self.ineq_lhs.shape}")
         self.ineq_rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=np.float64))
         q = self.ineq_rhs.shape[0]
         self.ineq_upper = np.full(q, np.inf) if self.ineq_upper is None else \
@@ -148,35 +156,28 @@ def _pivot(T: np.ndarray, r: np.ndarray, rpiv: int, cpiv: int, row: np.ndarray,
     r -= np.multiply(row, rc, out=row)
 
 
-def _reduced_costs(T: np.ndarray, slots: np.ndarray, basis: np.ndarray,
-                   cost: np.ndarray) -> np.ndarray:
-    """Cost row [reduced costs of the nonbasic columns | -objective]."""
-    K = T.shape[1] - 1
-    cb = cost[basis]
-    r = np.empty(K + 1)
-    r[:K] = cost[slots] - cb @ T[:, :K]
-    r[K] = -cb @ T[:, K]
-    return r
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
 
+    Raises ValueError unless every ineq_rhs is <= 0 and every ineq_upper
+    >= 0.  Runs pivots from the all-surplus basis until optimality,
+    unboundedness, or ITERATION_FACTOR * (rows + cols) pivots of the
+    two-row standard form (status iteration_limit), reading the module's
+    constants at call time.  Counts the pivots, the degenerate pivots
+    (those that did not improve the objective), the switches to Bland's
+    rule, the pivots that made an upper bound binding and the bound flips.
 
-def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.ndarray,
-             cost: np.ndarray, width: np.ndarray, itmax: int, dger) -> tuple:
-    """Run pivots from the all-surplus basis until optimality, unboundedness,
-    or the iteration cap.
-
-    Returns the status, the pivots, the degenerate pivots (those that did
-    not improve the objective), the switches to Bland's rule, the pivots
-    that made an upper bound binding and the bound flips.  Variables carry
-    two-row names: z is 0..K-1, row i's lower surplus K + i and its upper
-    one K + M + i.  position[name] is the two-row position of the row where
-    that variable is basic, row i's upper row being at M + i (the two-row
-    form numbers only the finite upper bounds, in the same order), and the
-    entering variable takes the position of the one that leaves; width is
-    each row's width, +inf for a one-sided row.  The candidates are the
-    columns with reduced cost below -OPTIMALITY_TOL; Dantzig's rule keeps
-    those of the most negative one, Bland's rule keeps them all, and both
-    take the lowest variable name (slots), not column.  Switches to Bland's
-    rule after STALL_LIMIT consecutive degenerate pivots, back on progress.
+    Variables carry two-row names: z is 0..K-1, row i's lower surplus K + i
+    and its upper one K + M + i.  position[name] is the two-row position of
+    the row where that variable is basic, row i's upper row being at M + i
+    (the two-row form numbers only the finite upper bounds, in the same
+    order), and the entering variable takes the position of the one that
+    leaves; width is each row's width, +inf for a one-sided row.  The
+    candidates are the columns with reduced cost below -OPTIMALITY_TOL;
+    Dantzig's rule keeps those of the most negative one, Bland's rule keeps
+    them all, and both take the lowest variable name (slots), not column.
+    Switches to Bland's rule after STALL_LIMIT consecutive degenerate
+    pivots, back on progress.
 
     The ratio test runs over the stored rows, their mirrored rows and the
     entering variable's own bound: it divides max(rhs, 0) by the entry on
@@ -186,11 +187,41 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.n
     at least a tenth of the largest tied entry stay in, and Dantzig's rule
     takes the largest entry among them (on a tie, the lowest two-row
     position), Bland's rule the lowest basic variable name.
+
+    The returned primal and row multipliers are recomputed from the final
+    basis with one linear solve each against the original two-row data
+    (B w = b and B^T pi = c_B), so accumulated tableau roundoff does not
+    leak into the reported vertex.
     """
-    M, K = T.shape[0], T.shape[1] - 1
+    if np.count_nonzero(lp.ineq_rhs > 0.0) or np.count_nonzero(lp.ineq_upper < 0.0):
+        raise ValueError("solve_lp needs an LP feasible at z = 0: every ineq_rhs "
+                         "must be <= 0 and every ineq_upper >= 0")
+    c = lp.objective
+    K = lp.num_vars
+    M = lp.ineq_lhs.shape[0]
+
+    # two-row standard form, every row negated: lower row i reads
+    # -a_i z + s_i = -l_i and its upper row a_i z + s'_i = u_i, with
+    # surpluses >= 0, so the all-surplus basis is feasible.  The condensed
+    # tableau starts from the M lower rows: one column per nonbasic variable
+    # (slots names it) and the rhs; basis names each stored row's basic
+    # variable, and position gives each basic variable its two-row position:
+    # i for lower surplus K + i, M + i for upper surplus K + M + i (a z
+    # variable gets its own when it enters)
+    T = np.empty((M, K + 1), order="F")
+    np.negative(lp.ineq_lhs, out=T[:, :K])
+    np.negative(lp.ineq_rhs, out=T[:, K])
+    slots = np.arange(K)
+    basis = np.arange(K, K + M)
+    position = np.arange(-K, 2 * M)
+    cost = np.zeros(K + 2 * M)
+    cost[:K] = c
+    width = lp.ineq_upper - lp.ineq_rhs
+    itmax = ITERATION_FACTOR * (2 * (M + int(np.count_nonzero(width < np.inf))) + K)
+    from scipy.linalg.blas import dger
     # the all-surplus basis costs nothing, so its cost row is [objective | 0]
     r = np.zeros(K + 1)
-    r[:K] = cost[slots]
+    r[:K] = c
     red = r[:K]
     rhs = T[:, K]
     wrow = width.copy()     # the width of the row whose surplus each stored row holds
@@ -205,10 +236,12 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.n
     iters = degenerate = switches = uppers = flips = 0
     stall = 0
     bland = False
+    status = "iteration_limit"
     while iters < itmax:
         cpiv = int(red.argmin())
         if not red[cpiv] < -OPTIMALITY_TOL:
-            return "optimal", iters, degenerate, switches, uppers, flips
+            status = "optimal"
+            break
         cand = (red < -OPTIMALITY_TOL if bland else red == red[cpiv]).nonzero()[0]
         if cand.size > 1:
             cpiv = int(cand[slots[cand].argmin()])
@@ -227,7 +260,8 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.n
         k = int(ratios.argmin())
         best = float(ratios[k])
         if best == np.inf:
-            return "unbounded", iters, degenerate, switches, uppers, flips
+            status = "unbounded"
+            break
         # among (near-)tied rows take the stoutest pivot first: index-only
         # tie-breaking happily pivots on 1e-10 entries and wrecks the tableau
         ties = (ratios <= best + 1e-9 * (1.0 + best)).nonzero()[0]
@@ -279,8 +313,11 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.n
         position[enter] = position[slots[cpiv]]
         iters += 1
         if iters % REFRESH_PIVOTS == 0:
-            # recompute the cost row from the basis to shed pivot roundoff
-            r[:] = _reduced_costs(T, slots, basis, cost)
+            # recompute the cost row from the basis to shed pivot roundoff:
+            # [reduced costs of the nonbasic columns | -objective]
+            cb = cost[basis]
+            r[:K] = cost[slots] - cb @ T[:, :K]
+            r[K] = -cb @ rhs
         if gain <= 1e-12 * (1.0 + abs(r[K])):
             degenerate += 1
             stall += 1
@@ -290,53 +327,10 @@ def _simplex(T: np.ndarray, slots: np.ndarray, basis: np.ndarray, position: np.n
         else:
             stall = 0
             bland = False
-    return "iteration_limit", iters, degenerate, switches, uppers, flips
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve an LP that z = 0 satisfies with a one-phase dense simplex.
-
-    Raises ValueError unless every ineq_rhs is <= 0 and every ineq_upper
-    >= 0.  Stops with status iteration_limit after ITERATION_FACTOR *
-    (rows + cols) pivots of the two-row standard form, reading the constant
-    at call time.  The returned primal and row multipliers are recomputed
-    from the final basis with one linear solve each against the original
-    two-row data (B w = b and B^T pi = c_B), so accumulated tableau roundoff
-    does not leak into the reported vertex.
-    """
-    if np.count_nonzero(lp.ineq_rhs > 0.0) or np.count_nonzero(lp.ineq_upper < 0.0):
-        raise ValueError("solve_lp needs an LP feasible at z = 0: every ineq_rhs "
-                         "must be <= 0 and every ineq_upper >= 0")
-    c = lp.objective
-    K = lp.num_vars
-    M = lp.ineq_lhs.shape[0]
-
-    # two-row standard form, every row negated: lower row i reads
-    # -a_i z + s_i = -l_i and its upper row a_i z + s'_i = u_i, with
-    # surpluses >= 0, so the all-surplus basis is feasible.  The condensed
-    # tableau starts from the M lower rows: one column per nonbasic variable
-    # (slots names it) and the rhs; basis names each stored row's basic
-    # variable, and position gives each basic variable its two-row position:
-    # i for lower surplus K + i, M + i for upper surplus K + M + i (a z
-    # variable gets its own when it enters)
-    T = np.empty((M, K + 1), order="F")
-    np.negative(lp.ineq_lhs, out=T[:, :K])
-    np.negative(lp.ineq_rhs, out=T[:, K])
-    slots = np.arange(K)
-    basis = np.arange(K, K + M)
-    position = np.arange(-K, 2 * M)
-    cost = np.zeros(K + 2 * M)
-    cost[:K] = c
-    width = lp.ineq_upper - lp.ineq_rhs
-    two_rows = M + int(np.count_nonzero(width < np.inf))
-    from scipy.linalg.blas import dger
-    status, iters, degenerate, switches, uppers, flips = _simplex(
-        T, slots, basis, position, cost, width, ITERATION_FACTOR * (2 * two_rows + K), dger)
-    telemetry = dict(degenerate_pivots=degenerate, bland_switches=switches,
-                     upper_pivots=uppers, bound_flips=flips)
+    counters = (degenerate, switches, uppers, flips)
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
-        return LpSolution(status, None, value, iters, np.nan, **telemetry)
+        return LpSolution(status, None, value, iters, np.nan, None, *counters)
 
     # clean vertex and multipliers: re-solve the basis systems B w = b and
     # B^T pi = c_B against the unpivoted two-row data.  A basic surplus is a
@@ -360,7 +354,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     pi[:nl] = -pi[:nl]
     y = np.zeros(M)
     y[rows] = pi
-    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), y, **telemetry)
+    return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), y, *counters)
 
 
 def _solve_square(B: np.ndarray, rhs: np.ndarray) -> np.ndarray:

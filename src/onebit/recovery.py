@@ -227,10 +227,13 @@ def recovery_error(direction, x_true) -> float:
     """Euclidean distance between unit-normalized estimate and truth.
 
     Both arguments are normalized first, so magnitudes play no role; one-bit
-    measurements carry no magnitude information.
+    measurements carry no magnitude information.  Raises ValueError unless
+    both have the same shape.
     """
     u = np.asarray(direction, dtype=np.float64)
     v = np.asarray(x_true, dtype=np.float64)
+    if u.shape != v.shape:
+        raise ValueError(f"direction {u.shape} and x_true {v.shape} differ in shape")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cannot normalize the zero vector")

@@ -172,6 +172,8 @@ def test_iteration_limit_status(monkeypatch):
     sol = solve_general(prob)
     assert sol.status == "iteration_limit"
     assert sol.primal is None
+    assert (sol.iterations, sol.degenerate_pivots, sol.bland_switches, sol.upper_pivots,
+            sol.bound_flips) == (0, 0, 0, 0, 0)
     # an LP with no rows takes the same path, so the same limit applies
     assert solve_general(lp([1.0, -1.0])).status == "iteration_limit"
 
@@ -367,6 +369,13 @@ def test_range_row_toys():
     assert sol.objective_value == -2.0
     assert (sol.upper_pivots, sol.bound_flips) == (1, 0)
     assert solve_lp(LinearProgram([-1.0], [[1.0]], [-1.0])).status == "unbounded"
+    # min -z1 - z2 subject to -1 <= z1 <= 1: z1 enters and its upper bound
+    # binds, then z2 has no row at all, so the solve stops unbounded after
+    # one upper-bound pivot and reports its counters
+    sol = solve_lp(LinearProgram([-1.0, -1.0], [[1.0, 0.0]], [-1.0], [1.0]))
+    assert (sol.status, sol.objective_value) == ("unbounded", -np.inf)
+    assert (sol.iterations, sol.upper_pivots, sol.bound_flips, sol.degenerate_pivots) == \
+        (1, 1, 0, 0)
     # min -z1 subject to -1 <= z1 - z2 <= 1, 0 <= z2 <= 3: z1 = 4; its
     # two-row form has 4 rows, and the pivot budget counts them
     prob = LinearProgram([-1.0, 0.0], [[1.0, -1.0], [0.0, 1.0]], [-1.0, 0.0], [1.0, 3.0])
@@ -438,6 +447,10 @@ def test_validation_errors():
         LinearProgram([1.0], [[1.0]], [])
     with pytest.raises(ValueError, match="row counts differ"):
         LinearProgram([1.0], [[1.0]], [0.0], [1.0, 2.0])
+    # ineq_lhs needs one column per objective entry: a 2 x 4 block is not
+    # read as the 4 x 2 one its entries would fill
+    with pytest.raises(ValueError, match="ineq_lhs must be \\(q, 2\\)"):
+        LinearProgram([1.0, 1.0], [[1, 2, 3, 4], [5, 6, 7, 8]], [0, 0, 0, 0])
     with pytest.raises(ValueError, match="finite"):
         LinearProgram([np.inf], np.zeros((0, 1)), [])
     with pytest.raises(ValueError, match="finite"):

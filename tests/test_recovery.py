@@ -515,6 +515,12 @@ def test_recovery_error_values():
     assert recovery_error(e1, -e1) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         recovery_error(np.zeros(2), e1)
+    # vectors of different shapes are refused, not broadcast: a column of
+    # e1 against e1 would read 2.0 from a 3 x 3 difference
+    d = np.array([1.0, 0.0, 0.0])
+    for other in (np.array([1.0]), d.reshape(-1, 1)):
+        with pytest.raises(ValueError, match="differ in shape"):
+            recovery_error(d, other)
 
 
 def test_nonconvex_oracle_contracts():
