@@ -232,6 +232,8 @@ def cmd_tessellate(args) -> int:
             "min_count_fwd": _min_or_zero(rep.count_fwd),
             "min_count_rev": _min_or_zero(rep.count_rev),
         }
+        # no report, with its count arrays, is alive while the next is computed
+        del rep
         lines.append(summary)
         print(f"m={m} cells={summary['nonempty_cells']} "
               f"max_cell_diameter_lb={summary['max_cell_diameter_lb']:.4f} "

@@ -188,6 +188,26 @@ class ConcentrationReport:
     deviations: np.ndarray        # per-trial deviation from sqrt(2/pi)
 
 
+# entries per block of Gaussian rows that the concentration checks draw:
+# each holds one block of about this many entries at a time
+ROW_BLOCK_ENTRIES = 1 << 17
+
+
+def _row_blocks(m: int, n: int) -> list[tuple[int, int]]:
+    """The (first, stop) rows of the blocks that rows 0..m are drawn in.
+
+    A product of the blocks gives the whole ensemble's bits only if each row
+    meets the same BLAS kernel.  Matrix-vector kernels take rows in groups
+    (of 4 in OpenBLAS's x86-64 kernels) and round a group's remainder
+    differently, so every block but the last is a multiple of 8 rows; and
+    numpy multiplies a single row by a dot product, so the last block never
+    holds one row alone unless m = 1.
+    """
+    step = max(8, (ROW_BLOCK_ENTRIES // n) & -8)
+    starts = range(0, max(m - 1, 1), step)
+    return list(zip(starts, [*starts[1:], m]))
+
+
 def verify_concentration(n: int, m: int, trials: int, seed: int) -> ConcentrationReport:
     """Measure concentration of the first absolute moment on random unit vectors.
 
@@ -195,18 +215,28 @@ def verify_concentration(n: int, m: int, trials: int, seed: int) -> Concentratio
     and computes (1/m) sum_i |<a_i, x>|, which concentrates around
     sqrt(2/pi) ~ 0.7979 with a tail exp(-c m t^2).  No threshold is applied
     here: `onebit verify` judges the deviations.
+
+    The rows are drawn in blocks, so a trial holds one block and the m
+    products, whose mean is the whole ensemble's, bit for bit.
     """
     if m < 1:
         raise ValueError("need at least one row")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n < 1:
+        raise ValueError("ambient dimension n must be at least 1")
     devs = np.empty(trials)
     moments = np.empty(trials)
+    products = np.empty(m)
     for k in range(trials):
         g = normal_grid(derive_seed(seed, k, 1), 1, n)[0]
         x = g / np.linalg.norm(g)
-        ens = gen_gaussian_ensemble(m, n, derive_seed(seed, k, 2))
-        moment = float(np.abs(ens.rows @ x).mean())
+        rseed = derive_seed(seed, k, 2)
+        for r0, r1 in _row_blocks(m, n):
+            rows = gen_gaussian_ensemble(r1 - r0, n, rseed, row_offset=r0).rows
+            np.matmul(rows, x, out=products[r0:r1])
+            del rows   # not alive while the next block is drawn
+        moment = float(np.abs(products, out=products).mean())
         moments[k] = moment
         devs[k] = abs(moment - ROOT_TWO_OVER_PI)
     return ConcentrationReport(mean_abs_moment=float(moments.mean()), deviations=devs)
@@ -219,15 +249,28 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
     One ensemble, many points of K(n, s) on the sphere: the maximum sampled
     deviation lower-bounds the supremum that the uniform concentration bound
     controls with m ~ s log(2n/s) rows.
+
+    The rows are drawn in blocks, so the check holds one block's products
+    and the running column sums.  The sums lead each block's axis-0
+    reduction, so the rows are added in order, as over the whole ensemble.
     """
     if m < 1:
         raise ValueError("need at least one row")
     if sample_count < 1:
         raise ValueError("need at least one sample")
     X = sample_sphere_cap(SignalSetSpec(n, s), sample_count, derive_seed(seed, 1))
-    ens = gen_gaussian_ensemble(m, n, derive_seed(seed, 2))
-    products = ens.rows @ X.T
-    moments = np.abs(products, out=products).mean(axis=0)
+    rseed = derive_seed(seed, 2)
+    blocks = _row_blocks(m, n)
+    # row 0 holds the column sums of the rows before the block
+    buf = np.zeros((max(r1 - r0 for r0, r1 in blocks) + 1, sample_count))
+    for r0, r1 in blocks:
+        rows = gen_gaussian_ensemble(r1 - r0, n, rseed, row_offset=r0).rows
+        products = buf[1:r1 - r0 + 1]
+        np.matmul(rows, X.T, out=products)
+        del rows   # not alive while the next block is drawn
+        np.abs(products, out=products)
+        buf[0] = buf[:r1 - r0 + 1].sum(axis=0)
+    moments = buf[0] / m
     return float(np.abs(moments - ROOT_TWO_OVER_PI).max())
 
 

@@ -182,27 +182,31 @@ def as_rows(ensemble) -> np.ndarray:
     return rows
 
 
-def _ensemble(grid, m: int, n: int, seed: int) -> MeasurementEnsemble:
+def _ensemble(grid, m: int, n: int, seed: int, row_offset: int = 0) -> MeasurementEnsemble:
     """The m x n grid of one generator, with the ensemble shape checked."""
     if n < 1:
         raise ValueError("ambient dimension n must be at least 1")
     if m < 0:
         raise ValueError("row count m must be nonnegative")
-    return MeasurementEnsemble(grid(seed, m, n))
+    if row_offset < 0:
+        raise ValueError("row offset must be nonnegative")
+    return MeasurementEnsemble(grid(seed, m, n, row_offset))
 
 
-def gen_gaussian_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:
+def gen_gaussian_ensemble(m: int, n: int, seed: int, row_offset: int = 0) -> MeasurementEnsemble:
     """Generate m i.i.d. standard Gaussian measurement vectors in R^n.
 
     Args:
         m: number of rows, m >= 0 (m = 0 gives an empty ensemble).
         n: ambient dimension, n >= 1.
         seed: 64-bit stream seed; row i depends only on (seed, i).
+        row_offset: index of the first row, >= 0, so the rows are rows
+            row_offset..row_offset+m of the ensemble at this seed.
 
     Returns:
         MeasurementEnsemble with rows of i.i.d. N(0, 1) entries.
     """
-    return _ensemble(normal_grid, m, n, seed)
+    return _ensemble(normal_grid, m, n, seed, row_offset)
 
 
 def gen_bernoulli_ensemble(m: int, n: int, seed: int) -> MeasurementEnsemble:

@@ -9,8 +9,10 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,7 @@ from onebit.measurement import (
     gen_bernoulli_ensemble,
     gen_gaussian_ensemble,
     gen_sparse_signal,
+    normal_grid,
     sign_quantize,
 )
 from onebit.recovery import RecoveryError, recover
@@ -225,6 +228,86 @@ def test_verify_uniform_concentration_single_sample():
     # no rows would give a nan max_dev, which no threshold exceeds
     with pytest.raises(ValueError, match="need at least one row"):
         verify_uniform_concentration(16, 2, 0, sample_count=1, seed=1)
+
+
+def _whole_ensemble_concentration(n, m, trials, seed):
+    """verify_concentration's formula over the whole m x n ensemble at once."""
+    moments = np.empty(trials)
+    for k in range(trials):
+        g = normal_grid(derive_seed(seed, k, 1), 1, n)[0]
+        x = g / np.linalg.norm(g)
+        rows = gen_gaussian_ensemble(m, n, derive_seed(seed, k, 2)).rows
+        moments[k] = float(np.abs(rows @ x).mean())
+    return float(moments.mean()), np.abs(moments - ROOT_TWO_OVER_PI)
+
+
+def _whole_ensemble_uniform(n, s, m, sample_count, seed):
+    """verify_uniform_concentration's formula over the whole ensemble at once."""
+    X = sample_sphere_cap(SignalSetSpec(n, s), sample_count, derive_seed(seed, 1))
+    rows = gen_gaussian_ensemble(m, n, derive_seed(seed, 2)).rows
+    moments = np.abs(rows @ X.T).mean(axis=0)
+    return float(np.abs(moments - ROOT_TWO_OVER_PI).max())
+
+
+# n = 64 draws 2048-row blocks; 2**17 // n + 3 rows cross a block boundary
+@pytest.mark.parametrize("n, m", [(64, 1), (64, 2047), (64, 2048), (64, 2049), (64, 4097),
+                                  (64, 20000), (3, 2 ** 17 // 3 + 3), (48, 2 ** 17 // 48 + 3),
+                                  (48, 2 * (2 ** 17 // 48) + 1)])
+def test_streamed_concentration_checks_are_the_whole_ensemble_bit_for_bit(monkeypatch, n, m):
+    draws = []
+
+    def recorded(rows, n, seed, row_offset=0):
+        draws.append((row_offset, rows))
+        return gen_gaussian_ensemble(rows, n, seed, row_offset)
+
+    def drawn_in_blocks(ensembles):
+        # each ensemble's draws tile rows 0..m in order, none larger than
+        # one block (the last may take one row more, so no row is a block alone)
+        blocks = draws[:len(draws) // ensembles]
+        offsets = [0, *np.cumsum([rows for _, rows in blocks])]
+        ok = (draws == blocks * ensembles and offsets[-1] == m
+              and [r0 for r0, _ in blocks] == offsets[:-1]
+              and max(rows for _, rows in blocks) <= harness.ROW_BLOCK_ENTRIES // n + 1)
+        draws.clear()
+        return ok
+
+    monkeypatch.setattr(harness, "gen_gaussian_ensemble", recorded)
+    for seed in (0, 1):
+        mean, devs = _whole_ensemble_concentration(n, m, 2, seed)
+        rep = verify_concentration(n, m, 2, seed)
+        assert drawn_in_blocks(2), seed
+        assert rep.mean_abs_moment == mean and np.array_equal(rep.deviations, devs), seed
+        s = min(4, n)
+        assert (verify_uniform_concentration(n, s, m, 100, seed)
+                == _whole_ensemble_uniform(n, s, m, 100, seed)), seed
+        assert drawn_in_blocks(1), seed
+
+
+def test_concentration_checks_hold_one_block_of_rows():
+    # the whole 20000 x 64 ensemble alone is 10 MB, and the uniform check's
+    # 20000 x 100 products 16 MB more
+    for check in (lambda: verify_concentration(64, 20000, 2, 0),
+                  lambda: verify_uniform_concentration(64, 4, 20000, 100, 0)):
+        check()   # imports and first-use caches are not the check's memory
+        tracemalloc.start()
+        try:
+            check()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_verify_concentration_refuses_n_below_one(capsys, monkeypatch, n):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a grid")
+
+    monkeypatch.setattr(harness, "normal_grid", no_draw)
+    with pytest.raises(ValueError, match="ambient dimension n must be at least 1"):
+        verify_concentration(int(n), 10, 1, 0)
+    assert main(["verify", "--check", "concentration", "--n", n]) == 1
+    assert capsys.readouterr() == ("", "error: ambient dimension n must be at least 1\n")
 
 
 def test_verify_bernoulli_counterexample_report():
@@ -594,6 +677,25 @@ def test_cli_tessellate_reads_arrays_only(capsys, monkeypatch):
     assert all(line.endswith(" pairs>0.5=0 min_sep=(0,0)") for line in lines), lines
 
 
+def test_cli_tessellate_drops_each_report_before_the_next(capsys, monkeypatch):
+    # a report, its count arrays and any records read from it, is gone
+    # before the next m's report is computed
+    honest = onebit.cli.tessellate_and_report
+    reports = []
+
+    def report(*args):
+        assert [r() for r in reports] == [None] * len(reports), len(reports)
+        rep = honest(*args)
+        rep.separation_stats   # records cached on the report, as a caller may read them
+        reports.append(weakref.ref(rep))
+        return rep
+
+    monkeypatch.setattr(onebit.cli, "tessellate_and_report", report)
+    assert main(["tessellate", "--n", "12", "--s", "2", "--m", "10,20,40",
+                 "--trials", "60", "--seed", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(reports) == 3
+
+
 def test_cli_tessellate_needs_a_sample(capsys):
     # no sample points would print a report of 0 cells and 0 pairs
     assert main(["tessellate", "--trials", "0"]) == 1
@@ -797,8 +899,8 @@ def test_cli_verify_uniform_concentration_default_scales_with_m(capsys, monkeypa
     code, t, out = verify()
     assert code == 0 and round(t, 4) == 0.0395
 
-    def scaled(m, n, seed):
-        ens = gen_gaussian_ensemble(m, n, seed)
+    def scaled(m, n, seed, row_offset=0):
+        ens = gen_gaussian_ensemble(m, n, seed, row_offset)
         ens.rows *= 1.1
         return ens
 
@@ -829,7 +931,7 @@ def test_cli_verify_concentration_checks_say_when_they_cannot_fail(capsys, monke
         assert code == 0 and out.endswith("PASS\n"), (past, out)
 
     monkeypatch.setattr(harness, "gen_gaussian_ensemble",
-                        lambda m, n, seed: MeasurementEnsemble(np.zeros((m, n))))
+                        lambda m, n, seed, row_offset=0: MeasurementEnsemble(np.zeros((m, n))))
     for floor, past, sizes in floors:
         code, out = verify(*floor)
         assert code == 0 and "\nINCONCLUSIVE: " in out and out.endswith(sizes), (floor, out)

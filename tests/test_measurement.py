@@ -81,6 +81,7 @@ def test_grid_row_offset_matches_prefix():
     assert np.array_equal(uniform_grid(123, 10, 4, row_offset=25), full[25:35])
     fulln = normal_grid(123, 40, 4)
     assert np.array_equal(normal_grid(123, 10, 4, row_offset=25), fulln[25:35])
+    assert np.array_equal(gen_gaussian_ensemble(10, 4, 123, row_offset=25).rows, fulln[25:35])
 
 
 def test_gaussian_moments():
@@ -143,6 +144,8 @@ def test_ensemble_validation():
         gen_gaussian_ensemble(3, 0, seed=1)
     with pytest.raises(ValueError, match="nonnegative"):
         gen_gaussian_ensemble(-1, 3, seed=1)
+    with pytest.raises(ValueError, match="row offset must be nonnegative"):
+        gen_gaussian_ensemble(3, 2, seed=1, row_offset=-1)
     with pytest.raises(ValueError, match="at least 1"):
         gen_bernoulli_ensemble(3, 0, seed=1)
     with pytest.raises(ValueError, match="nonnegative"):
