@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import as_rows, derive_seed, normal_grid, uniform_grid
+from .measurement import as_rows, derive_seed, normal_grid, row_blocks, uniform_grid
 
 
 @dataclass
@@ -99,19 +99,17 @@ def single_hyperplane_separation_prob(x, y_pt, trials: int, seed: int,
 
     For margin 0 the exact probability is d_g(x, y) / (2 pi) with d_g the
     geodesic distance: 1/4 for orthogonal unit vectors, 1/2 for antipodal.
+
+    The rows are drawn in the blocks of measurement.row_blocks, so the
+    estimate holds one block of rows at a time.
     """
     u = np.asarray(x, dtype=np.float64)
     v = np.asarray(y_pt, dtype=np.float64)
     if trials < 1:
         raise ValueError("need at least one trial")
     n = u.shape[0]
-    hits = 0
-    done = 0
-    chunk = 65536
-    while done < trials:
-        take = min(chunk, trials - done)
-        hits += separation_count(normal_grid(seed, take, n, row_offset=done), u, v, margin)
-        done += take
+    hits = sum(separation_count(normal_grid(seed, r1 - r0, n, row_offset=r0), u, v, margin)
+               for r0, r1 in row_blocks(trials, n))
     return hits / trials
 
 

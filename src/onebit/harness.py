@@ -28,6 +28,7 @@ from .measurement import (
     gen_gaussian_ensemble,
     gen_sparse_signal,
     normal_grid,
+    row_blocks,
     sign_grid,
     sign_quantize,
 )
@@ -188,26 +189,6 @@ class ConcentrationReport:
     deviations: np.ndarray        # per-trial deviation from sqrt(2/pi)
 
 
-# entries per block of Gaussian rows that the concentration checks draw:
-# each holds one block of about this many entries at a time
-ROW_BLOCK_ENTRIES = 1 << 17
-
-
-def _row_blocks(m: int, n: int) -> list[tuple[int, int]]:
-    """The (first, stop) rows of the blocks that rows 0..m are drawn in.
-
-    A product of the blocks gives the whole ensemble's bits only if each row
-    meets the same BLAS kernel.  Matrix-vector kernels take rows in groups
-    (of 4 in OpenBLAS's x86-64 kernels) and round a group's remainder
-    differently, so every block but the last is a multiple of 8 rows; and
-    numpy multiplies a single row by a dot product, so the last block never
-    holds one row alone unless m = 1.
-    """
-    step = max(8, (ROW_BLOCK_ENTRIES // n) & -8)
-    starts = range(0, max(m - 1, 1), step)
-    return list(zip(starts, [*starts[1:], m]))
-
-
 def verify_concentration(n: int, m: int, trials: int, seed: int) -> ConcentrationReport:
     """Measure concentration of the first absolute moment on random unit vectors.
 
@@ -232,7 +213,7 @@ def verify_concentration(n: int, m: int, trials: int, seed: int) -> Concentratio
         g = normal_grid(derive_seed(seed, k, 1), 1, n)[0]
         x = g / np.linalg.norm(g)
         rseed = derive_seed(seed, k, 2)
-        for r0, r1 in _row_blocks(m, n):
+        for r0, r1 in row_blocks(m, n):
             rows = gen_gaussian_ensemble(r1 - r0, n, rseed, row_offset=r0).rows
             np.matmul(rows, x, out=products[r0:r1])
             del rows   # not alive while the next block is drawn
@@ -250,8 +231,9 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
     deviation lower-bounds the supremum that the uniform concentration bound
     controls with m ~ s log(2n/s) rows.
 
-    The rows are drawn in blocks, so the check holds one block's products
-    and the running column sums.  The sums lead each block's axis-0
+    The rows are drawn in blocks sized by the wider of a row and a row of
+    products, so the check holds one block of each, whatever sample_count
+    is, and the running column sums.  The sums lead each block's axis-0
     reduction, so the rows are added in order, as over the whole ensemble.
     """
     if m < 1:
@@ -260,7 +242,7 @@ def verify_uniform_concentration(n: int, s: float, m: int, sample_count: int,
         raise ValueError("need at least one sample")
     X = sample_sphere_cap(SignalSetSpec(n, s), sample_count, derive_seed(seed, 1))
     rseed = derive_seed(seed, 2)
-    blocks = _row_blocks(m, n)
+    blocks = row_blocks(m, max(n, sample_count))
     # row 0 holds the column sums of the rows before the block
     buf = np.zeros((max(r1 - r0 for r0, r1 in blocks) + 1, sample_count))
     for r0, r1 in blocks:

@@ -5,16 +5,16 @@ Problem form: minimize objective @ z subject to
     ineq_rhs <= ineq_lhs @ z <= ineq_upper    (q range rows)
     z >= 0
 
-with ineq_rhs <= 0 <= ineq_upper; an upper bound of +inf (the default)
-makes a row one-sided.  The bound condition makes z = 0 feasible; solve_lp
-requires it (the recovery LP meets it, every row reading -1 <= G_i z <= 1).
+with ineq_rhs <= 0 <= ineq_upper, every bound finite.  The bound condition
+makes z = 0 feasible; solve_lp requires it (the recovery LP meets it, every
+row reading -1 <= G_i z <= 1).
 It runs a one-phase primal simplex from the all-surplus basis and reports
 the optimal vertex with one signed multiplier per row.  An equality row is
 a row whose bounds are both 0; a free variable is posed by its caller as the
 difference of two nonnegative variables.
 
 The simplex is the one on the two-row form, in which every row is the lower
-row a_i z >= l_i and every finite upper bound adds the mirrored row
+row a_i z >= l_i and every upper bound adds the mirrored row
 -a_i z >= -u_i, each with its own surplus; it takes that form's pivots.  A
 row's two surpluses sum to its width u_i - l_i, so either determines the
 other (Dantzig's upper-bounding technique), and the tableau keeps one row
@@ -23,8 +23,7 @@ the row of one of them and the ratio test reads the other's as
 [-row, width - rhs]; a pivot on that mirrored row is the stored row's pivot
 from the rhs rhs - width, with the leaving column negated.  An entering
 surplus whose own width binds first flips to its mirror: rhs -= width *
-column, and the column is negated.  A one-sided row (width +inf) has no
-mirror and never flips.
+column, and the column is negated.
 
 The tableau is a condensed exchange tableau: one column per nonbasic
 variable plus the rhs, filled straight from the LP blocks.  The basic
@@ -63,13 +62,14 @@ class LinearProgram:
     """Dense LP data: minimize objective @ z s.t. ineq_rhs <= ineq_lhs @ z <= ineq_upper, z >= 0.
 
     ineq_lhs must be 2-d with one column per objective entry, (q, d): an
-    LP with no rows passes a (0, d) block.  Raises ValueError otherwise.
+    LP with no rows passes a (0, d) block.  Every entry, both row bounds
+    included, must be finite.  Raises ValueError otherwise.
     """
 
     objective: np.ndarray            # (d,)
     ineq_lhs: np.ndarray             # (q, d)
     ineq_rhs: np.ndarray             # (q,) row lower bounds
-    ineq_upper: np.ndarray | None = None   # (q,) row upper bounds, +inf for a one-sided row
+    ineq_upper: np.ndarray           # (q,) row upper bounds
 
     def __post_init__(self) -> None:
         self.objective = np.atleast_1d(np.asarray(self.objective, dtype=np.float64))
@@ -78,17 +78,13 @@ class LinearProgram:
         if self.ineq_lhs.ndim != 2 or self.ineq_lhs.shape[1] != d:
             raise ValueError(f"ineq_lhs must be (q, {d}), not {self.ineq_lhs.shape}")
         self.ineq_rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=np.float64))
+        self.ineq_upper = np.atleast_1d(np.asarray(self.ineq_upper, dtype=np.float64))
         q = self.ineq_rhs.shape[0]
-        self.ineq_upper = np.full(q, np.inf) if self.ineq_upper is None else \
-            np.atleast_1d(np.asarray(self.ineq_upper, dtype=np.float64))
         if self.ineq_lhs.shape[0] != q or self.ineq_upper.shape != (q,):
             raise ValueError("inequality lhs/rhs row counts differ")
-        for block in (self.objective, self.ineq_lhs, self.ineq_rhs):
+        for block in (self.objective, self.ineq_lhs, self.ineq_rhs, self.ineq_upper):
             if not np.isfinite(block).all():
                 raise ValueError("linear program data must be finite")
-        if not (self.ineq_upper > -np.inf).all():   # a nan compares false too
-            raise ValueError("linear program data must be finite, "
-                             "apart from +inf row upper bounds")
 
     @property
     def num_vars(self) -> int:
@@ -112,10 +108,9 @@ class LpSolution:
     iterations: int
     max_constraint_violation: float  # against the original rows, nan unless optimal
     # (q,) signed row multipliers, present iff optimal (and only from solve_lp):
-    # positive where the lower bound binds, negative where the upper one does
-    # (so >= 0 on a one-sided row), ineq_lhs.T @ y <= objective, and
-    # ineq_rhs @ max(y, 0) + ineq_upper @ min(y, 0) = objective_value, the
-    # second sum over the rows with a finite upper bound
+    # positive where the lower bound binds, negative where the upper one does,
+    # ineq_lhs.T @ y <= objective, and
+    # ineq_rhs @ max(y, 0) + ineq_upper @ min(y, 0) = objective_value
     multipliers: np.ndarray | None = None
     degenerate_pivots: int = 0       # pivots that did not improve the objective
     bland_switches: int = 0          # switches to Bland's rule after a stall
@@ -162,18 +157,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Raises ValueError unless every ineq_rhs is <= 0 and every ineq_upper
     >= 0.  Runs pivots from the all-surplus basis until optimality,
     unboundedness, or ITERATION_FACTOR * (rows + cols) pivots of the
-    two-row standard form (status iteration_limit), reading the module's
-    constants at call time.  Counts the pivots, the degenerate pivots
-    (those that did not improve the objective), the switches to Bland's
-    rule, the pivots that made an upper bound binding and the bound flips.
+    two-row standard form, ITERATION_FACTOR * (4 M + K) for M rows and K
+    variables (status iteration_limit), reading the module's constants at
+    call time.  Counts the pivots, the degenerate pivots (those that did not
+    improve the objective), the switches to Bland's rule, the pivots that
+    made an upper bound binding and the bound flips.
 
     Variables carry two-row names: z is 0..K-1, row i's lower surplus K + i
     and its upper one K + M + i.  position[name] is the two-row position of
-    the row where that variable is basic, row i's upper row being at M + i
-    (the two-row form numbers only the finite upper bounds, in the same
-    order), and the entering variable takes the position of the one that
-    leaves; width is each row's width, +inf for a one-sided row.  The
-    candidates are the columns with reduced cost below -OPTIMALITY_TOL;
+    the row where that variable is basic, row i's upper row being at M + i,
+    and the entering variable takes the position of the one that leaves;
+    width is each row's width u_i - l_i.  The candidates are the columns
+    with reduced cost below -OPTIMALITY_TOL;
     Dantzig's rule keeps those of the most negative one, Bland's rule keeps
     them all, and both take the lowest variable name (slots), not column.
     Switches to Bland's rule after STALL_LIMIT consecutive degenerate
@@ -217,7 +212,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     cost = np.zeros(K + 2 * M)
     cost[:K] = c
     width = lp.ineq_upper - lp.ineq_rhs
-    itmax = ITERATION_FACTOR * (2 * (M + int(np.count_nonzero(width < np.inf))) + K)
+    itmax = ITERATION_FACTOR * (4 * M + K)
     from scipy.linalg.blas import dger
     # the all-surplus basis costs nothing, so its cost row is [objective | 0]
     r = np.zeros(K + 1)

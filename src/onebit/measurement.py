@@ -16,6 +16,11 @@ Grids are generated in row blocks of about 16K entries, mixed in place in two
 reused word buffers and converted straight into the output array.  Every entry
 is still that pure function of (seed, i, j), so blocking never changes a value.
 
+A computation over more rows than it should hold at once streams them:
+row_blocks splits rows 0..m into blocks of about ROW_BLOCK_ENTRIES entries,
+and each block is drawn with its row_offset.  The concentration checks and
+the separation estimate all stream their Gaussian rows this way.
+
 scipy.special's ndtri is imported at first use: normal_grid and
 gen_sparse_signal's Gaussian magnitudes look it up once per call, so importing
 onebit loads no scipy and the uniform and sign draws never load it.
@@ -155,6 +160,31 @@ def normal_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndar
 def sign_grid(seed: int, rows: int, cols: int, row_offset: int = 0) -> np.ndarray:
     """Matrix of symmetric +-1 entries drawn from the top bit of the word grid."""
     return _grid(seed, rows, cols, row_offset, _signs)
+
+
+# entries in one block of a streamed draw, of its rows and of their products
+ROW_BLOCK_ENTRIES = 1 << 17
+
+
+def row_blocks(m: int, width: int) -> list[tuple[int, int]]:
+    """The (first, stop) rows of the blocks that rows 0..m of a stream are drawn in.
+
+    width is the widest row a block makes, whether a row drawn or a row of
+    its products, so a block holds about ROW_BLOCK_ENTRIES entries of each
+    (the last block up to twice that).
+
+    A product of the blocks gives the whole ensemble's bits only if each row
+    meets the same BLAS kernel.  Matrix kernels take rows in groups (of 4 in
+    OpenBLAS's x86-64 kernels) and round a group's remainder differently, so
+    every block but the last is a multiple of 8 rows.  A short product takes
+    another kernel altogether: numpy multiplies a single row by a dot
+    product, and OpenBLAS 0.3.31 rounds a 100-column product of up to 12
+    rows differently.  So the last block takes the rows left after the
+    other blocks, at least one whole block of them unless m is smaller.
+    """
+    step = max(8, (ROW_BLOCK_ENTRIES // width) & -8)
+    starts = range(0, max(m - step + 1, 1), step)
+    return list(zip(starts, [*starts[1:], m]))
 
 
 @dataclass

@@ -1,20 +1,24 @@
 """Reference oracles that the tests check the solver and the recovery LP against.
 
 GeneralLP is the general-form LP the tests pose (equality rows, free
-variables); canonical() turns it into lp_core's one form, and solve_general
-solves it through that form and maps the result back.
+variables, one-sided rows); canonical() turns one whose rows are all finite
+ranges into lp_core's one form, and solve_general solves it through that
+form and maps the result back.
 brute_force_vertex_solve solves a tiny general-form LP by enumerating
 candidate active sets, so it shares no pivoting code with lp_core.solve_lp.
 nonconvex_oracle approximates the sphere-constrained l1 minimizer that the
 recovery LP relaxes.  Both are small-instance references, not solvers.
 full_tableau_solve_lp is the simplex on the full tableau of the two-row
-form (surplus identity columns stored, every finite upper bound its own
+form (surplus identity columns stored, every upper bound its own
 mirrored row), which lp_core.solve_lp replaced by the condensed exchange
 tableau on one row per range row; solve_lp must take its pivots and return
 its bytes.
 random_small_lp draws the tiny general-form LPs that the solver is checked
 on against brute_force_vertex_solve, and random_range_lp tiny LPs of range
-rows, which two_row_form poses as the oracles' rows.
+rows, which two_row_form poses as the oracles' one-sided rows.  Every row
+of both has finite width, so an improving ray must be orthogonal to every
+row; both sometimes zero a column (a variable that no row holds) to make
+unbounded LPs.
 reference_recovery_lp is recovery.build_recovery_lp assembled row-major;
 build_recovery_lp must return its bytes.
 contains, hard_threshold and block_decompose are the membership test of
@@ -52,16 +56,19 @@ FEASIBILITY_TOL = 1e-8   # row residual, relative to 1 + max |rhs|, that counts 
 class GeneralLP:
     """Dense general-form LP: minimize objective @ z subject to
 
-        eq_lhs @ z == eq_rhs, ineq_lhs @ z >= ineq_rhs, z_j >= 0 where nonneg[j]
+        eq_lhs @ z == eq_rhs, ineq_rhs <= ineq_lhs @ z <= ineq_upper,
+        z_j >= 0 where nonneg[j]
 
-    and every other z_j free (by default every variable is free).
+    and every other z_j free (by default every variable is free).  An
+    upper bound of +inf (the default) makes a row one-sided.
     """
 
     objective: np.ndarray        # (d,)
     eq_lhs: np.ndarray = ()      # (p, d)
     eq_rhs: np.ndarray = ()      # (p,)
     ineq_lhs: np.ndarray = ()    # (q, d)
-    ineq_rhs: np.ndarray = ()    # (q,)
+    ineq_rhs: np.ndarray = ()    # (q,) row lower bounds
+    ineq_upper: np.ndarray | None = None   # (q,) row upper bounds, None means all +inf
     nonneg: np.ndarray | None = None   # (d,) bool, None means all free
 
     def __post_init__(self) -> None:
@@ -71,6 +78,8 @@ class GeneralLP:
         self.eq_rhs = np.atleast_1d(np.asarray(self.eq_rhs, dtype=np.float64))
         self.ineq_lhs = np.asarray(self.ineq_lhs, dtype=np.float64).reshape(-1, d)
         self.ineq_rhs = np.atleast_1d(np.asarray(self.ineq_rhs, dtype=np.float64))
+        self.ineq_upper = np.full(self.ineq_rhs.shape, np.inf) if self.ineq_upper is None \
+            else np.atleast_1d(np.asarray(self.ineq_upper, dtype=np.float64))
         self.nonneg = np.zeros(d, dtype=bool) if self.nonneg is None \
             else np.asarray(self.nonneg, dtype=bool)
 
@@ -84,41 +93,48 @@ class GeneralLP:
         if self.eq_lhs.shape[0]:
             worst = max(worst, float(np.max(np.abs(self.eq_lhs @ z - self.eq_rhs))))
         if self.ineq_lhs.shape[0]:
-            slack = self.ineq_lhs @ z - self.ineq_rhs
-            worst = max(worst, float(np.max(-slack, initial=0.0)))
+            prods = self.ineq_lhs @ z
+            worst = max(worst, float(np.max(self.ineq_rhs - prods, initial=0.0)),
+                        float(np.max(prods - self.ineq_upper, initial=0.0)))
         return worst
 
 
 def random_small_lp(seed, mask="free") -> GeneralLP:
-    """Half-integer random LP with d <= 6 and p + q <= 8, feasible at z = 0.
+    """Half-integer random LP with d <= 6, p <= 2 equality rows and p + q <= 5
+    rows in all, feasible at z = 0.
 
-    The equality rhs is 0 and the inequality rhs is -|draw|; the rhs draws
-    stay, so the rest of the stream is the same.  mask picks the nonnegative
+    The equality rhs is 0, and each range row's bounds are drawn from
+    [-2, 0] and [0, 2].  With probability 1/3 one column is zeroed in every
+    row, so that variable is bounded by no row.  mask picks the nonnegative
     variables: "free" (none), "nonneg" (all) or "mixed" (each with
     probability 1/2).
     """
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 7))
     p = int(rng.integers(0, 3))
-    q = int(rng.integers(0, 9 - p))
-    mk = lambda r: rng.integers(-4, 5, size=(r, d)) / 2.0
-    args = (rng.integers(-4, 5, size=d) / 2.0,
-            mk(p), np.zeros_like(rng.integers(-4, 5, size=p), dtype=float),
-            mk(q), -np.abs(rng.integers(-4, 5, size=q)) / 2.0)
+    q = int(rng.integers(0, 6 - p))
+    rows = rng.integers(-4, 5, size=(p + q, d)) / 2.0
+    if rng.random() < 1.0 / 3.0:
+        rows[:, rng.integers(d)] = 0.0
+    # 0.0 - x, not -x: a lower bound of -0.0 would flip the sign of some
+    # zero entries of the primal
+    lower = 0.0 - rng.integers(0, 5, size=q) / 2.0
+    upper = rng.integers(0, 5, size=q) / 2.0
     nonneg = {"free": np.zeros(d, dtype=bool), "nonneg": np.ones(d, dtype=bool),
               "mixed": rng.integers(0, 2, size=d).astype(bool)}[mask]
-    return GeneralLP(*args, nonneg=nonneg)
+    return GeneralLP(rng.integers(-4, 5, size=d) / 2.0, rows[:p], np.zeros(p),
+                     rows[p:], lower, upper, nonneg)
 
 
 def random_range_lp(seed) -> LinearProgram:
     """Half-integer random LP in lp_core's form: d <= 5 nonnegative
     variables and q <= 6 range rows, feasible at z = 0.
 
-    A row is one-sided (upper bound +inf) with probability 1/3.  The others
-    get a lower bound in [-2, 0] and an upper one in [0, 1.5], so their
-    widths (0 included: an equality row) are small next to the entries, and
-    a pivot often makes an upper bound binding or flips a surplus across
-    its row's width.
+    Each row gets a lower bound in [-2, 0] and an upper one in [0, 1.5], so
+    its width (0 included: an equality row) is small next to the entries,
+    and a pivot often makes an upper bound binding or flips a surplus across
+    its row's width.  With probability 1/3 one column is zeroed, so that
+    variable is bounded by no row.
     """
     rng = np.random.default_rng(seed)
     d = int(rng.integers(1, 6))
@@ -128,50 +144,47 @@ def random_range_lp(seed) -> LinearProgram:
     # zero entries of the primal
     lower = 0.0 - rng.integers(0, 5, size=q) / 2.0
     upper = rng.integers(0, 4, size=q) / 2.0
-    upper[rng.random(q) < 1.0 / 3.0] = np.inf
+    if rng.random() < 1.0 / 3.0:
+        lhs[:, rng.integers(d)] = 0.0
     return LinearProgram(rng.integers(-4, 5, size=d) / 2.0, lhs, lower, upper)
 
 
 def canonical(lp: GeneralLP) -> LinearProgram:
-    """lp in lp_core's form: every row >=, every variable nonnegative.
+    """lp in lp_core's form: every row a finite range, every variable nonnegative.
 
-    Each equality row e z = r becomes the pair e z >= r, -e z >= -r, the
-    pairs ahead of the inequality rows; each free z_j becomes z_j - z_j-,
-    with the z_j- columns after all d columns, in the order of j.
+    Each equality row e z = r becomes the range row r <= e z <= r, ahead of
+    the inequality rows; each free z_j becomes z_j - z_j-, with the z_j-
+    columns after all d columns, in the order of j.  A one-sided row has no
+    finite form, and LinearProgram refuses it.
     """
     free = ~lp.nonneg
-    rows = np.vstack([lp.eq_lhs, -lp.eq_lhs, lp.ineq_lhs])
-    # 0.0 - r, not -r: at r = 0 the -0.0 would flip the sign of some zero
-    # entries of the primal
+    rows = np.vstack([lp.eq_lhs, lp.ineq_lhs])
     return LinearProgram(np.concatenate([lp.objective, -lp.objective[free]]),
                          np.hstack([rows, -rows[:, free]]),
-                         np.concatenate([lp.eq_rhs, 0.0 - lp.eq_rhs, lp.ineq_rhs]))
+                         np.concatenate([lp.eq_rhs, lp.ineq_rhs]),
+                         np.concatenate([lp.eq_rhs, lp.ineq_upper]))
 
 
 def solve_general(lp: GeneralLP) -> LpSolution:
     """Solve lp with solve_lp through canonical(), in lp's variables and rows.
 
-    z = w[:d] minus the z_j- parts, and an equality row's multiplier is the
-    difference of its pair's.
+    z = w[:d] minus the z_j- parts; every row keeps its signed multiplier.
     """
     sol = solve_lp(canonical(lp))
     if sol.status != "optimal":
         return sol
-    d, p = lp.num_vars, lp.eq_lhs.shape[0]
+    d = lp.num_vars
     z = sol.primal[:d].copy()
     z[~lp.nonneg] -= sol.primal[d:]
-    pi = sol.multipliers
-    # -(second - first), not first - second: a pair whose surplus variables
-    # are both basic gets -0.0, as a single row does
-    pi = np.concatenate([-(pi[p:2 * p] - pi[:p]), pi[2 * p:]])
     return replace(sol, primal=z, objective_value=float(lp.objective @ z),
-                   max_constraint_violation=lp.max_violation(z), multipliers=pi)
+                   max_constraint_violation=lp.max_violation(z))
 
 
 def brute_force_vertex_solve(lp: GeneralLP) -> LpSolution:
     """Exact reference solve by enumerating candidate active sets.
 
-    Each nonnegative variable adds the row z_j >= 0.  Lineality directions
+    Each finite upper bound adds its mirrored row -a_i z >= -u_i and each
+    nonnegative variable the row z_j >= 0.  Lineality directions
     (common null space of all rows) are pinned with extra orthogonality
     equalities so the system is pointed; vertices then come from d-subsets
     of rows and unbounded rays from (d-1)-subsets.  Guarded to tiny sizes;
@@ -179,14 +192,17 @@ def brute_force_vertex_solve(lp: GeneralLP) -> LpSolution:
     """
     d = lp.num_vars
     p = lp.eq_lhs.shape[0]
-    q = lp.ineq_lhs.shape[0] + int(np.count_nonzero(lp.nonneg))
+    fin = lp.ineq_upper < np.inf
+    lhs = np.vstack([lp.ineq_lhs, -lp.ineq_lhs[fin]])
+    lower = np.concatenate([lp.ineq_rhs, -lp.ineq_upper[fin]])
+    q = lhs.shape[0] + int(np.count_nonzero(lp.nonneg))
     if d > 12 or p + q > 24:
         raise ValueError("brute force solve is limited to d <= 12 and 24 rows "
-                         "(nonnegativity bounds included)")
+                         "(upper and nonnegativity bounds included)")
     c = lp.objective
 
-    rows = np.vstack([lp.eq_lhs, lp.ineq_lhs, np.eye(d)[lp.nonneg]])
-    rhs = np.concatenate([lp.eq_rhs, lp.ineq_rhs, np.zeros(q - lp.ineq_lhs.shape[0])])
+    rows = np.vstack([lp.eq_lhs, lhs, np.eye(d)[lp.nonneg]])
+    rhs = np.concatenate([lp.eq_rhs, lower, np.zeros(q - lhs.shape[0])])
     is_eq = np.zeros(p + q, dtype=bool)
     is_eq[:p] = True
 
@@ -375,7 +391,7 @@ def _full_reduced_costs(T: np.ndarray, basis: np.ndarray, cost: np.ndarray) -> n
     return r
 
 
-def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray, mate: np.ndarray,
                   itmax: int) -> tuple[str, int]:
     """Run pivots until optimality, unboundedness, or the iteration cap.
 
@@ -384,6 +400,12 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     progress, and recomputes the cost row every lp_core.REFRESH_PIVOTS
     pivots.  Both are read at call time, so a patch of lp_core reaches
     this simplex and solve_lp alike.
+
+    mate names each column's mate: the other surplus of its range row, -1
+    for a z column.  A surplus and its mate sum to the row's width, so while
+    the mate is basic, its row holds the entering surplus with entry exactly
+    1; that entry is set to 1 before the ratio test, as solve_lp holds its
+    own bound, rather than left at the 1 - ulp that pivot roundoff may make.
     """
     K = T.shape[1] - 1
     r = _full_reduced_costs(T, basis, cost)
@@ -403,6 +425,8 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
             if red[cpiv] >= -OPTIMALITY_TOL:
                 return "optimal", iters
         col = T[:, cpiv]
+        if mate[cpiv] >= 0:
+            col[basis == mate[cpiv]] = 1.0
         pos = np.where(col > PIVOT_TOL)[0]
         if pos.size == 0:
             return "unbounded", iters
@@ -435,12 +459,13 @@ def _full_simplex(T: np.ndarray, basis: np.ndarray, cost: np.ndarray,
     return "iteration_limit", iters
 
 
-def two_row_form(lp: LinearProgram) -> LinearProgram:
-    """lp with each finite upper bound posed as its own row: the mirrored row
-    -a_i z >= -u_i, the mirrored rows after all the lower ones in row order."""
-    fin = lp.ineq_upper < np.inf
-    return LinearProgram(lp.objective, np.vstack([lp.ineq_lhs, -lp.ineq_lhs[fin]]),
-                         np.concatenate([lp.ineq_rhs, -lp.ineq_upper[fin]]))
+def two_row_form(lp: LinearProgram) -> GeneralLP:
+    """lp with each upper bound posed as its own row: the mirrored row
+    -a_i z >= -u_i, the mirrored rows after all the lower ones in row order,
+    every variable nonnegative."""
+    return GeneralLP(lp.objective, ineq_lhs=np.vstack([lp.ineq_lhs, -lp.ineq_lhs]),
+                     ineq_rhs=np.concatenate([lp.ineq_rhs, -lp.ineq_upper]),
+                     nonneg=np.ones(lp.num_vars, dtype=bool))
 
 
 def full_tableau_solve_lp(lp: LinearProgram) -> LpSolution:
@@ -477,7 +502,8 @@ def full_tableau_solve_lp(lp: LinearProgram) -> LpSolution:
     T[:, N] = b
     cost = np.zeros(N)
     cost[:d] = c
-    status, iters = _full_simplex(T, basis, cost, lp_core.ITERATION_FACTOR * (M + N))
+    mate = np.concatenate([np.full(d, -1), d + q + np.arange(q), d + np.arange(q)])
+    status, iters = _full_simplex(T, basis, cost, mate, lp_core.ITERATION_FACTOR * (M + N))
     if status != "optimal":
         value = -np.inf if status == "unbounded" else np.nan
         return LpSolution(status, None, value, iters, np.nan)
@@ -496,11 +522,10 @@ def full_tableau_solve_lp(lp: LinearProgram) -> LpSolution:
     z[cols] = _solve_square(block, b[rows])
     pi = np.zeros(M)
     pi[rows] = _solve_square(block.T, cost[cols])
-    of_row = np.concatenate([np.arange(q), np.flatnonzero(lp.ineq_upper < np.inf)])
     y = np.zeros(q)
-    lower = rows[:q]
+    lower, upper = rows[:q], rows[q:]
     y[lower] = -pi[:q][lower]
-    y[of_row[q:][rows[q:]]] = pi[q:][rows[q:]]
+    y[upper] = pi[q:][upper]
     return LpSolution("optimal", z, float(c @ z), iters, max_violation(lp, z), y)
 
 

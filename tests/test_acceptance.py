@@ -3,6 +3,8 @@
 Each criterion is one test that prints a single pass/fail summary line with
 the measured numbers, then asserts.  Criteria 4 and 5 share one 100-trial
 sweep (n=128) through a module fixture; everything else builds its own data.
+Next to criterion 5, test_first_proof_step_on_every_trial checks the first
+step of the paper's proof, an exact inequality, on every trial of a toy sweep.
 """
 
 import time
@@ -10,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import onebit.harness as harness
 from onebit.geometry import (
     SignalSetSpec,
     sample_sphere_cap,
@@ -164,6 +167,58 @@ def test_criterion_05_effective_sparsity_preservation(big_sweep):
         assert med_out <= bound
     report(5, "effective sparsity preservation", ok,
            "; ".join(parts) + f"; fitted constant {fitted:.2f}")
+
+
+def test_first_proof_step_on_every_trial(monkeypatch):
+    # the paper's first step, per trial of a toy sweep, Gaussian rows with
+    # Gaussian magnitudes and +-1 rows with constant ones.  With
+    # M(u) = (1/m) ||A u / ||u||_2||_1, x / (||x||_2 M(x)) meets every sign
+    # row and the normalization, so ||x_hat||_1 <= ||x||_1 / (||x||_2 M(x))
+    # up to the proven duality_gap; and the normalization is tight,
+    # (1/m) ||A x_hat||_1 >= 1 - 3 max_violation (VertexCertificate), so
+    # ||x_hat||_2 >= (1 - 3 max_violation) / M(x_hat).  Together:
+    # l1l2_ratio_out <= l1l2_ratio_in M(x_hat) / M(x) (1 + gap) / (1 - 3 v),
+    # with 1e-12 more for the rounding of the norms and means.  Criterion 05
+    # bounds only medians, by 3 l1l2_ratio_in sqrt(log(...))
+    t0 = time.perf_counter()
+    trials = []
+    real_gen, real_recover = harness.gen_instance, harness.recover
+
+    def gen(*args):
+        trials.append(list(real_gen(*args)))
+        return trials[-1]
+
+    def recover_seen(ens, y):
+        trials[-1].append(real_recover(ens, y))
+        return trials[-1][-1]
+
+    monkeypatch.setattr(harness, "gen_instance", gen)
+    monkeypatch.setattr(harness, "recover", recover_seen)
+    worst = -np.inf
+    checked = 0
+    for dist, mag in (("gaussian", "unit_gaussian"), ("bernoulli", "constant")):
+        for n in (32, 64):
+            for s in (2, 4):
+                trials.clear()
+                rows = run_sweep(n, s, [10, 20, 40, 80], 3, seed=19,
+                                 distribution=dist, magnitude_model=mag)
+                assert len(rows) == len(trials) == 12
+                for row, (x, ens, res) in zip(rows, trials):
+                    A = ens.rows
+
+                    def moment(u):
+                        return np.abs(A @ u).mean() / np.linalg.norm(u)
+
+                    cert = res.certificate
+                    bound = (row.l1l2_ratio_in * moment(res.x_hat) / moment(x)
+                             * (1.0 + cert.duality_gap) / (1.0 - 3.0 * cert.max_violation))
+                    worst = max(worst, row.l1l2_ratio_out / bound - 1.0)
+                    assert row.l1l2_ratio_out <= bound * (1.0 + 1e-12), (dist, n, s, row)
+                    checked += 1
+    elapsed = time.perf_counter() - t0
+    print(f"first proof step: {checked} trials, largest ratio_out / bound - 1 = "
+          f"{worst:.2e}, {elapsed:.2f}s")
+    assert checked == 96
 
 
 def test_criterion_06_concentration():

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import onebit.geometry as geometry
 from onebit.geometry import (
     PairSeparation,
     SignalSetSpec,
@@ -16,7 +17,13 @@ from onebit.geometry import (
     tessellation_points,
     tessellation_rows,
 )
-from onebit.measurement import derive_seed, gen_gaussian_ensemble, normal_grid, uniform_grid
+from onebit.measurement import (
+    derive_seed,
+    gen_gaussian_ensemble,
+    normal_grid,
+    row_blocks,
+    uniform_grid,
+)
 from oracles import block_decompose, contains, hard_threshold
 
 
@@ -247,6 +254,28 @@ def test_separation_probability_antipodal():
     x = np.array([1.0, 0.0, 0.0])
     est = single_hyperplane_separation_prob(x, -x, 100000, seed=23, margin=0.0)
     assert abs(est - 0.5) <= 0.01
+
+
+@pytest.mark.parametrize("n, trials", [(2, 65537), (64, 4097), (64, 6151)])
+def test_separation_probability_streams_row_blocks(monkeypatch, n, trials):
+    # the rows are drawn as measurement.row_blocks(trials, n) lays them out,
+    # and the estimate is the whole ensemble's count, even for a pair whose
+    # products are sums of n rounded terms
+    x = normal_grid(3, 1, n)[0]
+    y = normal_grid(4, 1, n)[0]
+    x /= np.linalg.norm(x)
+    y /= np.linalg.norm(y)
+    drawn = []
+
+    def grid(seed, rows, cols, row_offset=0):
+        drawn.append((row_offset, row_offset + rows))
+        return normal_grid(seed, rows, cols, row_offset)
+
+    monkeypatch.setattr(geometry, "normal_grid", grid)
+    est = single_hyperplane_separation_prob(x, y, trials, seed=9, margin=0.01)
+    assert drawn == row_blocks(trials, n)
+    whole = separation_count(normal_grid(9, trials, n), x, y, 0.01)
+    assert est == whole / trials
 
 
 def test_separation_probability_monotone_in_margin():

@@ -22,6 +22,7 @@ import scipy
 import onebit
 import onebit.geometry as geometry
 import onebit.harness as harness
+import onebit.measurement as measurement
 from onebit.cli import CHECKS, build_parser, main
 from onebit.geometry import SignalSetSpec, sample_sphere_cap, single_hyperplane_separation_prob
 from onebit.harness import (
@@ -241,17 +242,27 @@ def _whole_ensemble_concentration(n, m, trials, seed):
     return float(moments.mean()), np.abs(moments - ROOT_TWO_OVER_PI)
 
 
-def _whole_ensemble_uniform(n, s, m, sample_count, seed):
-    """verify_uniform_concentration's formula over the whole ensemble at once."""
+def _whole_ensemble_moments(n, s, m, sample_count, seed):
+    """verify_uniform_concentration's per-point moments over the whole ensemble at once."""
     X = sample_sphere_cap(SignalSetSpec(n, s), sample_count, derive_seed(seed, 1))
     rows = gen_gaussian_ensemble(m, n, derive_seed(seed, 2)).rows
-    moments = np.abs(rows @ X.T).mean(axis=0)
+    products = rows @ X.T
+    return np.abs(products, out=products).mean(axis=0)
+
+
+def _whole_ensemble_uniform(n, s, m, sample_count, seed):
+    """verify_uniform_concentration's formula over the whole ensemble at once."""
+    moments = _whole_ensemble_moments(n, s, m, sample_count, seed)
     return float(np.abs(moments - ROOT_TWO_OVER_PI).max())
 
 
-# n = 64 draws 2048-row blocks; 2**17 // n + 3 rows cross a block boundary
-@pytest.mark.parametrize("n, m", [(64, 1), (64, 2047), (64, 2048), (64, 2049), (64, 4097),
-                                  (64, 20000), (3, 2 ** 17 // 3 + 3), (48, 2 ** 17 // 48 + 3),
+# n = 64 draws 2048-row blocks, and the uniform check's 100 samples 1304-row
+# ones.  m = 2055 = 2048 + 7 and m = 2613 = 2 * 1304 + 5 end in a few rows,
+# which the last block takes with a whole block's: OpenBLAS rounds a
+# 100-column product of so few rows on their own differently
+@pytest.mark.parametrize("n, m", [(64, 1), (64, 2047), (64, 2048), (64, 2049), (64, 2055),
+                                  (64, 2613), (64, 4097), (64, 20000), (3, 2 ** 17 // 3 + 3),
+                                  (3, 2 * (2 ** 17 // 3) + 3), (48, 2 ** 17 // 48 + 3),
                                   (48, 2 * (2 ** 17 // 48) + 1)])
 def test_streamed_concentration_checks_are_the_whole_ensemble_bit_for_bit(monkeypatch, n, m):
     draws = []
@@ -260,14 +271,14 @@ def test_streamed_concentration_checks_are_the_whole_ensemble_bit_for_bit(monkey
         draws.append((row_offset, rows))
         return gen_gaussian_ensemble(rows, n, seed, row_offset)
 
-    def drawn_in_blocks(ensembles):
-        # each ensemble's draws tile rows 0..m in order, none larger than
-        # one block (the last may take one row more, so no row is a block alone)
+    def drawn_in_blocks(ensembles, width):
+        # each ensemble's draws are measurement.row_blocks(m, width): they
+        # tile rows 0..m in order, a block of about ROW_BLOCK_ENTRIES
+        # entries of rows width wide at a time (the last holds fewer than two)
         blocks = draws[:len(draws) // ensembles]
-        offsets = [0, *np.cumsum([rows for _, rows in blocks])]
-        ok = (draws == blocks * ensembles and offsets[-1] == m
-              and [r0 for r0, _ in blocks] == offsets[:-1]
-              and max(rows for _, rows in blocks) <= harness.ROW_BLOCK_ENTRIES // n + 1)
+        ok = (draws == blocks * ensembles
+              and [(r0, r0 + rows) for r0, rows in blocks] == measurement.row_blocks(m, width)
+              and max(rows for _, rows in blocks) < 2 * measurement.ROW_BLOCK_ENTRIES // width)
         draws.clear()
         return ok
 
@@ -275,12 +286,91 @@ def test_streamed_concentration_checks_are_the_whole_ensemble_bit_for_bit(monkey
     for seed in (0, 1):
         mean, devs = _whole_ensemble_concentration(n, m, 2, seed)
         rep = verify_concentration(n, m, 2, seed)
-        assert drawn_in_blocks(2), seed
+        assert drawn_in_blocks(2, n), seed
         assert rep.mean_abs_moment == mean and np.array_equal(rep.deviations, devs), seed
         s = min(4, n)
         assert (verify_uniform_concentration(n, s, m, 100, seed)
                 == _whole_ensemble_uniform(n, s, m, 100, seed)), seed
-        assert drawn_in_blocks(1), seed
+        assert drawn_in_blocks(1, max(n, 100)), seed
+
+
+class _Recorded(float):
+    """sqrt(2/pi) that records every array subtracted from it.
+
+    With __array_ufunc__ = None, numpy hands moments - ROOT_TWO_OVER_PI to
+    __rsub__, so a check's per-point moments are seen as it computed them.
+    """
+
+    __array_ufunc__ = None
+
+    def __new__(cls, seen):
+        obj = super().__new__(cls, ROOT_TWO_OVER_PI)
+        obj.seen = seen
+        return obj
+
+    def __rsub__(self, other):
+        self.seen.append(np.array(other, copy=True))
+        return other - float(self)
+
+
+# Smaller blocks do not always keep the bits: at ROW_BLOCK_ENTRIES = 2**11
+# the uniform check's per-point moments moved in the last bit with 2, 5 or 13
+# samples, and with 300 samples at n = 16, where a block's product is only a
+# few rows and columns and OpenBLAS rounds it differently.  These sizes keep
+# them at every height tried
+@pytest.mark.parametrize("n, m, samples", [(64, 3001, 100), (64, 20000, 100), (8, 2613, 1000)])
+def test_streamed_moments_do_not_depend_on_the_block_height(monkeypatch, n, m, samples):
+    # the per-trial moments and deviations of the concentration check and
+    # every per-point moment of the uniform check are the same bits whatever
+    # ROW_BLOCK_ENTRIES is, from 2**11 to the default 2**17, at these sizes
+    got = []
+    for entries in (2 ** 11, 2 ** 13, 2 ** 15, measurement.ROW_BLOCK_ENTRIES):
+        seen = []
+        with monkeypatch.context() as mp:
+            mp.setattr(measurement, "ROW_BLOCK_ENTRIES", entries)
+            mp.setattr(harness, "ROOT_TWO_OVER_PI", _Recorded(seen))
+            devs = verify_concentration(n, m, 3, seed=5).deviations
+            max_dev = verify_uniform_concentration(n, min(4, n), m, samples, seed=5)
+        # the three trials' moments, then the uniform check's per-point ones
+        assert len(seen) == 4 and seen[3].shape == (samples,)
+        assert max_dev == float(np.abs(seen[3] - ROOT_TWO_OVER_PI).max())
+        got.append((devs.tobytes(), [moments.tobytes() for moments in seen]))
+    assert got[1:] == got[:-1]
+
+
+# at the default ROW_BLOCK_ENTRIES, 5000 samples make blocks of 24 rows and
+# 20000 samples blocks of 8, the least height; m = 1001 and m = 409 end each
+# in a longer last block
+@pytest.mark.parametrize("m, samples", [(1001, 5000), (409, 20000)])
+def test_uniform_check_is_the_whole_ensemble_with_many_samples(monkeypatch, m, samples):
+    for seed in (0, 1):
+        seen = []
+        monkeypatch.setattr(harness, "ROOT_TWO_OVER_PI", _Recorded(seen))
+        max_dev = verify_uniform_concentration(64, 4, m, samples, seed)
+        monkeypatch.undo()
+        moments = _whole_ensemble_moments(64, 4, m, samples, seed)
+        assert len(seen) == 1 and seen[0].tobytes() == moments.tobytes(), seed
+        assert max_dev == float(np.abs(moments - ROOT_TWO_OVER_PI).max()), seed
+
+
+def test_uniform_check_memory_does_not_grow_with_samples():
+    # 2000 samples: the check holds blocks of 64 rows and their 64 x 2000
+    # products, 1 MB, next to the sample it draws.  Blocks sized by n alone
+    # would be 2048 rows, and their products 32 MB
+    spec = SignalSetSpec(64, 4)
+    for run in (lambda: sample_sphere_cap(spec, 2000, derive_seed(0, 1)),
+                lambda: verify_uniform_concentration(64, 4, 4000, 2000, 0)):
+        run()   # imports and first-use caches
+    peaks = []
+    for run in (lambda: sample_sphere_cap(spec, 2000, derive_seed(0, 1)),
+                lambda: verify_uniform_concentration(64, 4, 4000, 2000, 0)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2 * 2 ** 20, peaks
 
 
 def test_concentration_checks_hold_one_block_of_rows():

@@ -8,6 +8,7 @@ import pytest
 from scipy.special import ndtri
 
 from onebit.measurement import (
+    ROW_BLOCK_ENTRIES,
     MeasurementEnsemble,
     derive_seed,
     effective_sparsity,
@@ -16,6 +17,7 @@ from onebit.measurement import (
     gen_sparse_signal,
     mix64,
     normal_grid,
+    row_blocks,
     sign_grid,
     sign_quantize,
     uniform_grid,
@@ -291,3 +293,19 @@ def test_integer_only_grids_pinned(grid, args, digest):
     # these grids use only integer ops and exact conversions, so their bytes
     # are the same on every platform
     assert hashlib.sha256(grid(*args).tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("width", [1, 2, 64, 100, 5000, 2 ** 17, 2 ** 20])
+def test_row_blocks_tile_the_rows(width):
+    # blocks of ROW_BLOCK_ENTRIES // width rows, a multiple of 8 and at least
+    # 8, tile rows 0..m in order; the last takes what the others leave, one
+    # whole block or more unless m is smaller
+    step = max(8, (ROW_BLOCK_ENTRIES // width) & -8)
+    assert step % 8 == 0 and step * width <= max(ROW_BLOCK_ENTRIES, 8 * width)
+    for m in (1, 2, 7, 8, 9, step - 1, step, step + 1, 2 * step - 1, 2 * step,
+              2 * step + 1, 5 * step + 3):
+        blocks = row_blocks(m, width)
+        assert blocks[0][0] == 0 and blocks[-1][1] == m, (m, blocks)
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:])), (m, blocks)
+        assert all(r1 - r0 == step for r0, r1 in blocks[:-1]), (m, blocks)
+        assert min(m, step) <= blocks[-1][1] - blocks[-1][0] < 2 * step, (m, blocks)

@@ -27,7 +27,6 @@ from onebit.recovery import (
     recovery_error,
 )
 from oracles import (
-    GeneralLP,
     brute_force_vertex_solve,
     nonconvex_oracle,
     reference_recovery_lp,
@@ -157,10 +156,7 @@ def test_lp_hand_instance():
     # x_hat = (1, 0), the minimizer of |x1| + |x2| s.t. x1 >= 0, x1 >= 1
     ens = MeasurementEnsemble(np.array([[1.0, 0.0]]))
     prob = build_recovery_lp(ens, np.array([1], dtype=np.int8))
-    two = two_row_form(prob)
-    general = GeneralLP(two.objective, ineq_lhs=two.ineq_lhs, ineq_rhs=two.ineq_rhs,
-                        nonneg=[True, True])
-    for sol in (solve_lp(prob), brute_force_vertex_solve(general)):
+    for sol in (solve_lp(prob), brute_force_vertex_solve(two_row_form(prob))):
         assert sol.status == "optimal"
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
         assert np.allclose(sol.primal, [0.0, 1.0], atol=1e-9)
